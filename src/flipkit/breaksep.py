@@ -514,10 +514,11 @@ def break_from_sep(
         a2 = tuple(probe_arr[~in_r4[v]].tolist())
     else:
         scattered = greedy_scattered(flipped, probes, 2 * r)
-        assert len(scattered) >= 2 * m, (
-            "scattered set too small although no vertex covers 2m probes; "
-            "the two cases should cover everything"
-        )
+        if len(scattered) < 2 * m:
+            raise RuntimeError(
+                "scattered set too small although no vertex covers 2m probes; "
+                "the two cases should cover everything"
+            )
         a1 = scattered[:m]
         a2 = scattered[m : 2 * m]
     witness = BreakWitness(

@@ -212,10 +212,11 @@ def bipartite_flip(b: Bipartite) -> BipartiteFlipResult:
                 flipped_blocks.add((i, j))
             else:
                 compl_diam = diameter(bipartite_complement(block).graph)
-                assert compl_diam <= _PAIR_DIAMETER_BOUND, (
-                    "bipartite block has large diameter on both sides; "
-                    "the case split above is broken"
-                )
+                if compl_diam > _PAIR_DIAMETER_BOUND:
+                    raise RuntimeError(
+                        "bipartite block has large diameter on both sides; "
+                        "the case split above is broken"
+                    )
     flipped = Bipartite(Graph(adj), b.left, b.right)
     return BipartiteFlipResult(
         u_split=u_split,
@@ -273,10 +274,11 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
         if diameter(complement(sub)) <= _PART_DIAMETER_BOUND:
             part_certs.append(PartCertificate(part=x, flipped=False, branch="compl_diam_le3"))
         else:
-            assert diameter(sub) <= _PART_DIAMETER_BOUND, (
-                "part and its complement both have diameter above 3; "
-                "the diameter dichotomy is broken"
-            )
+            if diameter(sub) > _PART_DIAMETER_BOUND:
+                raise RuntimeError(
+                    "part and its complement both have diameter above 3; "
+                    "the diameter dichotomy is broken"
+                )
             idx = list(part)
             adj[np.ix_(idx, idx)] ^= True
             np.fill_diagonal(adj, False)

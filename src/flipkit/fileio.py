@@ -17,13 +17,40 @@ from .flips import FlipSpec, Partition
 from .graphs import Bipartite, Graph
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) of every line left after ``#`` comments
+    and blank lines are dropped."""
+    rows = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            rows.append((number, fields))
+    return rows
+
+
+def _fields(row: tuple[int, list[str]], *kinds) -> tuple:
+    """The fields of one row, converted by ``kinds`` (one per field, so
+    also the required count); with no kinds, any number of integers."""
+    number, fields = row
+    kinds = kinds or (int,) * len(fields)
+    if len(fields) != len(kinds):
+        raise DomainError(f"line {number}: expected {len(kinds)} fields, got {len(fields)}")
+    try:
+        return tuple(kind(x) for kind, x in zip(kinds, fields))
+    except ValueError:
+        raise DomainError(f"line {number}: malformed field in {' '.join(fields)!r}") from None
+
+
+def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
+    """The graph of an ``n m`` header row and its ``u v`` edge rows."""
+    n, m = _fields(header, int, int)
+    if n < 0 or m < 0:
+        raise DomainError(f"line {header[0]}: header counts must be nonnegative")
+    if len(edge_rows) != m:
+        raise DomainError(
+            f"line {header[0]}: header declares {m} edges, file has {len(edge_rows)}"
+        )
+    return Graph.from_edges(n, [_fields(row, int, int) for row in edge_rows])
 
 
 def dumps_graph(g: Graph) -> str:
@@ -34,20 +61,10 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
+    rows = _rows(text)
+    if not rows:
         raise DomainError("empty graph file")
-    try:
-        n, m = map(int, lines[0].split())
-    except ValueError as exc:
-        raise DomainError(f"bad graph header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise DomainError(f"header declares {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        u, v = map(int, line.split())
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return _graph(rows[0], rows[1:])
 
 
 def dumps_bipartite(b: Bipartite) -> str:
@@ -58,16 +75,14 @@ def dumps_bipartite(b: Bipartite) -> str:
 
 
 def loads_bipartite(text: str) -> Bipartite:
-    lines = _content_lines(text)
-    if len(lines) < 2 or not lines[1].startswith("U:"):
+    rows = _rows(text)
+    if len(rows) < 2 or not rows[1][1][0].startswith("U:"):
         raise DomainError("bipartite file needs an 'U: ...' second header line")
-    n, m = map(int, lines[0].split())
-    left = tuple(int(x) for x in lines[1][2:].split())
-    edges = [tuple(map(int, line.split())) for line in lines[2:]]
-    if len(edges) != m:
-        raise DomainError(f"header declares {m} edges, file has {len(edges)}")
-    right = tuple(v for v in range(n) if v not in set(left))
-    return Bipartite(Graph.from_edges(n, edges), left, right)
+    number, fields = rows[1]
+    left = _fields((number, " ".join(fields)[2:].split()))
+    g = _graph(rows[0], rows[2:])
+    right = tuple(v for v in range(g.n) if v not in set(left))
+    return Bipartite(g, left, right)
 
 
 def dumps_partition(p: Partition) -> str:
@@ -75,12 +90,11 @@ def dumps_partition(p: Partition) -> str:
 
 
 def loads_partition(text: str, n: int | None = None) -> Partition:
-    lines = _content_lines(text)
     labels: dict[int, int] = {}
-    for line in lines:
-        v, part = map(int, line.split())
+    for row in _rows(text):
+        v, part = _fields(row, int, int)
         if v in labels:
-            raise DomainError(f"vertex {v} listed twice in partition file")
+            raise DomainError(f"line {row[0]}: vertex {v} listed twice in partition file")
         labels[v] = part
     count = n if n is not None else (max(labels) + 1 if labels else 0)
     if set(labels) != set(range(count)):
@@ -93,11 +107,7 @@ def dumps_flip_spec(spec: FlipSpec) -> str:
 
 
 def loads_flip_spec(text: str) -> FlipSpec:
-    pairs = []
-    for line in _content_lines(text):
-        i, j = map(int, line.split())
-        pairs.append((i, j))
-    return FlipSpec(pairs)
+    return FlipSpec(_fields(row, int, int) for row in _rows(text))
 
 
 def dumps_weights(weights) -> str:
@@ -108,9 +118,9 @@ def loads_weights(text: str, n: int | None = None) -> list[int | float]:
     """Parse ``v weight`` lines; all-integer files come back as ints so the
     exact-arithmetic comparison path stays available."""
     entries: dict[int, str] = {}
-    for line in _content_lines(text):
-        v, w = line.split()
-        entries[int(v)] = w
+    for row in _rows(text):
+        v, _ = _fields(row, int, float)
+        entries[v] = row[1][1]
     count = n if n is not None else (max(entries) + 1 if entries else 0)
     if set(entries) != set(range(count)):
         raise DomainError("weights file must cover every vertex 0..n-1 once")
@@ -126,7 +136,7 @@ def dumps_family(sets) -> str:
 
 
 def loads_family(text: str) -> list[tuple[int, ...]]:
-    return [tuple(int(x) for x in line.split()) for line in _content_lines(text)]
+    return [_fields(row) for row in _rows(text)]
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,34 @@ def canonical_pairs(num_parts: int) -> list[tuple[int, int]]:
 
 
 def num_flips(num_parts: int) -> int:
-    """Exact number of distinct flips of a partition: 2^(p(p+1)/2)."""
+    """Number of flip specs of a partition: 2^(p(p+1)/2).
+
+    This counts specs, not graphs: the self pair of a singleton part
+    toggles nothing, so the number of distinct flips is 2^(pairs - singleton
+    parts); ``distinct_flip_codes`` enumerates those.
+    """
     return 1 << (num_parts * (num_parts + 1) // 2)
+
+
+def distinct_flip_codes(p: Partition, chunk: int) -> Iterator[np.ndarray]:
+    """Counter codes of the distinct flips of ``p``, ascending, in chunks.
+
+    The self pair (i, i) of a singleton part is a no-op, since flips never
+    touch the diagonal.  The 2^L codes over the L remaining "live" canonical
+    pairs therefore give every distinct flip exactly once; each keeps the
+    bit positions of the full canonical pair order, so it is a valid
+    ``flip_adjacency_batch`` code.
+    """
+    order = canonical_pairs(len(p.parts))
+    live = [t for t, (i, j) in enumerate(order) if i != j or len(p.parts[i]) > 1]
+    total = 1 << len(live)
+    one = np.uint64(1)
+    for start in range(0, total, chunk):
+        counter = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        codes = np.zeros_like(counter)
+        for b, t in enumerate(live):
+            codes |= ((counter >> np.uint64(b)) & one) << np.uint64(t)
+        yield codes
 
 
 def _check_spec(p: Partition, spec: FlipSpec) -> None:
@@ -256,10 +282,13 @@ def flip_adjacency_batch(
 
     Returns a boolean (len(spec_indices), n, n) array.  Used by the metric
     kernels, which fold per-flip distance matrices without materializing
-    Graph objects.
+    Graph objects.  Codes are uint64, so partitions with more than 64
+    canonical pairs (11 or more parts) are refused whatever the cap.
     """
     k = len(p.parts)
     npairs = len(canonical_pairs(k))
+    if npairs > 64:
+        raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
     masks = pair_toggle_masks(p).reshape(npairs, -1).astype(np.uint8)
     spec_indices = np.asarray(spec_indices, dtype=np.uint64)
     bits = ((spec_indices[:, None] >> np.arange(npairs, dtype=np.uint64)) & 1).astype(

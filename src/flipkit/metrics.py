@@ -4,8 +4,9 @@ The distance between u and v under a partition is the maximum shortest-path
 distance over every flip of that partition; a defining vertex set S induces
 the same notion through its neighborhood-class partition, and a family of
 defining sets takes the pointwise maximum over its members.  Everything here
-is computed exactly by enumerating flips; per-flip distance matrices are
-batched and folded with max, so no flip is ever stored.
+is computed exactly by enumerating each distinct flip once; per-flip
+distance matrices are batched and folded with max, so no flip is ever
+stored.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .flips import (
     Partition,
     default_max_parts,
     definable_partition,
+    distinct_flip_codes,
     flip_adjacency_batch,
-    num_flips,
 )
 from .graphs import (
     INF,
@@ -67,12 +68,18 @@ class SetFamily:
         return f"SetFamily({list(self.sets)!r})"
 
 
-def _check_cap(k: int, cap: int | None) -> None:
+def _check_cap(p: Partition, cap: int | None, s=None) -> None:
+    """Refuse a metric over more parts than the cap; ``s`` is the defining
+    set that induced ``p``, if any."""
     cap = default_max_parts() if cap is None else cap
+    k = len(p.parts)
     if k > cap:
+        what, hint = f"a {k}-part partition", ""
+        if s is not None:
+            what, hint = f"defining set {sorted(set(s))} ({k} parts)", "use a smaller set or "
         raise CapExceeded(
-            f"metric over a {k}-part partition exceeds the cap {cap} "
-            "(raise with --max-parts / FLIPKIT_MAX_PARTS)"
+            f"metric over {what} exceeds the cap {cap}; "
+            f"{hint}raise with --max-parts / FLIPKIT_MAX_PARTS"
         )
 
 
@@ -81,26 +88,17 @@ def dist_partition_matrix(
 ) -> np.ndarray:
     """All-pairs partition distance, sentinel-coded (-1 = INF).
 
-    One distance matrix per flip, folded with the absorbing max.
+    One distance matrix per distinct flip, folded with the absorbing max
+    chunk by chunk; the max ignores duplicate flips, so skipping them keeps
+    the result exact.
     """
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
-    _check_cap(len(p.parts), max_parts)
-    total = num_flips(len(p.parts))
-    out = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        adjs = flip_adjacency_batch(g, p, idx)
-        folded = fold_max_distances(batched_distance_matrices(adjs))
-        if out is None:
-            out = folded
-        else:
-            out = np.where(
-                (out == UNREACHED) | (folded == UNREACHED),
-                UNREACHED,
-                np.maximum(out, folded),
-            )
-    return out
+    _check_cap(p, max_parts)
+    return fold_max_distances(np.stack([
+        fold_max_distances(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
+        for codes in distinct_flip_codes(p, _CHUNK)
+    ]))
 
 
 def dist_partition(
@@ -117,13 +115,8 @@ def dist_definable_matrix(
     g: Graph, s, *, max_parts: int | None = None
 ) -> np.ndarray:
     p = definable_partition(g, s)
-    cap = default_max_parts() if max_parts is None else max_parts
-    if len(p.parts) > cap:
-        raise CapExceeded(
-            f"defining set {sorted(set(s))} induces {len(p.parts)} parts, above the "
-            f"cap {cap}; use a smaller set or raise --max-parts / FLIPKIT_MAX_PARTS"
-        )
-    return dist_partition_matrix(g, p, max_parts=cap)
+    _check_cap(p, max_parts, s)
+    return dist_partition_matrix(g, p, max_parts=max_parts)
 
 
 def dist_definable(
@@ -146,18 +139,9 @@ def dist_family_matrix(
     """
     if len(fam) == 0:
         return dist_partition_matrix(g, Partition.trivial(g.n), max_parts=max_parts)
-    out = None
-    for s in fam:
-        d = dist_definable_matrix(g, s, max_parts=max_parts)
-        if out is None:
-            out = d
-        else:
-            out = np.where(
-                (out == UNREACHED) | (d == UNREACHED),
-                UNREACHED,
-                np.maximum(out, d),
-            )
-    return out
+    return fold_max_distances(
+        np.stack([dist_definable_matrix(g, s, max_parts=max_parts) for s in fam])
+    )
 
 
 def dist_family(

@@ -74,6 +74,12 @@ class TestReports:
         code, _ = run(capsys, "diam", "no-such-file.txt")
         assert code == 2
 
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 2\n0 1\n0 x\n")
+        assert main(["diam", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestDist:
     def test_single_pair(self, capsys, graph_file, tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import oracle
@@ -11,12 +12,14 @@ from flipkit import (
     canonical_pairs,
     complement,
     definable_partition,
+    dist_partition_matrix,
     enumerate_flips,
     enumerate_partitions,
     num_flips,
     reconstruct_flip_spec,
     refine,
 )
+from flipkit.flips import flip_adjacency_batch
 from flipkit.generators import clique, cycle, path, star
 from conftest import random_graph, random_partition_labels
 
@@ -196,6 +199,23 @@ class TestEnumerateFlips:
         p = Partition.singletons(5)
         monkeypatch.setenv("FLIPKIT_MAX_PARTS", "5")
         assert sum(1 for _ in enumerate_flips(g, p)) == num_flips(5)
+
+
+class TestFlipAdjacencyBatch:
+    def test_top_pair_of_ten_parts_toggles(self):
+        g = Graph.empty(11)
+        p = Partition(11, [[v] for v in range(9)] + [[9, 10]])
+        (adj,) = flip_adjacency_batch(g, p, np.array([1 << 54], dtype=np.uint64))
+        assert adj[9, 10] and adj.sum() == 2
+
+    def test_refuses_more_than_64_pairs_whatever_the_cap(self, monkeypatch):
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", "11")
+        g = Graph.empty(11)
+        p = Partition.singletons(11)
+        with pytest.raises(CapExceeded, match="at most 64"):
+            flip_adjacency_batch(g, p, np.zeros(1, dtype=np.uint64))
+        with pytest.raises(CapExceeded, match="at most 64"):
+            dist_partition_matrix(g, p)
 
 
 class TestRefine:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipkit import DomainError, FlipSpec, Graph, Partition
 from flipkit import fileio
@@ -137,6 +138,44 @@ class TestSpecAndWeights:
     def test_family_roundtrip(self):
         sets = [(0, 1), (2,), (3, 4, 5)]
         assert fileio.loads_family(fileio.dumps_family(sets)) == sets
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (fileio.loads_graph, "3 2\n0 1\n0 x\n", 3),
+            (fileio.loads_bipartite, "4 1\nU: 0 a\n0 2\n", 2),
+            (fileio.loads_partition, "0 0\n# comment\n\n1 0 2\n", 4),
+            (fileio.loads_flip_spec, "0 1\n1\n", 2),
+            (fileio.loads_weights, "0 1\n1 2 3\n", 2),
+            (fileio.loads_family, "0 1\n2 3.5\n", 2),
+        ],
+        ids=["graph", "bipartite", "partition", "flip_spec", "weights", "family"],
+    )
+    def test_names_the_line(self, parse, text, line):
+        with pytest.raises(DomainError, match=f"^line {line}: "):
+            parse(text)
+
+    def test_negative_header_count(self):
+        with pytest.raises(DomainError, match="^line 1: "):
+            fileio.loads_graph("-1 0\n")
+
+    # separated tokens keep every count small, so no parse allocates much
+    _token = st.sampled_from(["0", "1", "2", "3", "-1", "x", "U:", "U:1", "1.5", "#"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_token, st.sampled_from([" ", "\n"])), max_size=12))
+    def test_any_text_parses_or_is_a_domain_error(self, tokens):
+        text = "".join(token + sep for token, sep in tokens)
+        for parse in (
+            fileio.loads_graph, fileio.loads_bipartite, fileio.loads_partition,
+            fileio.loads_flip_spec, fileio.loads_weights, fileio.loads_family,
+        ):
+            try:
+                parse(text)
+            except DomainError:
+                pass
 
 
 class TestExports:

@@ -17,6 +17,8 @@ from flipkit import (
     dist_partition,
     dist_partition_matrix,
 )
+from flipkit import metrics
+from flipkit.flips import canonical_pairs, flip_adjacency_batch
 from flipkit.graphs import UNREACHED
 from flipkit.generators import path
 from conftest import random_graph, random_partition_labels
@@ -52,15 +54,55 @@ class TestDistPartition:
             assert ((d[off] >= 2) | (d[off] == UNREACHED)).all()
 
     def test_matches_bruteforce_oracle(self, rng):
+        cases = []
         for _ in range(10):
             n = rng.randint(2, 6)
             g = random_graph(rng, n, rng.random())
             p = Partition.from_labels(random_partition_labels(rng, n, 3))
-            d = dist_partition_matrix(g, p)
-            for u in range(n):
-                for v in range(n):
-                    want = oracle.dist_partition(n, oracle.edges_of(g), p.parts, u, v)
-                    assert as_ext(d[u, v]) == want
+            cases.append((g, p.parts, dist_partition_matrix(g, p)))
+        # 4-5 parts on at most 6 vertices: at least two singleton parts
+        for _ in range(3):
+            n = rng.randint(4, 6)
+            k = rng.randint(4, min(5, n))
+            labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+            rng.shuffle(labels)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(labels)
+            cases.append((g, p.parts, dist_partition_matrix(g, p, max_parts=5)))
+        # defining sets of size 2: two singleton parts plus neighborhood classes
+        while len(cases) < 16:
+            n = rng.randint(4, 6)
+            g = random_graph(rng, n, rng.random())
+            s = rng.sample(range(n), 2)
+            parts = oracle.definable_parts(n, oracle.edges_of(g), s)
+            if len(parts) <= 5:
+                cases.append((g, parts, dist_definable_matrix(g, s, max_parts=5)))
+        for g, parts, d in cases:
+            # a vertex is at distance 0 from itself in every flip, and
+            # every flip is undirected, so the oracle runs on u < v only
+            assert (np.diag(d) == 0).all()
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    want = oracle.dist_partition(g.n, oracle.edges_of(g), parts, u, v)
+                    assert as_ext(d[u, v]) == as_ext(d[v, u]) == want
+
+    def test_builds_each_distinct_flip_once(self, rng, monkeypatch):
+        built = []
+
+        def spy(g, p, spec_indices):
+            adjs = flip_adjacency_batch(g, p, spec_indices)
+            built.extend(zip(np.asarray(spec_indices).tolist(), (a.tobytes() for a in adjs)))
+            return adjs
+
+        g = random_graph(rng, 7, 0.5)
+        p = Partition.from_labels([0, 1, 2, 2, 3, 3, 3])  # parts 0 and 1 are singletons
+        want = dist_partition_matrix(g, p)
+        monkeypatch.setattr(metrics, "flip_adjacency_batch", spy)
+        monkeypatch.setattr(metrics, "_CHUNK", 48)
+        assert np.array_equal(dist_partition_matrix(g, p), want)
+        live = len(canonical_pairs(4)) - 2
+        codes, graphs = zip(*built)
+        assert len(codes) == len(set(codes)) == len(set(graphs)) == 1 << live
 
     def test_cap_refusal(self):
         g = Graph.empty(5)
