@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -31,11 +30,11 @@ from .flips import (
     Partition,
     apply_flip,
     default_max_parts,
-    definable_partition,
-    enumerate_flips,
+    definable_candidates,
     enumerate_partitions,
+    first_flip,
 )
-from .graphs import UNREACHED, Graph, ball, distance_matrix
+from .graphs import Graph, ball, distance_matrix, within
 from .metrics import SetFamily, dist_family_matrix
 
 _FLOAT_TOL = 1e-9
@@ -165,7 +164,7 @@ def sunflower_extract(f: SetFamily, m: int) -> SunflowerResult | None:
 
 
 # ---------------------------------------------------------------------------
-# Flip candidate streams and breakability
+# Breakability
 # ---------------------------------------------------------------------------
 
 
@@ -222,40 +221,6 @@ class BreakSearchResult:
         return self.witness is not None
 
 
-def _definable_flip_stream(
-    g: Graph, budget: SearchBudget, stats
-) -> Iterator[tuple[tuple[int, ...] | None, Partition, FlipSpec, Graph]]:
-    for size in range(min(budget.s_max, g.n) + 1):
-        for s in combinations(range(g.n), size):
-            p = definable_partition(g, s)
-            if len(p.parts) > budget.part_cap:
-                stats.sets_skipped += 1
-                continue
-            stats.sets_tried += 1
-            for spec, h in enumerate_flips(g, p, max_parts=budget.part_cap):
-                yield s, p, spec, h
-
-
-def _partition_flip_stream(
-    g: Graph, budget: SearchBudget, stats
-) -> Iterator[tuple[None, Partition, FlipSpec, Graph]]:
-    for p in enumerate_partitions(g.n, budget.part_cap):
-        stats.sets_tried += 1
-        for spec, h in enumerate_flips(g, p, max_parts=budget.part_cap):
-            yield None, p, spec, h
-
-
-def _conflicts(dist: np.ndarray, probes: list[int], r: int) -> np.ndarray:
-    """probes x probes boolean matrix: r-balls of the two probes intersect.
-
-    Two balls of radius r meet exactly when the endpoints are within 2r.
-    """
-    sub = dist[np.ix_(probes, probes)]
-    meets = (sub != UNREACHED) & (sub <= 2 * r)
-    np.fill_diagonal(meets, False)
-    return meets
-
-
 def _conflict_components(meets: np.ndarray) -> list[list[int]]:
     """Components of the conflict relation as probe-index lists, ordered by
     minimum member."""
@@ -292,7 +257,9 @@ def _greedy_split(
     """
     if m == 0:
         return (), ()
-    meets = _conflicts(dist, probes, r)
+    # probes x probes conflicts: two r-balls meet iff their centres are within 2r
+    meets = within(dist[np.ix_(probes, probes)], 2 * r)
+    np.fill_diagonal(meets, False)
 
     a1: list[int] = []
     a2: list[int] = []
@@ -348,17 +315,31 @@ def breakability_search(
     probes = sorted(set(w1) | set(w2 or []))
     side1 = set(w1)
     side2 = set(w2) if w2 is not None else set(w1)
-    stream = (
-        _partition_flip_stream(g, budget, stats)
-        if budget.raw_partitions
-        else _definable_flip_stream(g, budget, stats)
-    )
-    for s, p, spec, h in stream:
-        stats.flips_tried += 1
-        dist = distance_matrix(h)
-        split = _greedy_split(dist, probes, r, m, side1, side2)
-        if split is None:
+    if budget.raw_partitions:
+        candidates = ((None, p) for p in enumerate_partitions(g.n, budget.part_cap))
+    else:
+        candidates = definable_candidates(g, budget.s_max, budget.part_cap, stats)
+
+    def first_split(dists: np.ndarray) -> int | None:
+        return next(
+            (i for i, d in enumerate(dists)
+             if _greedy_split(d, probes, r, m, side1, side2) is not None),
+            None,
+        )
+
+    for s, p in candidates:
+        if budget.raw_partitions:
+            stats.sets_tried += 1
+        tried, bits = first_flip(g, p, first_split)
+        stats.flips_tried += tried
+        if bits is None:
             continue
+        spec = FlipSpec.from_bits(len(p.parts), bits)
+        split = _greedy_split(
+            distance_matrix(apply_flip(g, p, spec)), probes, r, m, side1, side2
+        )
+        if split is None:
+            raise RuntimeError("the batched flip kernel found a split that apply_flip does not")
         witness = BreakWitness(
             partition=p,
             spec=spec,
@@ -389,11 +370,6 @@ class SeparabilityResult:
 
     def __bool__(self) -> bool:
         return self.partition is not None
-
-
-def _ball_weights(dist: np.ndarray, r: int, weights: np.ndarray) -> np.ndarray:
-    reach = (dist != UNREACHED) & (dist <= r)
-    return reach @ weights
 
 
 def separability_search(
@@ -429,30 +405,34 @@ def separability_search(
         raise DomainError(f"radius must be nonnegative, got {r}")
     small = w.small_vertices(eps)
     weights_arr = np.array([float(x) for x in w.weights])
+    # Float screen: a flip is skipped only when a ball weight exceeds the
+    # bound by more than the float64 rounding of either side, which is
+    # relative to the bound, so the exact comparison stays the decider.
+    bound = float(eps) * float(w.total)
+    limit = bound + bound * 1e-9 + _FLOAT_TOL
+
+    def first_light(dists: np.ndarray) -> int | None:
+        reach = within(dists[:, small], r)
+        screened = ~((reach @ weights_arr) > limit).any(axis=1)
+        for i in np.flatnonzero(screened).tolist():
+            if all(w.within_eps(w.of(np.flatnonzero(row).tolist()), eps) for row in reach[i]):
+                return i
+        return None
+
     result = SeparabilityResult(partition=None, spec=None)
     for p in enumerate_partitions(g.n, k_max):
         result.partitions_tried += 1
-        for spec, h in enumerate_flips(g, p, max_parts=cap):
-            result.flips_tried += 1
-            dist = distance_matrix(h)
-            bw = _ball_weights(dist, r, weights_arr)
-            # Cheap float screen; integral weights get half a unit of slack
-            # so the exact comparison below stays the decider.
-            if w.integral and (bw[small] > float(eps) * float(w.total) + 0.5).any():
-                continue
-            ok = all(
-                w.within_eps(w.of(_ball_row(dist, v, r)), eps) for v in small
-            )
-            if ok:
-                result.partition = p
-                result.spec = spec
-                return result
+        tried, bits = first_flip(g, p, first_light)
+        result.flips_tried += tried
+        if bits is not None:
+            spec = FlipSpec.from_bits(len(p.parts), bits)
+            h = apply_flip(g, p, spec)
+            if not all(w.within_eps(w.of(sorted(ball(h, v, r))), eps) for v in small):
+                raise RuntimeError("separability witness failed re-verification")
+            result.partition = p
+            result.spec = spec
+            return result
     return result
-
-
-def _ball_row(dist: np.ndarray, v: int, r: int) -> list[int]:
-    row = dist[v]
-    return np.flatnonzero((row != UNREACHED) & (row <= r)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +476,7 @@ def break_from_sep(
     flipped = apply_flip(g, partition, spec)
     dist = distance_matrix(flipped)
     probe_arr = np.array(probes)
-    in_r4 = (dist[:, probe_arr] != UNREACHED) & (dist[:, probe_arr] <= 4 * r)
+    in_r4 = within(dist[:, probe_arr], 4 * r)
     counts4 = in_r4.sum(axis=1)
     if (counts4 > len(probes) // 2).any():
         bad = int(np.flatnonzero(counts4 > len(probes) // 2)[0])
@@ -505,7 +485,7 @@ def break_from_sep(
             f"above the required bound {len(probes) // 2}"
         )
 
-    in_r2 = (dist[:, probe_arr] != UNREACHED) & (dist[:, probe_arr] <= 2 * r)
+    in_r2 = within(dist[:, probe_arr], 2 * r)
     counts2 = in_r2.sum(axis=1)
     heavy = np.flatnonzero(counts2 >= 2 * m)
     if heavy.size:
@@ -680,10 +660,7 @@ def small_balls_orchestrate(
     group_weights = []
     for q in range(p):
         vertices = sorted({v for petal in groups[q] for v in petal})
-        reach = np.zeros(g.n, dtype=bool)
-        for v in vertices:
-            row = dist[v]
-            reach |= (row != UNREACHED) & (row <= r)
+        reach = within(dist[vertices], r).any(axis=0)
         group_weights.append(w.of(np.flatnonzero(reach).tolist()))
     selected = min(range(p), key=lambda q: (group_weights[q], q))
 
@@ -691,10 +668,7 @@ def small_balls_orchestrate(
     kept = SetFamily(kept_sets, uniform_size=t)
     for s in kept:
         residue = [v for v in s if v not in union_defining]
-        reach = np.zeros(g.n, dtype=bool)
-        for v in residue:
-            row = dist[v]
-            reach |= (row != UNREACHED) & (row <= r)
+        reach = within(dist[residue], r).any(axis=0)
         weight = w.of(np.flatnonzero(reach).tolist())
         if not w.within_eps(weight, eps):
             raise RuntimeError(

@@ -108,6 +108,13 @@ def _parse_vertex_set(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _parse_eps(raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"--eps must be a fraction such as 0.4 or 2/5, got {raw!r}") from exc
+
+
 def _cmd_dist(args) -> int:
     g = _read_graph(args.graph)
     modes = [m for m in (args.partition, args.set, args.family) if m is not None]
@@ -252,7 +259,7 @@ def _cmd_separate(args) -> int:
     started = time.perf_counter()
     g = _read_graph(args.graph)
     weights = WeightFn(fileio.loads_weights(Path(args.weights).read_text(), g.n))
-    eps = Fraction(args.eps)
+    eps = _parse_eps(args.eps)
     result = separability_search(
         g, weights, args.radius, eps, args.k_max, n_cap=args.n_cap
     )

@@ -25,9 +25,10 @@ from .errors import DomainError
 from .flips import (
     FlipSpec,
     Partition,
+    apply_flip,
     default_max_parts,
-    definable_partition,
-    enumerate_flips,
+    definable_candidates,
+    first_flip,
     reconstruct_flip_spec,
 )
 from .graphs import (
@@ -41,6 +42,7 @@ from .graphs import (
     distance_matrix,
     induced,
     is_connected,
+    within,
 )
 
 _PART_DIAMETER_BOUND = 3
@@ -351,7 +353,7 @@ def ball_containment_ok(
         raise DomainError("graphs must share one vertex set")
     d_in = distance_matrix(inner)
     d_out = distance_matrix(outer)
-    relevant = (d_in != UNREACHED) & (d_in <= r_max)
+    relevant = within(d_in, r_max)
     if (d_out[relevant] == UNREACHED).any():
         return False
     return bool((d_out[relevant] <= factor * d_in[relevant]).all())
@@ -430,23 +432,21 @@ def search_definable_emulation(
     cap = default_max_parts() if max_parts is None else max_parts
     result = EmulationSearchResult(witness=None)
     d_out = distance_matrix(gprime)
-    for size in range(min(s_max, g.n) + 1):
-        for s in combinations(range(g.n), size):
-            p = definable_partition(g, s)
-            if len(p.parts) > cap:
-                result.sets_skipped += 1
-                continue
-            result.sets_tried += 1
-            for spec, candidate in enumerate_flips(g, p, max_parts=cap):
-                result.flips_tried += 1
-                d_in = distance_matrix(candidate)
-                relevant = (d_in != UNREACHED) & (d_in <= r_max)
-                out_vals = d_out[relevant]
-                if (out_vals == UNREACHED).any():
-                    continue
-                if (out_vals <= _EMULATION_BLOWUP * d_in[relevant]).all():
-                    result.witness = EmulationWitness(
-                        defining_set=s, spec=spec, flipped=candidate
-                    )
-                    return result
+    unreached = d_out == UNREACHED
+
+    def first_contained(dists: np.ndarray) -> int | None:
+        bad = within(dists, r_max) & (unreached | (d_out > _EMULATION_BLOWUP * dists))
+        hits = np.flatnonzero(~bad.any(axis=(1, 2)))
+        return int(hits[0]) if hits.size else None
+
+    for s, p in definable_candidates(g, s_max, cap, result):
+        tried, bits = first_flip(g, p, first_contained)
+        result.flips_tried += tried
+        if bits is not None:
+            spec = FlipSpec.from_bits(len(p.parts), bits)
+            flipped = apply_flip(g, p, spec)
+            if not ball_containment_ok(flipped, gprime, r_max):
+                raise RuntimeError("emulation witness failed re-verification")
+            result.witness = EmulationWitness(defining_set=s, spec=spec, flipped=flipped)
+            return result
     return result

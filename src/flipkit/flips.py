@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph
+from .graphs import Graph, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
+
+#: Flips per batched stack, for every enumeration over flip specs.
+CHUNK = 1 << 14
 
 _ENV_MAX_PARTS = "FLIPKIT_MAX_PARTS"
 
@@ -176,7 +180,13 @@ def num_flips(num_parts: int) -> int:
     return 1 << (num_parts * (num_parts + 1) // 2)
 
 
-def distinct_flip_codes(p: Partition, chunk: int) -> Iterator[np.ndarray]:
+def _counter_chunks(total: int) -> Iterator[np.ndarray]:
+    """The counter values 0..total-1, ascending, in uint64 chunks of CHUNK."""
+    for start in range(0, total, CHUNK):
+        yield np.arange(start, min(start + CHUNK, total), dtype=np.uint64)
+
+
+def distinct_flip_codes(p: Partition) -> Iterator[np.ndarray]:
     """Counter codes of the distinct flips of ``p``, ascending, in chunks.
 
     The self pair (i, i) of a singleton part is a no-op, since flips never
@@ -187,10 +197,8 @@ def distinct_flip_codes(p: Partition, chunk: int) -> Iterator[np.ndarray]:
     """
     order = canonical_pairs(len(p.parts))
     live = [t for t, (i, j) in enumerate(order) if i != j or len(p.parts[i]) > 1]
-    total = 1 << len(live)
     one = np.uint64(1)
-    for start in range(0, total, chunk):
-        counter = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for counter in _counter_chunks(1 << len(live)):
         codes = np.zeros_like(counter)
         for b, t in enumerate(live):
             codes |= ((counter >> np.uint64(b)) & one) << np.uint64(t)
@@ -249,9 +257,7 @@ def enumerate_flips(
     """Yield every flip of ``p`` exactly once, specs in binary-counter order.
 
     Spec k includes canonical pair t iff bit t of k is set, so the identity
-    flip comes first and the enumeration is reproducible.  Consecutive specs
-    differ in the trailing bits of the counter, which is exploited to build
-    each graph by toggling only the changed pairs.
+    flip comes first and the enumeration is reproducible.
     """
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
@@ -262,17 +268,26 @@ def enumerate_flips(
             f"partition has {k} parts, above the enumeration cap {cap} "
             f"(raise with --max-parts / {_ENV_MAX_PARTS})"
         )
-    order = canonical_pairs(k)
-    masks = pair_toggle_masks(p)
-    work = g.adj.copy()
-    total = num_flips(k)
-    for bits in range(total):
-        if bits:
-            delta = (bits - 1) ^ bits
-            for t in range(len(order)):
-                if (delta >> t) & 1:
-                    work ^= masks[t]
-        yield FlipSpec.from_bits(k, bits), Graph(work)
+    for codes in _counter_chunks(num_flips(k)):
+        for bits, adj in zip(codes.tolist(), flip_adjacency_batch(g, p, codes)):
+            yield FlipSpec.from_bits(k, bits), Graph(adj)
+
+
+def first_flip(g: Graph, p: Partition, first_hit) -> tuple[int, int | None]:
+    """(specs tried, counter of the first hit or None) over the flip specs
+    of ``p`` in counter order, built and BFS'd CHUNK at a time.
+
+    ``first_hit`` maps a (F, n, n) distance stack to the index of its first
+    accepted flip, or None.  Specs tried counts every spec up to and
+    including the hit, no-op duplicates included.
+    """
+    tried = 0
+    for codes in _counter_chunks(num_flips(len(p.parts))):
+        hit = first_hit(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
+        if hit is not None:
+            return tried + hit + 1, tried + hit
+        tried += len(codes)
+    return tried, None
 
 
 def flip_adjacency_batch(
@@ -321,6 +336,22 @@ def definable_partition(g: Graph, s) -> Partition:
     if not parts:
         raise DomainError("definable partition of an empty graph is undefined")
     return Partition(g.n, parts)
+
+
+def definable_candidates(
+    g: Graph, s_max: int, cap: int, stats
+) -> Iterator[tuple[tuple[int, ...], Partition]]:
+    """Defining sets by ascending size, lexicographic within a size, with
+    their partitions; sets over ``cap`` parts are skipped.  Both kinds are
+    counted in ``stats.sets_tried`` and ``stats.sets_skipped``."""
+    for size in range(min(s_max, g.n) + 1):
+        for s in combinations(range(g.n), size):
+            p = definable_partition(g, s)
+            if len(p.parts) > cap:
+                stats.sets_skipped += 1
+                continue
+            stats.sets_tried += 1
+            yield s, p
 
 
 def refine(p: Partition, q: Partition) -> Partition:

@@ -163,33 +163,17 @@ def bfs_distances(g: Graph, src: int) -> dict[int, ExtDist]:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path distances; -1 encodes INF.
-
-    Computed by iterated boolean reachability products, which beats
-    per-source BFS at the matrix sizes this package works with.
-    """
-    n = g.n
-    eye = np.eye(n, dtype=bool)
-    reach = g.adj | eye
-    dist = np.full((n, n), UNREACHED, dtype=np.int64)
-    dist[eye] = 0
-    dist[g.adj] = 1
-    d = 1
-    while True:
-        new_reach = (reach @ g.adj) | reach
-        newly = new_reach & ~reach
-        if not newly.any():
-            return dist
-        d += 1
-        dist[newly] = d
-        reach = new_reach
+    """All-pairs shortest-path distances as int64; -1 encodes INF."""
+    return batched_distance_matrices(g.adj[None])[0].astype(np.int64)
 
 
 def batched_distance_matrices(adjs: np.ndarray) -> np.ndarray:
     """All-pairs distances for a stack of adjacency matrices (F, n, n).
 
     Returns an int array of the same shape with -1 for unreachable pairs.
-    The hot kernel behind flip-metric computations and exhaustive sweeps.
+    Computed by iterated boolean reachability products, which beats
+    per-source BFS at the matrix sizes this package works with; the one
+    BFS kernel behind every flip metric, search and exhaustive sweep.
     """
     adjs = np.asarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
@@ -217,6 +201,11 @@ def fold_max_distances(batch: np.ndarray) -> np.ndarray:
     return np.where((batch == UNREACHED).any(axis=0), UNREACHED, batch.max(axis=0))
 
 
+def within(dist: np.ndarray, r: int) -> np.ndarray:
+    """Mask of the entries of a sentinel-coded distance array at most ``r``."""
+    return (dist != UNREACHED) & (dist <= r)
+
+
 def is_connected(g: Graph) -> bool:
     """A graph on at most one vertex counts as connected."""
     if g.n <= 1:
@@ -240,7 +229,7 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
         raise DomainError(f"radius must be nonnegative, got {r}")
     g._check_vertex(v)
     dist = bfs_array(g, v)
-    return frozenset(np.flatnonzero((dist != UNREACHED) & (dist <= r)).tolist())
+    return frozenset(np.flatnonzero(within(dist, r)).tolist())
 
 
 # ---------------------------------------------------------------------------

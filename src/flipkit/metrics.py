@@ -28,11 +28,8 @@ from .graphs import (
     Graph,
     batched_distance_matrices,
     fold_max_distances,
+    within,
 )
-
-#: Flips per chunk when folding distance matrices over large enumerations.
-_CHUNK = 1 << 14
-
 
 class SetFamily:
     """A family of vertex sets, optionally required to be t-uniform."""
@@ -97,7 +94,7 @@ def dist_partition_matrix(
     _check_cap(p, max_parts)
     return fold_max_distances(np.stack([
         fold_max_distances(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
-        for codes in distinct_flip_codes(p, _CHUNK)
+        for codes in distinct_flip_codes(p)
     ]))
 
 
@@ -153,12 +150,17 @@ def dist_family(
     return INF if value == UNREACHED else int(value)
 
 
-def _ball_rows(dist: np.ndarray, vertices, r: int) -> frozenset[int]:
-    mask = np.zeros(dist.shape[0], dtype=bool)
+def _metric_ball(g: Graph, vertices, r: int, metric) -> frozenset[int]:
+    """Union of the radius-r balls around ``vertices`` (one vertex or a
+    collection) in the all-pairs matrix that ``metric()`` computes."""
+    if r < 0:
+        raise DomainError(f"radius must be nonnegative, got {r}")
+    if isinstance(vertices, (int, np.integer)):
+        vertices = [int(vertices)]
+    vertices = sorted(set(int(v) for v in vertices))
     for v in vertices:
-        row = dist[v]
-        mask |= (row != UNREACHED) & (row <= r)
-    return frozenset(np.flatnonzero(mask).tolist())
+        g._check_vertex(v)
+    return frozenset(np.flatnonzero(within(metric()[vertices], r).any(axis=0)).tolist())
 
 
 def ball_family(
@@ -169,27 +171,11 @@ def ball_family(
     For a single vertex this is the intersection of the members' balls; a
     collection of vertices gives the union of their balls.
     """
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    if isinstance(vertices, (int, np.integer)):
-        vertices = [int(vertices)]
-    vertices = sorted(set(int(v) for v in vertices))
-    for v in vertices:
-        g._check_vertex(v)
-    dist = dist_family_matrix(g, fam, max_parts=max_parts)
-    return _ball_rows(dist, vertices, r)
+    return _metric_ball(g, vertices, r, lambda: dist_family_matrix(g, fam, max_parts=max_parts))
 
 
 def ball_partition(
     g: Graph, p: Partition, vertices, r: int, *, max_parts: int | None = None
 ) -> frozenset[int]:
     """Partition-metric ball around a vertex or the union over a vertex set."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    if isinstance(vertices, (int, np.integer)):
-        vertices = [int(vertices)]
-    vertices = sorted(set(int(v) for v in vertices))
-    for v in vertices:
-        g._check_vertex(v)
-    dist = dist_partition_matrix(g, p, max_parts=max_parts)
-    return _ball_rows(dist, vertices, r)
+    return _metric_ball(g, vertices, r, lambda: dist_partition_matrix(g, p, max_parts=max_parts))

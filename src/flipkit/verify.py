@@ -24,9 +24,11 @@ from .graphs import (
     UNREACHED,
     Bipartite,
     Graph,
+    batched_distance_matrices,
     bipartite_complement,
     distance_matrix,
     is_connected,
+    within,
 )
 from .metrics import dist_definable_matrix, dist_partition_matrix
 from .vc import vc_dimension
@@ -94,22 +96,9 @@ def _all_graph_adjacencies(n: int) -> np.ndarray:
     return adjs
 
 
-def _reach_within(adjs: np.ndarray, steps: int) -> np.ndarray:
-    """Reachability within ``steps`` hops, batched boolean powers."""
-    n = adjs.shape[1]
-    reach = adjs | np.eye(n, dtype=bool)
-    for _ in range(steps - 1):
-        reach = (reach @ adjs) | reach
-    return reach
-
-
-def _diam_at_most(adjs: np.ndarray, bound: int) -> np.ndarray:
-    return _reach_within(adjs, max(bound, 1)).all(axis=(1, 2))
-
-
-def _connected_mask(adjs: np.ndarray) -> np.ndarray:
-    n = adjs.shape[1]
-    return _reach_within(adjs, max(n - 1, 1)).all(axis=(1, 2))
+def _diam_at_most(dist: np.ndarray, bound: int) -> np.ndarray:
+    """Per matrix of a distance stack: connected with diameter <= bound."""
+    return within(dist, bound).all(axis=(1, 2))
 
 
 def verify_diam_complement(n: int) -> RunReport:
@@ -125,7 +114,8 @@ def verify_diam_complement(n: int) -> RunReport:
     adjs = _all_graph_adjacencies(n)
     eye = np.eye(n, dtype=bool)
     comps = ~adjs & ~eye
-    ok = _diam_at_most(adjs, 3) | _diam_at_most(comps, 3)
+    ok = _diam_at_most(batched_distance_matrices(adjs), 3)
+    ok |= _diam_at_most(batched_distance_matrices(comps), 3)
     report.counters["graphs_checked"] = int(adjs.shape[0])
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
@@ -169,11 +159,11 @@ def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunRepor
             cross = np.zeros((n, n), dtype=bool)
             cross[:a, a:] = True
             cross[a:, :a] = True
-            comps = adjs ^ cross
+            d, d_comp = batched_distance_matrices(adjs), batched_distance_matrices(adjs ^ cross)
             ok = (
-                _diam_at_most(adjs, 6)
-                | _diam_at_most(comps, 6)
-                | (~_connected_mask(adjs) & ~_connected_mask(comps))
+                _diam_at_most(d, 6)
+                | _diam_at_most(d_comp, 6)
+                | ~(_diam_at_most(d, n) | _diam_at_most(d_comp, n))
             )
             total += int(adjs.shape[0])
             if not ok.all():

@@ -1,0 +1,162 @@
+"""The batched searches against a per-flip reference loop.
+
+Each reference below walks the same candidates as the library search, but
+flip by flip through ``enumerate_flips`` and ``distance_matrix``, the way
+the searches worked before they ran on the batched flip kernel.  Witnesses
+and every counter must agree, also when the kernel's chunks are tiny, so
+that a witness or a miss falls across chunk boundaries.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from flipkit import (
+    SearchBudget,
+    WeightFn,
+    ball,
+    breakability_search,
+    convert,
+    definable_partition,
+    distance_matrix,
+    enumerate_flips,
+    enumerate_partitions,
+    flips,
+    search_definable_emulation,
+    separability_search,
+)
+from flipkit.breaksep import _greedy_split
+from flipkit.conversion import ball_containment_ok
+from flipkit.flips import Partition
+from conftest import random_graph, random_partition_labels
+
+
+def _candidates(g, s_max, cap, raw, counts):
+    if raw:
+        for p in enumerate_partitions(g.n, cap):
+            counts["sets_tried"] += 1
+            yield None, p
+        return
+    for size in range(min(s_max, g.n) + 1):
+        for s in combinations(range(g.n), size):
+            p = definable_partition(g, s)
+            if len(p.parts) > cap:
+                counts["sets_skipped"] += 1
+                continue
+            counts["sets_tried"] += 1
+            yield s, p
+
+
+def reference_break(g, w1, w2, r, m, budget):
+    counts = Counter(flips_tried=0, sets_tried=0, sets_skipped=0)
+    probes = sorted(set(w1) | set(w2))
+    cands = _candidates(g, budget.s_max, budget.part_cap, budget.raw_partitions, counts)
+    for s, p in cands:
+        for spec, h in enumerate_flips(g, p, max_parts=budget.part_cap):
+            counts["flips_tried"] += 1
+            split = _greedy_split(distance_matrix(h), probes, r, m, set(w1), set(w2))
+            if split is not None:
+                return (p, spec, s) + split, counts
+    return None, counts
+
+
+def reference_separability(g, w, r, eps, k_max):
+    counts = Counter(partitions_tried=0, flips_tried=0)
+    small = w.small_vertices(eps)
+    for p in enumerate_partitions(g.n, k_max):
+        counts["partitions_tried"] += 1
+        for spec, h in enumerate_flips(g, p, max_parts=k_max):
+            counts["flips_tried"] += 1
+            if all(w.within_eps(w.of(sorted(ball(h, v, r))), eps) for v in small):
+                return (p, spec), counts
+    return None, counts
+
+
+def reference_emulation(g, gprime, r_max, s_max, cap):
+    counts = Counter(flips_tried=0, sets_tried=0, sets_skipped=0)
+    for s, p in _candidates(g, s_max, cap, False, counts):
+        for spec, h in enumerate_flips(g, p, max_parts=cap):
+            counts["flips_tried"] += 1
+            if ball_containment_ok(h, gprime, r_max):
+                return (s, spec, h), counts
+    return None, counts
+
+
+def _instances(count=20):
+    rng = random.Random(20251018)
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        yield rng, n, g
+
+
+@pytest.fixture(params=[None, 3], ids=["chunk-default", "chunk-3"])
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(flips, "CHUNK", request.param)
+    return request.param
+
+
+def test_breakability_matches_reference(chunk):
+    found = 0
+    for rng, n, g in _instances():
+        w1 = sorted(rng.sample(range(n), rng.randint(2, n)))
+        w2 = sorted(rng.sample(range(n), rng.randint(2, n))) if rng.random() < 0.3 else None
+        r, m = rng.randint(1, 2), rng.randint(1, 2)
+        for raw in (False, True):
+            budget = SearchBudget(s_max=rng.randint(0, 2), part_cap=rng.randint(2, 3),
+                                  raw_partitions=raw)
+            got = breakability_search(g, w1, r, m, budget, w2_set=w2)
+            want, counts = reference_break(g, w1, w2 if w2 is not None else w1, r, m, budget)
+            assert (got.flips_tried, got.sets_tried, got.sets_skipped) == (
+                counts["flips_tried"], counts["sets_tried"], counts["sets_skipped"]
+            )
+            if want is None:
+                assert got.witness is None
+                continue
+            found += 1
+            wit = got.witness
+            assert (wit.partition, wit.spec, wit.defining_set, wit.a1, wit.a2) == want
+    assert found >= 10
+
+
+def test_separability_matches_reference(chunk):
+    found = 0
+    for rng, n, g in _instances():
+        w = WeightFn([rng.randint(0, 4) for _ in range(n)])
+        r = rng.randint(1, 2)
+        eps = Fraction(rng.randint(1, 3), rng.randint(3, 6))
+        k_max = rng.randint(1, 3)
+        got = separability_search(g, w, r, eps, k_max)
+        want, counts = reference_separability(g, w, r, eps, k_max)
+        assert (got.partitions_tried, got.flips_tried) == (
+            counts["partitions_tried"], counts["flips_tried"]
+        )
+        assert (got.partition, got.spec) == (want if want is not None else (None, None))
+        found += want is not None
+    assert 5 <= found < 20
+
+
+def test_emulation_matches_reference(chunk):
+    found = 0
+    for rng, n, g in _instances():
+        if rng.random() < 0.5:
+            gprime = convert(g, Partition.from_labels(random_partition_labels(rng, n, 2))).flipped
+        else:
+            gprime = random_graph(rng, n, 0.3)
+        r_max, s_max, cap = rng.randint(1, 2), rng.randint(0, 2), rng.randint(2, 3)
+        got = search_definable_emulation(g, gprime, r_max, s_max, max_parts=cap)
+        want, counts = reference_emulation(g, gprime, r_max, s_max, cap)
+        assert (got.flips_tried, got.sets_tried, got.sets_skipped) == (
+            counts["flips_tried"], counts["sets_tried"], counts["sets_skipped"]
+        )
+        if want is None:
+            assert got.witness is None
+            continue
+        found += 1
+        wit = got.witness
+        assert (wit.defining_set, wit.spec, wit.flipped) == want
+    assert 5 <= found < 20

@@ -215,6 +215,14 @@ class TestSeparabilitySearch:
                 bw = w.of(oracle.ball(n, oracle.edges_of(flipped), v, 1))
                 assert Fraction(bw) <= eps * Fraction(w.total)
 
+    def test_float_screen_keeps_witness_with_huge_weights(self):
+        # every ball is one vertex holding exactly total/6, far above 2^53
+        w = WeightFn([1885443494880068069] * 6)
+        result = separability_search(Graph.empty(6), w, 1, Fraction(1, 6), 1)
+        assert result.partition == Partition.trivial(6)
+        assert result.spec == FlipSpec()
+        assert result.flips_tried == 1
+
     def test_k_max_cap_refusal(self):
         with pytest.raises(CapExceeded):
             separability_search(Graph.empty(3), WeightFn.uniform(3), 1, 1, 9)

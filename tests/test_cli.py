@@ -188,6 +188,18 @@ class TestSearches:
         assert body["outcome"] == "witness"
         assert body["payload"]["spec"] == [[0, 0]]
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_separate_bad_eps_is_usage_error(self, capsys, graph_file, tmp_path, eps):
+        gf = graph_file(clique(4))
+        wf = tmp_path / "w.txt"
+        wf.write_text(fileio.dumps_weights([1] * 4))
+        code = main(["separate", gf, "--weights", str(wf), "-r", "1", "--eps", eps,
+                     "--k-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert repr(eps) in captured.err
+
     def test_sep2break(self, capsys, graph_file, tmp_path):
         gf = graph_file(Graph.empty(6))
         wf = tmp_path / "w.txt"

@@ -5,10 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from flipkit import FlipSpec, Graph, Partition, break_from_sep, bipartite_flip, convert
-from flipkit import breaksep, conversion
-from flipkit.generators import path
-from flipkit.graphs import INF, Bipartite
+from fractions import Fraction
+
+import numpy as np
+
+from flipkit import FlipSpec, Graph, Partition, WeightFn, break_from_sep, bipartite_flip, convert
+from flipkit import breakability_search, breaksep, conversion, flips
+from flipkit import search_definable_emulation, separability_search
+from flipkit.generators import clique, path
+from flipkit.graphs import INF, UNREACHED, Bipartite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flipkit"
 
@@ -21,6 +26,17 @@ def test_no_bare_asserts_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert not offenders, f"assert statements vanish under python -O: {offenders}"
+
+
+def test_no_search_uses_the_per_flip_enumeration():
+    callers = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.Call)
+        and "enumerate_flips" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not callers, f"searches must run on the batched flip kernel: {callers}"
 
 
 class TestBrokenTheoryRaises:
@@ -40,3 +56,28 @@ class TestBrokenTheoryRaises:
         h = (Partition.trivial(4), FlipSpec())
         with pytest.raises(RuntimeError, match="scattered set too small"):
             break_from_sep(Graph.empty(4), range(4), 1, h)
+
+
+class TestWrongKernelIsCaught:
+    """A batched kernel that says every vertex is unreachable accepts the
+    first flip of every search; the re-verification through apply_flip
+    must refuse to return it."""
+
+    @pytest.fixture(autouse=True)
+    def unreachable_kernel(self, monkeypatch):
+        monkeypatch.setattr(
+            flips, "batched_distance_matrices",
+            lambda adjs: np.full(np.shape(adjs), UNREACHED, dtype=np.int16),
+        )
+
+    def test_breakability(self):
+        with pytest.raises(RuntimeError, match="apply_flip does not"):
+            breakability_search(clique(4), range(4), 1, 2)
+
+    def test_separability(self):
+        with pytest.raises(RuntimeError, match="separability witness failed re-verification"):
+            separability_search(clique(4), WeightFn.uniform(4), 1, Fraction(1, 4), 1)
+
+    def test_emulation(self):
+        with pytest.raises(RuntimeError, match="emulation witness failed re-verification"):
+            search_definable_emulation(clique(4), Graph.empty(4), 1, 0)

@@ -17,7 +17,7 @@ from flipkit import (
     dist_partition,
     dist_partition_matrix,
 )
-from flipkit import metrics
+from flipkit import flips, metrics
 from flipkit.flips import canonical_pairs, flip_adjacency_batch
 from flipkit.graphs import UNREACHED
 from flipkit.generators import path
@@ -98,7 +98,7 @@ class TestDistPartition:
         p = Partition.from_labels([0, 1, 2, 2, 3, 3, 3])  # parts 0 and 1 are singletons
         want = dist_partition_matrix(g, p)
         monkeypatch.setattr(metrics, "flip_adjacency_batch", spy)
-        monkeypatch.setattr(metrics, "_CHUNK", 48)
+        monkeypatch.setattr(flips, "CHUNK", 48)
         assert np.array_equal(dist_partition_matrix(g, p), want)
         live = len(canonical_pairs(4)) - 2
         codes, graphs = zip(*built)
