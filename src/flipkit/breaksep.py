@@ -16,6 +16,7 @@ kept sets have light family-metric balls.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -51,7 +52,8 @@ class WeightFn:
     """Nonnegative per-vertex weights with a cached total.
 
     Epsilon comparisons are exact rational arithmetic when all weights are
-    integers; otherwise floats are compared with absolute tolerance 1e-9.
+    integers (numpy integers are converted to ``int``; bools are refused);
+    otherwise floats are compared with absolute tolerance 1e-9.
     """
 
     __slots__ = ("weights", "total", "integral")
@@ -59,9 +61,11 @@ class WeightFn:
     def __init__(self, weights) -> None:
         ws = tuple(weights)
         for v, w in enumerate(ws):
+            if isinstance(w, (bool, np.bool_)):
+                raise DomainError(f"weight of vertex {v} is a bool: {w}")
             if w < 0:
                 raise DomainError(f"weight of vertex {v} is negative: {w}")
-        self.weights = ws
+        self.weights = ws = tuple(int(w) if isinstance(w, numbers.Integral) else w for w in ws)
         self.integral = all(isinstance(w, int) for w in ws)
         self.total = sum(ws)
 

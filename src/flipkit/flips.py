@@ -22,8 +22,9 @@ from .graphs import Graph, batched_distance_matrices
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
 
-#: Flips per batched stack, for every enumeration over flip specs.
-CHUNK = 1 << 14
+#: Flips per batched stack, for every enumeration over flip specs; the BFS
+#: keeps float32 copies of a stack, so 1 << 14 would raise peak memory.
+CHUNK = 1 << 12
 
 _ENV_MAX_PARTS = "FLIPKIT_MAX_PARTS"
 
@@ -219,19 +220,12 @@ def pair_toggle_masks(p: Partition) -> np.ndarray:
     Diagonal entries are never included, matching the a != b proviso of the
     flip definition.
     """
-    n = p.n
-    order = canonical_pairs(len(p.parts))
-    masks = np.zeros((len(order), n, n), dtype=bool)
-    indicators = np.zeros((len(p.parts), n), dtype=bool)
-    for i, part in enumerate(p.parts):
-        indicators[i, list(part)] = True
-    for t, (i, j) in enumerate(order):
-        block = np.logical_or(
-            np.logical_and.outer(indicators[i], indicators[j]),
-            np.logical_and.outer(indicators[j], indicators[i]),
-        )
-        np.fill_diagonal(block, False)
-        masks[t] = block
+    n, k = p.n, len(p.parts)
+    ind = np.equal.outer(np.arange(k), p.part_labels())
+    upper = ~np.tri(k, k, -1, dtype=bool)  # pairs i <= j in canonical order
+    masks = (ind[:, None, :, None] & ind[None, :, None, :])[upper]
+    masks |= masks.transpose(0, 2, 1)
+    masks.reshape(-1, n * n)[:, :: n + 1] = False
     return masks
 
 
@@ -295,23 +289,25 @@ def flip_adjacency_batch(
 ) -> np.ndarray:
     """Adjacency matrices of the flips with the given counter values, batched.
 
-    Returns a boolean (len(spec_indices), n, n) array.  Used by the metric
-    kernels, which fold per-flip distance matrices without materializing
-    Graph objects.  Codes are uint64, so partitions with more than 64
+    Returns a boolean (len(spec_indices), n, n) array.  Codes are read 8
+    bits at a time, each group XORing in one row of its table of the 2^8
+    combined pair masks (built by doubling); bits at or above the pair
+    count are ignored.  Codes are uint64, so partitions with more than 64
     canonical pairs (11 or more parts) are refused whatever the cap.
     """
     k = len(p.parts)
-    npairs = len(canonical_pairs(k))
+    npairs = k * (k + 1) // 2
     if npairs > 64:
         raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
-    masks = pair_toggle_masks(p).reshape(npairs, -1).astype(np.uint8)
-    spec_indices = np.asarray(spec_indices, dtype=np.uint64)
-    bits = ((spec_indices[:, None] >> np.arange(npairs, dtype=np.uint64)) & 1).astype(
-        np.uint8
-    )
-    delta = (bits @ masks) & 1
-    adjs = g.adj.reshape(1, -1).astype(np.uint8) ^ delta
-    return adjs.reshape(-1, g.n, g.n).astype(bool)
+    masks = pair_toggle_masks(p)
+    codes = np.asarray(spec_indices, dtype=np.uint64)
+    adjs = np.repeat(g.adj[None], len(codes), axis=0)
+    for lo in range(0, npairs, 8):
+        table = np.zeros((1, p.n, p.n), dtype=bool)
+        for mask in masks[lo : lo + 8]:
+            table = np.concatenate((table, table ^ mask))
+        adjs ^= table[(codes >> lo) & (len(table) - 1)]
+    return adjs
 
 
 def definable_partition(g: Graph, s) -> Partition:

@@ -170,27 +170,30 @@ def distance_matrix(g: Graph) -> np.ndarray:
 def batched_distance_matrices(adjs: np.ndarray) -> np.ndarray:
     """All-pairs distances for a stack of adjacency matrices (F, n, n).
 
-    Returns an int array of the same shape with -1 for unreachable pairs.
-    Computed by iterated boolean reachability products, which beats
-    per-source BFS at the matrix sizes this package works with; the one
-    BFS kernel behind every flip metric, search and exhaustive sweep.
+    Returns an int16 array of the same shape with -1 for unreachable pairs;
+    the one BFS kernel behind every flip metric, search and sweep.  All
+    sources advance by float32 frontier products, ``frontier @ adj > 0`` on
+    the pairs not yet reached, and a pair's distance is the number of levels
+    at which it was unreached.  Exact at any n: a product entry is a sum of
+    nonnegative terms, so it is positive iff one term is, however it rounds.
     """
     adjs = np.asarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
-    eye = np.eye(n, dtype=bool)
-    reach = adjs | eye
-    dist = np.full((f, n, n), UNREACHED, dtype=np.int16)
-    dist[:, eye] = 0
-    dist[adjs] = 1
-    d = 1
-    while True:
-        new_reach = (reach @ adjs) | reach
-        newly = new_reach & ~reach
-        if not newly.any():
-            return dist
-        d += 1
-        dist[newly] = d
-        reach = new_reach
+    a = frontier = adjs.astype(np.float32)
+    left = ~adjs
+    left.reshape(f, n * n)[:, :: n + 1] = False  # reached at level 0
+    dist = (adjs | left).astype(np.int16)
+    dist += left
+    while np.count_nonzero(left):
+        reached = np.matmul(frontier, a) > 0
+        reached &= left
+        if not np.count_nonzero(reached):
+            dist[left] = UNREACHED
+            break
+        left ^= reached
+        dist += left
+        frontier = reached.astype(np.float32)
+    return dist
 
 
 def fold_max_distances(batch: np.ndarray) -> np.ndarray:

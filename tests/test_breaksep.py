@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracle
@@ -50,6 +51,17 @@ class TestWeightFn:
         bound = 0.5 * w.total
         assert w.within_eps(bound + 5e-10, 0.5)
         assert not w.within_eps(bound + 1e-6, 0.5)
+
+    def test_numpy_integers_take_the_exact_path(self):
+        w = WeightFn([np.int64(1), np.uint8(1), np.int32(1)])
+        assert w.integral and all(type(x) is int for x in w.weights)
+        assert type(w.total) is int and w.total == 3
+        assert w.within_eps(1, Fraction(1, 3))
+
+    def test_rejects_bool_weights(self):
+        for weights in ([True, 2], [1, np.bool_(False)]):
+            with pytest.raises(DomainError, match="bool"):
+                WeightFn(weights)
 
     def test_eps_balanced(self):
         assert WeightFn([1, 1, 1, 1]).is_eps_balanced(Fraction(1, 4))

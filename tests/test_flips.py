@@ -208,6 +208,40 @@ class TestFlipAdjacencyBatch:
         (adj,) = flip_adjacency_batch(g, p, np.array([1 << 54], dtype=np.uint64))
         assert adj[9, 10] and adj.sum() == 2
 
+    def test_matches_apply_flip_on_random_codes(self, rng):
+        for k in range(3, 11):
+            n = rng.randint(k, k + 3)
+            g = random_graph(rng, n, rng.random())
+            labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+            rng.shuffle(labels)
+            p = Partition.from_labels(labels)
+            npairs = len(canonical_pairs(k))
+            # one set bit in every 8-bit group, the top pair (bit 54 at 10
+            # parts), all pairs, and random codes
+            codes = [1 << lo for lo in range(0, npairs, 8)]
+            codes += [1 << (npairs - 1), (1 << npairs) - 1]
+            codes += [rng.getrandbits(npairs) for _ in range(6)]
+            adjs = flip_adjacency_batch(g, p, np.array(codes, dtype=np.uint64))
+            assert adjs.dtype == bool and adjs.shape == (len(codes), n, n)
+            for code, adj in zip(codes, adjs):
+                want = apply_flip(g, p, FlipSpec.from_bits(k, code))
+                assert np.array_equal(adj, want.adj), (p, code)
+
+    def test_bits_above_the_pairs_are_ignored(self, rng):
+        for k in (3, 5, 10):
+            n = k + 2
+            g = random_graph(rng, n, 0.5)
+            p = Partition.from_labels(list(range(k)) + [0, 1])
+            npairs = len(canonical_pairs(k))
+            codes = np.array([rng.getrandbits(npairs) for _ in range(8)], dtype=np.uint64)
+            stray = np.array(
+                [rng.getrandbits(64) >> npairs << npairs for _ in codes], dtype=np.uint64
+            )
+            assert stray.any()
+            assert np.array_equal(
+                flip_adjacency_batch(g, p, codes | stray), flip_adjacency_batch(g, p, codes)
+            )
+
     def test_refuses_more_than_64_pairs_whatever_the_cap(self, monkeypatch):
         monkeypatch.setenv("FLIPKIT_MAX_PARTS", "11")
         g = Graph.empty(11)

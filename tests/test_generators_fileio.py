@@ -167,15 +167,21 @@ class TestMalformedInput:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_token, st.sampled_from([" ", "\n"])), max_size=12))
     def test_any_text_parses_or_is_a_domain_error(self, tokens):
+        """Any text parses to a value that round-trips, or is a DomainError."""
         text = "".join(token + sep for token, sep in tokens)
-        for parse in (
-            fileio.loads_graph, fileio.loads_bipartite, fileio.loads_partition,
-            fileio.loads_flip_spec, fileio.loads_weights, fileio.loads_family,
+        for parse, dump in (
+            (fileio.loads_graph, fileio.dumps_graph),
+            (fileio.loads_bipartite, fileio.dumps_bipartite),
+            (fileio.loads_partition, fileio.dumps_partition),
+            (fileio.loads_flip_spec, fileio.dumps_flip_spec),
+            (fileio.loads_weights, fileio.dumps_weights),
+            (fileio.loads_family, fileio.dumps_family),
         ):
             try:
-                parse(text)
+                value = parse(text)
             except DomainError:
-                pass
+                continue
+            assert parse(dump(value)) == value, (parse.__name__, text)
 
 
 class TestExports:

@@ -18,6 +18,7 @@ from flipkit import (
     is_connected,
 )
 from flipkit.generators import clique, cycle, path, star
+from flipkit.graphs import batched_distance_matrices
 from conftest import random_graph
 
 
@@ -78,6 +79,23 @@ class TestBfs:
                     expected = want[u, v]
                     actual = INF if got[u, v] < 0 else got[u, v]
                     assert actual == expected
+
+
+class TestBatchedDistanceMatrices:
+    def test_matches_oracle_on_random_stacks(self, rng):
+        shapes = [(0, 4), (3, 1), (2, 2)] + [(rng.randint(1, 6), n) for n in range(3, 13)]
+        unreached = 0
+        for f, n in shapes:
+            graphs = [random_graph(rng, n, rng.choice((0.0, 0.1, 0.3, 0.6))) for _ in range(f)]
+            adjs = np.array([g.adj for g in graphs], dtype=bool).reshape(f, n, n)
+            got = batched_distance_matrices(adjs)
+            assert got.shape == (f, n, n) and got.dtype == np.int16
+            unreached += int((got == -1).sum())
+            for g, d in zip(graphs, got):
+                want = oracle.all_pairs(n, oracle.edges_of(g))
+                for (u, v), expected in want.items():
+                    assert (INF if d[u, v] < 0 else d[u, v]) == expected
+        assert unreached  # disconnected graphs were among the inputs
 
 
 class TestDiameter:
