@@ -398,7 +398,7 @@ def separability_search(
     if k_max > cap:
         raise CapExceeded(
             f"k_max={k_max} exceeds the part cap {cap} "
-            "(raise with --max-parts / FLIPKIT_MAX_PARTS)"
+            "(raise with FLIPKIT_MAX_PARTS or the max_parts argument)"
         )
     if g.n > n_cap:
         raise CapExceeded(

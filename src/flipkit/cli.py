@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Every command prints a deterministic report to stdout (wall time goes to
-stderr so repeated runs with one seed are byte-identical) and exits 0 on
-pass or witness, 1 on a property failure or an exhausted search, and 2 on
-refusals and usage errors.  Output files are written in one shot after the
-computation finishes, so a refusal never leaves a partial file behind.
+Every command exits 0 on pass or witness, 1 on a property failure or an
+exhausted search, and 2 on refusals and usage errors.  A ``_cmd_*`` function
+only computes: it returns its stdout text, its exit code and the files it
+wants written (``{path: text}``).  ``main`` is the one runner that turns
+that into I/O.  It times the call, writes the files after the computation
+finishes (so a refusal never leaves a partial file behind), copies stdout
+to ``-o``/``--output`` when the exit code is 0, writes stdout, and prints
+one ``wall_time_s=`` line to stderr, so repeated runs with one seed give
+byte-identical stdout.  ``CapExceeded`` becomes ``refused:`` and a bad
+input or an unreadable or unwritable file becomes ``error:``, both with
+exit 2 and nothing on stdout.  For ``gen`` and ``convert``, ``-o`` names
+the file of the graph instead.
 """
 
 from __future__ import annotations
@@ -35,20 +42,12 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_REFUSED = 2
 
+# what a command hands the runner: stdout text, exit code, {path: text}
+Result = tuple[str, int, dict[str, str]]
+
 
 def _read_graph(path: str) -> Graph:
     return fileio.loads_graph(Path(path).read_text())
-
-
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
-
-
-def _emit(report: RunReport, *, quiet_timing: bool = False) -> int:
-    sys.stdout.write(report.serialize())
-    if not quiet_timing:
-        print(f"wall_time_s={report.wall_time:.3f}", file=sys.stderr)
-    return report.exit_code
 
 
 def _dist_cell(value: int) -> str:
@@ -60,21 +59,17 @@ def _dist_cell(value: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Result:
     params = list(args.params)
     if args.kind == "gnp" and len(params) == 2:
         params.append(args.seed)
-    g = generators.generate(args.kind, *params)
-    text = fileio.dumps_graph(g)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    text = fileio.dumps_graph(generators.generate(args.kind, *params))
+    if args.graph_out:
+        return "", EXIT_PASS, {args.graph_out: text}
+    return text, EXIT_PASS, {}
 
 
-def _cmd_diam(args) -> int:
-    started = time.perf_counter()
+def _cmd_diam(args) -> Result:
     g = _read_graph(args.graph)
     value = diameter(g)
     report = RunReport(
@@ -83,12 +78,11 @@ def _cmd_diam(args) -> int:
         outcome="pass",
         counters={"n": g.n, "m": g.num_edges()},
         payload={"diameter": "inf" if value == INF else int(value)},
-        wall_time=time.perf_counter() - started,
     )
-    return _emit(report)
+    return report.serialize(), report.exit_code, {}
 
 
-def _cmd_vcdim(args) -> int:
+def _cmd_vcdim(args) -> Result:
     g = _read_graph(args.graph)
     rep = vc_dimension(g, cap=args.cap)
     lines = [
@@ -97,15 +91,7 @@ def _cmd_vcdim(args) -> int:
         "n,traces",
     ]
     lines.extend(f"{n},{rep.traces_by_size[n]}" for n in sorted(rep.traces_by_size))
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        _write(args.output, text)
-    return EXIT_PASS
-
-
-def _parse_vertex_set(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    return "\n".join(lines) + "\n", EXIT_PASS, {}
 
 
 def _parse_eps(raw: str) -> Fraction:
@@ -115,36 +101,31 @@ def _parse_eps(raw: str) -> Fraction:
         raise DomainError(f"--eps must be a fraction such as 0.4 or 2/5, got {raw!r}") from exc
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> Result:
     g = _read_graph(args.graph)
     modes = [m for m in (args.partition, args.set, args.family) if m is not None]
     if len(modes) != 1:
         raise DomainError("pass exactly one of --partition, --set, --family")
+    if args.all_pairs:
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+    elif len(args.pair) == 2:
+        for v in args.pair:
+            g._check_vertex(v)
+        pairs = [tuple(args.pair)]
+    else:
+        raise DomainError("pass a vertex pair `u v`, or --all-pairs")
     cap = args.max_parts if args.max_parts else default_max_parts()
     if args.partition:
         p = fileio.loads_partition(Path(args.partition).read_text(), g.n)
         dist = dist_partition_matrix(g, p, max_parts=cap)
     elif args.set is not None:
-        fam = SetFamily([_parse_vertex_set(args.set)])
+        fam = SetFamily([fileio.loads_vertex_set(args.set)])
         dist = dist_family_matrix(g, fam, max_parts=cap)
     else:
         fam = SetFamily(fileio.loads_family(Path(args.family).read_text()))
         dist = dist_family_matrix(g, fam, max_parts=cap)
-    rows = []
-    if args.all_pairs:
-        for u in range(g.n):
-            for v in range(g.n):
-                rows.append({"u": u, "v": v, "dist": _dist_cell(dist[u, v])})
-    else:
-        if len(args.pair) != 2:
-            raise DomainError("pass a vertex pair `u v`, or --all-pairs")
-        u, v = args.pair
-        rows.append({"u": u, "v": v, "dist": _dist_cell(dist[u, v])})
-    text = fileio.export_csv(rows, ["u", "v", "dist"])
-    sys.stdout.write(text)
-    if args.output:
-        _write(args.output, text)
-    return EXIT_PASS
+    rows = [{"u": u, "v": v, "dist": _dist_cell(dist[u, v])} for u, v in pairs]
+    return fileio.export_csv(rows, ["u", "v", "dist"]), EXIT_PASS, {}
 
 
 def _certificate_rows(result) -> list[dict]:
@@ -175,8 +156,7 @@ def _certificate_rows(result) -> list[dict]:
     return rows
 
 
-def _cmd_convert(args) -> int:
-    started = time.perf_counter()
+def _cmd_convert(args) -> Result:
     g = _read_graph(args.graph)
     p = fileio.loads_partition(Path(args.partition).read_text(), g.n)
     result = convert(g, p)
@@ -193,20 +173,17 @@ def _cmd_convert(args) -> int:
             "refined": [list(part) for part in result.refined.parts],
             "spec": sorted(list(pair) for pair in result.refined_spec.pairs),
         },
-        wall_time=time.perf_counter() - started,
     )
+    files = {}
     if args.emit_certificates:
-        _write(
-            args.emit_certificates,
-            fileio.export_csv(
-                _certificate_rows(result), ["kind", "indices", "case_tag", "flipped"]
-            ),
+        files[args.emit_certificates] = fileio.export_csv(
+            _certificate_rows(result), ["kind", "indices", "case_tag", "flipped"]
         )
     if args.emit_dot:
-        _write(args.emit_dot, fileio.export_dot(result.flipped, result.refined))
-    if args.output:
-        _write(args.output, fileio.dumps_graph(result.flipped))
-    return _emit(report)
+        files[args.emit_dot] = fileio.export_dot(result.flipped, result.refined)
+    if args.graph_out:
+        files[args.graph_out] = fileio.dumps_graph(result.flipped)
+    return report.serialize(), report.exit_code, files
 
 
 def _witness_payload(w) -> dict:
@@ -221,16 +198,15 @@ def _witness_payload(w) -> dict:
     }
 
 
-def _cmd_break(args) -> int:
-    started = time.perf_counter()
+def _cmd_break(args) -> Result:
     g = _read_graph(args.graph)
-    w_set = _parse_vertex_set(Path(args.probes).read_text())
+    w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
     budget = SearchBudget(
         s_max=args.s_max,
         part_cap=args.part_cap if args.part_cap else default_max_parts(),
         raw_partitions=args.raw_partitions,
     )
-    w2 = _parse_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
+    w2 = fileio.loads_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
     result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2)
     report = RunReport(
         command="break",
@@ -248,15 +224,11 @@ def _cmd_break(args) -> int:
             "sets_skipped": result.sets_skipped,
         },
         payload=_witness_payload(result.witness) if result else None,
-        wall_time=time.perf_counter() - started,
     )
-    if args.output and result:
-        _write(args.output, report.serialize())
-    return _emit(report)
+    return report.serialize(), report.exit_code, {}
 
 
-def _cmd_separate(args) -> int:
-    started = time.perf_counter()
+def _cmd_separate(args) -> Result:
     g = _read_graph(args.graph)
     weights = WeightFn(fileio.loads_weights(Path(args.weights).read_text(), g.n))
     eps = _parse_eps(args.eps)
@@ -283,17 +255,13 @@ def _cmd_separate(args) -> int:
             "flips_tried": result.flips_tried,
         },
         payload=payload,
-        wall_time=time.perf_counter() - started,
     )
-    if args.output and result:
-        _write(args.output, report.serialize())
-    return _emit(report)
+    return report.serialize(), report.exit_code, {}
 
 
-def _cmd_sep2break(args) -> int:
-    started = time.perf_counter()
+def _cmd_sep2break(args) -> Result:
     g = _read_graph(args.graph)
-    w_set = _parse_vertex_set(Path(args.probes).read_text())
+    w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
     result = sep_then_break(g, w_set, args.radius, k_max=args.k_max)
     report = RunReport(
         command="sep2break",
@@ -309,14 +277,11 @@ def _cmd_sep2break(args) -> int:
             "flips_tried": result.separability.flips_tried,
         },
         payload=_witness_payload(result.witness) if result else None,
-        wall_time=time.perf_counter() - started,
     )
-    if args.output and result:
-        _write(args.output, report.serialize())
-    return _emit(report)
+    return report.serialize(), report.exit_code, {}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     mode, func = LEMMA_SWEEPS[args.lemma]
     if mode == "exhaustive":
         if args.exhaustive is None:
@@ -326,27 +291,25 @@ def _cmd_verify(args) -> int:
         if args.random is None:
             raise DomainError(f"{args.lemma} is a randomized sweep: pass --random COUNT")
         report = func(args.random, args.seed)
-    return _emit(report)
+    return report.serialize(), report.exit_code, {}
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> Result:
     g = _read_graph(args.graph)
     p = (
         fileio.loads_partition(Path(args.partition).read_text(), g.n)
         if args.partition
         else None
     )
-    wrote = False
+    files = {}
     if args.dot:
-        _write(args.dot, fileio.export_dot(g, p))
-        wrote = True
+        files[args.dot] = fileio.export_dot(g, p)
     if args.csv:
         rows = [{"u": u, "v": v} for u, v in g.edges()]
-        _write(args.csv, fileio.export_csv(rows, ["u", "v"]))
-        wrote = True
-    if not wrote:
+        files[args.csv] = fileio.export_csv(rows, ["u", "v"])
+    if not files:
         raise DomainError("pass --dot and/or --csv")
-    return EXIT_PASS
+    return "", EXIT_PASS, files
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph", parents=[seed_opt])
     p.add_argument("kind", choices=sorted(generators.KINDS))
     p.add_argument("params", nargs="*", help="kind parameters, e.g. n [p]")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", dest="graph_out", help="write the graph")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("diam", help="diameter of a graph", parents=[seed_opt])
@@ -398,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--emit-certificates")
     p.add_argument("--emit-dot")
-    p.add_argument("-o", "--output", help="write the flipped graph")
+    p.add_argument("-o", "--output", dest="graph_out", help="write the flipped graph")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("break", help="budgeted flip-breakability search", parents=[seed_opt])
@@ -448,19 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        out, code, files = args.func(args)
+        wall_time = time.perf_counter() - started
+        if code == EXIT_PASS and getattr(args, "output", None):
+            files[args.output] = out
+        for path, text in files.items():
+            Path(path).write_text(text)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    sys.stdout.write(out)
+    print(f"wall_time_s={wall_time:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

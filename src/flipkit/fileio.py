@@ -1,10 +1,11 @@
-"""Text formats for graphs, partitions, specs, weights, and families.
+"""Text formats for graphs, partitions, specs, weights, families and sets.
 
 Every writer produces the canonical form its reader round-trips: graph
 files start with ``n m`` and list edges ``u v`` with u < v; bipartite files
 add a second header line ``U: ...`` naming the left side; partitions are
 ``v part_id`` lines, flip specs ``i j`` lines, weights ``v weight`` lines,
-and set families one whitespace-separated set per line.
+and set families one whitespace-separated set per line.  A vertex set (read
+only) lists its vertices separated by commas or whitespace.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ def dumps_family(sets) -> str:
 
 def loads_family(text: str) -> list[tuple[int, ...]]:
     return [_fields(row) for row in _rows(text)]
+
+
+def loads_vertex_set(text: str) -> list[int]:
+    """The vertices of a set, separated by commas or whitespace over any
+    number of lines (``--set 0,3,5`` or a probe-set file)."""
+    return [v for row in _rows(text.replace(",", " ")) for v in _fields(row)]
 
 
 # ---------------------------------------------------------------------------

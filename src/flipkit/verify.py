@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from math import comb, inf
 
@@ -39,18 +38,14 @@ _BIPARTITE_SIDE_CAP = 3
 
 @dataclass
 class RunReport:
-    """Outcome of one command: deterministic given the command and seed.
-
-    The wall time is measured but excluded from serialization, so repeated
-    runs with one seed produce byte-identical reports.
-    """
+    """Outcome of one command: deterministic given the command and seed,
+    so repeated runs with one seed produce byte-identical reports."""
 
     command: str
     parameters: dict
     outcome: str  # pass | fail | witness | refused
     counters: dict = field(default_factory=dict)
     payload: dict | None = None
-    wall_time: float = 0.0
 
     def serialize(self) -> str:
         body = {
@@ -69,11 +64,6 @@ class RunReport:
         if self.outcome == "fail":
             return 1
         return 2
-
-
-def _timed(report: RunReport, started: float) -> RunReport:
-    report.wall_time = time.perf_counter() - started
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +94,6 @@ def _diam_at_most(dist: np.ndarray, bound: int) -> np.ndarray:
 def verify_diam_complement(n: int) -> RunReport:
     """Every labeled n-vertex graph has diameter <= 3 or a complement with
     diameter <= 3; exhaustive for n up to 6."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify", parameters={"lemma": "diam-complement", "exhaustive": n},
         outcome="pass",
@@ -121,7 +110,7 @@ def verify_diam_complement(n: int) -> RunReport:
         bad = int(np.flatnonzero(~ok)[0])
         report.outcome = "fail"
         report.payload = {"n": n, "edges": Graph(adjs[bad]).edges()}
-    return _timed(report, started)
+    return report
 
 
 def _bipartite_adjacencies(a: int, b: int) -> np.ndarray:
@@ -143,7 +132,6 @@ def _bipartite_adjacencies(a: int, b: int) -> np.ndarray:
 def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
     """Every bipartite graph has diameter <= 6, a bipartite complement with
     diameter <= 6, or both disconnected; exhaustive for sides up to 3."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "bipartite-trichotomy", "max_side": max_side},
@@ -174,9 +162,9 @@ def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunRepor
                     "edges": Graph(adjs[bad]).edges(),
                 }
                 report.counters["graphs_checked"] = total
-                return _timed(report, started)
+                return report
     report.counters["graphs_checked"] = total
-    return _timed(report, started)
+    return report
 
 
 def _case_matches(b: Bipartite, case) -> bool:
@@ -209,7 +197,6 @@ def _case_matches(b: Bipartite, case) -> bool:
 def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
     """When a bipartite graph and its complement are both disconnected, the
     classifier returns a structurally verified case."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "bipartite-classification", "max_side": max_side},
@@ -240,9 +227,9 @@ def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunR
                     report.counters.update(
                         graphs_checked=total, degenerate_cases=degenerate
                     )
-                    return _timed(report, started)
+                    return report
     report.counters.update(graphs_checked=total, degenerate_cases=degenerate)
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,6 @@ def verify_conversion(count: int, seed: int) -> RunReport:
     """Conversion soundness on random instances: 6 * flip distance bounds
     the partition distance (full flip enumeration), plus the refinement
     contract and the size bound."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "conversion", "random": count, "seed": seed},
@@ -306,14 +292,13 @@ def verify_conversion(count: int, seed: int) -> RunReport:
             break
     report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
     report.counters["max_ratio_times_100"] = int(round(max_ratio * 100))
-    return _timed(report, started)
+    return report
 
 
 def verify_metric_axioms(count: int, seed: int) -> RunReport:
     """Partition distances are symmetric, zero exactly on the diagonal, at
     least 2 off it, satisfy the triangle inequality, and grow under
     refinement."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "metric-axioms", "random": count, "seed": seed},
@@ -355,13 +340,12 @@ def verify_metric_axioms(count: int, seed: int) -> RunReport:
             }
             break
     report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
-    return _timed(report, started)
+    return report
 
 
 def verify_aggregation(count: int, seed: int) -> RunReport:
     """Joining two defining sets never shrinks the metric: the union's
     distance dominates the pointwise max of the members'."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "aggregation", "random": count, "seed": seed},
@@ -388,13 +372,12 @@ def verify_aggregation(count: int, seed: int) -> RunReport:
             }
             break
     report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
-    return _timed(report, started)
+    return report
 
 
 def verify_sauer_shelah(count: int, seed: int) -> RunReport:
     """Computed trace counts never exceed the binomial-sum bound at the
     computed VC-dimension."""
-    started = time.perf_counter()
     report = RunReport(
         command="verify",
         parameters={"lemma": "sauer-shelah", "random": count, "seed": seed},
@@ -419,9 +402,9 @@ def verify_sauer_shelah(count: int, seed: int) -> RunReport:
                     "bound": bound,
                 }
                 report.counters["instances_checked"] = index + 1
-                return _timed(report, started)
+                return report
     report.counters["instances_checked"] = count
-    return _timed(report, started)
+    return report
 
 
 LEMMA_SWEEPS = {

@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from flipkit import Graph, fileio
 from flipkit.cli import main
-from flipkit.generators import clique, gnp, path
+from flipkit.generators import clique, gnp, path, star
 
 
 def run(capsys, *argv):
@@ -161,8 +162,6 @@ class TestSearches:
         assert body["payload"]["a1"] and body["payload"]["a2"]
 
     def test_break_failure_exit_one(self, capsys, graph_file, tmp_path):
-        from flipkit.generators import star
-
         # star leaves stay close under both budgeted flips
         gf = graph_file(star(5))
         wf = tmp_path / "w.txt"
@@ -253,3 +252,110 @@ class TestDeterminism:
             _, out1 = run(capsys, "--seed", "11", *argv)
             _, out2 = run(capsys, "--seed", "11", *argv)
             assert out1 == out2, argv
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Paths of one input file per name, plus ``dir``: a directory."""
+    texts = {
+        "path6": fileio.dumps_graph(path(6)),
+        "path12": fileio.dumps_graph(path(12)),
+        "star5": fileio.dumps_graph(star(5)),
+        "k6": fileio.dumps_graph(clique(6)),
+        "empty6": fileio.dumps_graph(Graph.empty(6)),
+        "halves": "".join(f"{v} {v % 2}\n" for v in range(6)),
+        "singletons": "".join(f"{v} {v}\n" for v in range(6)),
+        "ones": fileio.dumps_weights([1] * 6),
+        "probes12": " ".join(map(str, range(12))),
+        "leaves": "1 2 3 4",
+        "quad": "0 1 2 3",
+        "bad_probes": "0 x\n",
+    }
+    names = {"dir": str(tmp_path)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        names[name] = str(tmp_path / name)
+    return names
+
+
+# commands whose -o/--output is a copy of stdout
+COPIES_STDOUT = {"vcdim", "dist", "break", "separate", "sep2break"}
+
+# id: (argv with {input} placeholders, exit code, stderr fragment on exit 2)
+RUNS = {
+    "gen": (["gen", "path", "5"], 0, None),
+    "diam": (["diam", "{path6}"], 0, None),
+    "vcdim": (["vcdim", "{path6}"], 0, None),
+    "dist": (["dist", "{path6}", "0", "3", "--partition", "{halves}"], 0, None),
+    "convert": (
+        ["convert", "{path6}", "--partition", "{halves}", "--emit-dot", "{dir}/c.dot",
+         "-o", "{dir}/c.txt"], 0, None,
+    ),
+    "break": (["break", "{path12}", "--W", "{probes12}", "-r", "1", "-m", "2"], 0, None),
+    "break-miss": (
+        ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "2", "--s-max", "0",
+         "--part-cap", "1"], 1, None,
+    ),
+    "separate": (
+        ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "2/5",
+         "--k-max", "1"], 0, None,
+    ),
+    "sep2break": (["sep2break", "{empty6}", "--W", "{quad}", "-r", "1"], 0, None),
+    "verify": (["verify", "diam-complement", "--exhaustive", "4"], 0, None),
+    "export": (["export", "{path6}", "--dot", "{dir}/g.dot", "--csv", "{dir}/g.csv"], 0, None),
+    "dist-cap": (
+        ["dist", "{path6}", "0", "1", "--partition", "{singletons}"], 2, "refused: ",
+    ),
+    "verify-wrong-mode": (["verify", "conversion", "--exhaustive", "4"], 2, "error: "),
+    "diam-directory": (["diam", "{dir}"], 2, "error: "),
+    "gen-into-directory": (["gen", "path", "3", "-o", "{dir}"], 2, "error: "),
+    "dist-negative-vertex": (
+        ["dist", "{path6}", "0", "-1", "--set", "0"], 2, "vertex -1 out of range",
+    ),
+    "dist-vertex-out-of-range": (
+        ["dist", "{path6}", "0", "9", "--set", "0"], 2, "vertex 9 out of range",
+    ),
+    "dist-malformed-set": (
+        ["dist", "{path6}", "--set", "0,x", "--all-pairs"], 2, "error: line 1: ",
+    ),
+    "break-malformed-probes": (
+        ["break", "{path6}", "--W", "{bad_probes}", "-r", "1", "-m", "2"], 2,
+        "error: line 1: ",
+    ),
+    "sep2break-malformed-probes": (
+        ["sep2break", "{path6}", "--W", "{bad_probes}", "-r", "1"], 2, "error: line 1: ",
+    ),
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv, code, err", RUNS.values(), ids=RUNS.keys())
+    def test_one_runner_contract(self, capsys, inputs, tmp_path, argv, code, err):
+        """Exit code, repeatable stdout, one stderr line, and -o as a copy
+        of stdout on exit 0 only."""
+        argv = [arg.format(**inputs) for arg in argv]
+        copy = tmp_path / "copy"
+        outs = []
+        for extra in ([], ["-o", str(copy)] if argv[0] in COPIES_STDOUT else []):
+            assert main(argv + extra) == code
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            if code == 2:
+                assert captured.out == ""
+                assert re.fullmatch(r"(refused|error): [^\n]*\n", captured.err)
+                assert err in captured.err
+            else:
+                assert re.fullmatch(r"wall_time_s=\d+\.\d{3}\n", captured.err)
+        assert outs[0] == outs[1]
+        if argv[0] in COPIES_STDOUT and code == 0:
+            assert copy.read_bytes() == outs[0].encode()
+        else:
+            assert not copy.exists()
+
+    def test_separate_cap_hint_names_only_accepted_knobs(self, capsys, inputs):
+        code = main(["separate", inputs["k6"], "--weights", inputs["ones"], "-r", "1",
+                     "--eps", "1/2", "--k-max", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("refused: ") and "FLIPKIT_MAX_PARTS" in err
+        assert "--max-parts" not in err

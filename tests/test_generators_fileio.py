@@ -139,6 +139,10 @@ class TestSpecAndWeights:
         sets = [(0, 1), (2,), (3, 4, 5)]
         assert fileio.loads_family(fileio.dumps_family(sets)) == sets
 
+    def test_vertex_set_commas_or_whitespace(self):
+        assert fileio.loads_vertex_set("0,3 5\n7,\n# note\n") == [0, 3, 5, 7]
+        assert fileio.loads_vertex_set("") == []
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -150,8 +154,10 @@ class TestMalformedInput:
             (fileio.loads_flip_spec, "0 1\n1\n", 2),
             (fileio.loads_weights, "0 1\n1 2 3\n", 2),
             (fileio.loads_family, "0 1\n2 3.5\n", 2),
+            (fileio.loads_vertex_set, "0, 1\n2,x\n", 2),
         ],
-        ids=["graph", "bipartite", "partition", "flip_spec", "weights", "family"],
+        ids=["graph", "bipartite", "partition", "flip_spec", "weights", "family",
+             "vertex_set"],
     )
     def test_names_the_line(self, parse, text, line):
         with pytest.raises(DomainError, match=f"^line {line}: "):
