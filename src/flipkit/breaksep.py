@@ -26,14 +26,14 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError
 from .flips import (
-    DEFAULT_MAX_PARTS,
     FlipSpec,
     Partition,
     apply_flip,
-    default_max_parts,
+    check_part_cap,
     definable_candidates,
     enumerate_partitions,
     first_flip,
+    resolve_max_parts,
 )
 from .graphs import Graph, ball, distance_matrix, within
 from .metrics import SetFamily, dist_family_matrix
@@ -174,10 +174,11 @@ def sunflower_extract(f: SetFamily, m: int) -> SunflowerResult | None:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Explicit budgets replacing the theory's unspecified margins."""
+    """Explicit budgets replacing the theory's unspecified margins;
+    ``part_cap`` None is the default cap of ``flips.resolve_max_parts``."""
 
     s_max: int = 1
-    part_cap: int = DEFAULT_MAX_PARTS
+    part_cap: int | None = None
     raw_partitions: bool = False
     #: target subset size per breakability call inside the orchestrator
     m_keep: int = 1
@@ -319,10 +320,11 @@ def breakability_search(
     probes = sorted(set(w1) | set(w2 or []))
     side1 = set(w1)
     side2 = set(w2) if w2 is not None else set(w1)
+    cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
-        candidates = ((None, p) for p in enumerate_partitions(g.n, budget.part_cap))
+        candidates = ((None, p) for p in enumerate_partitions(g.n, cap))
     else:
-        candidates = definable_candidates(g, budget.s_max, budget.part_cap, stats)
+        candidates = definable_candidates(g, budget.s_max, cap, stats)
 
     def first_split(dists: np.ndarray) -> int | None:
         return next(
@@ -394,12 +396,7 @@ def separability_search(
     """
     if len(w.weights) != g.n:
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
-    cap = default_max_parts() if max_parts is None else max_parts
-    if k_max > cap:
-        raise CapExceeded(
-            f"k_max={k_max} exceeds the part cap {cap} "
-            "(raise with FLIPKIT_MAX_PARTS or the max_parts argument)"
-        )
+    check_part_cap(k_max, max_parts, "k_max")
     if g.n > n_cap:
         raise CapExceeded(
             f"exhaustive partition search on n={g.n} exceeds the cap {n_cap} "

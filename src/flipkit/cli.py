@@ -32,7 +32,6 @@ from .breaksep import (
 )
 from .conversion import convert
 from .errors import CapExceeded, DomainError
-from .flips import default_max_parts
 from .graphs import INF, Graph, diameter
 from .metrics import SetFamily, dist_family_matrix, dist_partition_matrix
 from .vc import vc_dimension
@@ -114,16 +113,15 @@ def _cmd_dist(args) -> Result:
         pairs = [tuple(args.pair)]
     else:
         raise DomainError("pass a vertex pair `u v`, or --all-pairs")
-    cap = args.max_parts if args.max_parts else default_max_parts()
     if args.partition:
         p = fileio.loads_partition(Path(args.partition).read_text(), g.n)
-        dist = dist_partition_matrix(g, p, max_parts=cap)
-    elif args.set is not None:
-        fam = SetFamily([fileio.loads_vertex_set(args.set)])
-        dist = dist_family_matrix(g, fam, max_parts=cap)
+        dist = dist_partition_matrix(g, p, max_parts=args.max_parts)
     else:
-        fam = SetFamily(fileio.loads_family(Path(args.family).read_text()))
-        dist = dist_family_matrix(g, fam, max_parts=cap)
+        if args.set is not None:
+            sets = [fileio.loads_vertex_set(args.set)]
+        else:
+            sets = fileio.loads_family(Path(args.family).read_text())
+        dist = dist_family_matrix(g, SetFamily(sets), max_parts=args.max_parts)
     rows = [{"u": u, "v": v, "dist": _dist_cell(dist[u, v])} for u, v in pairs]
     return fileio.export_csv(rows, ["u", "v", "dist"]), EXIT_PASS, {}
 
@@ -202,9 +200,7 @@ def _cmd_break(args) -> Result:
     g = _read_graph(args.graph)
     w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
     budget = SearchBudget(
-        s_max=args.s_max,
-        part_cap=args.part_cap if args.part_cap else default_max_parts(),
-        raw_partitions=args.raw_partitions,
+        s_max=args.s_max, part_cap=args.part_cap, raw_partitions=args.raw_partitions
     )
     w2 = fileio.loads_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
     result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2)
@@ -290,6 +286,8 @@ def _cmd_verify(args) -> Result:
     else:
         if args.random is None:
             raise DomainError(f"{args.lemma} is a randomized sweep: pass --random COUNT")
+        if args.random < 1:
+            raise DomainError(f"--random must be a positive count, got {args.random}")
         report = func(args.random, args.seed)
     return report.serialize(), report.exit_code, {}
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set")
     p.add_argument("--family")
     p.add_argument("--all-pairs", action="store_true")
-    p.add_argument("--max-parts", type=int, default=0)
+    p.add_argument("--max-parts", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dist)
 
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--s-max", type=int, default=1)
-    p.add_argument("--part-cap", type=int, default=0)
+    p.add_argument("--part-cap", type=int)
     p.add_argument("--raw-partitions", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_break)

@@ -26,7 +26,6 @@ from .flips import (
     FlipSpec,
     Partition,
     apply_flip,
-    default_max_parts,
     definable_candidates,
     first_flip,
     reconstruct_flip_spec,
@@ -429,7 +428,6 @@ def search_definable_emulation(
         raise DomainError("graphs must share one vertex set")
     if r_max < 0:
         raise DomainError(f"r_max must be nonnegative, got {r_max}")
-    cap = default_max_parts() if max_parts is None else max_parts
     result = EmulationSearchResult(witness=None)
     d_out = distance_matrix(gprime)
     unreached = d_out == UNREACHED
@@ -439,7 +437,7 @@ def search_definable_emulation(
         hits = np.flatnonzero(~bad.any(axis=(1, 2)))
         return int(hits[0]) if hits.size else None
 
-    for s, p in definable_candidates(g, s_max, cap, result):
+    for s, p in definable_candidates(g, s_max, max_parts, result):
         tried, bits = first_flip(g, p, first_contained)
         result.flips_tried += tried
         if bits is not None:

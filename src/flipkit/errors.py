@@ -9,6 +9,7 @@ class CapExceeded(RuntimeError):
     """A size cap guarding an exhaustive computation was exceeded.
 
     This is a refusal, not a silent truncation: the caller must either
-    shrink the input or raise the cap explicitly (``--max-parts`` on the
-    CLI, or the ``FLIPKIT_MAX_PARTS`` environment variable).
+    shrink the input or raise the cap.  The part cap is raised per call by
+    ``max_parts`` (CLI: ``dist --max-parts``, ``break --part-cap``) or by
+    ``FLIPKIT_MAX_PARTS``; a non-positive cap is a ``DomainError``.
     """

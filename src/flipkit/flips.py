@@ -9,6 +9,7 @@ index pairs, so they compare, dedupe, and compose by symmetric difference.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,18 +30,32 @@ CHUNK = 1 << 12
 _ENV_MAX_PARTS = "FLIPKIT_MAX_PARTS"
 
 
-def default_max_parts() -> int:
-    """The enumeration cap: FLIPKIT_MAX_PARTS if set, else 4."""
-    raw = os.environ.get(_ENV_MAX_PARTS)
+def resolve_max_parts(max_parts: int | None = None) -> int:
+    """The part cap of every exhaustive enumeration: ``max_parts`` if given,
+    else FLIPKIT_MAX_PARTS if set, else 4.  A non-integer or non-positive
+    cap is a DomainError."""
+    source, raw, parse = "the part cap", max_parts, operator.index
     if raw is None:
-        return DEFAULT_MAX_PARTS
+        raw = os.environ.get(_ENV_MAX_PARTS, DEFAULT_MAX_PARTS)
+        source, parse = _ENV_MAX_PARTS, int
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_ENV_MAX_PARTS} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"{_ENV_MAX_PARTS} must be positive, got {value}")
-    return value
+        cap = parse(raw)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"{source} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def check_part_cap(parts: int, max_parts: int | None, what="partition", smaller=None) -> None:
+    """Refuse ``what``, which has ``parts`` parts, above the part cap; the
+    hint names only the knobs that every caller takes."""
+    cap = resolve_max_parts(max_parts)
+    if parts > cap:
+        raise CapExceeded(
+            f"{what}: {parts} parts, above the part cap {cap}; use a smaller {smaller or what} "
+            f"or raise the cap with the max_parts argument or {_ENV_MAX_PARTS}"
+        )
 
 
 class Partition:
@@ -255,13 +270,8 @@ def enumerate_flips(
     """
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
-    cap = default_max_parts() if max_parts is None else max_parts
     k = len(p.parts)
-    if k > cap:
-        raise CapExceeded(
-            f"partition has {k} parts, above the enumeration cap {cap} "
-            f"(raise with --max-parts / {_ENV_MAX_PARTS})"
-        )
+    check_part_cap(k, max_parts)
     for codes in _counter_chunks(num_flips(k)):
         for bits, adj in zip(codes.tolist(), flip_adjacency_batch(g, p, codes)):
             yield FlipSpec.from_bits(k, bits), Graph(adj)
@@ -335,11 +345,12 @@ def definable_partition(g: Graph, s) -> Partition:
 
 
 def definable_candidates(
-    g: Graph, s_max: int, cap: int, stats
+    g: Graph, s_max: int, max_parts: int | None, stats
 ) -> Iterator[tuple[tuple[int, ...], Partition]]:
     """Defining sets by ascending size, lexicographic within a size, with
-    their partitions; sets over ``cap`` parts are skipped.  Both kinds are
+    their partitions; sets over the part cap are skipped.  Both kinds are
     counted in ``stats.sets_tried`` and ``stats.sets_skipped``."""
+    cap = resolve_max_parts(max_parts)
     for size in range(min(s_max, g.n) + 1):
         for s in combinations(range(g.n), size):
             p = definable_partition(g, s)

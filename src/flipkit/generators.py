@@ -97,8 +97,9 @@ def generate(kind: str, *params) -> Graph:
         )
     converted = []
     for name, raw in zip(names, params):
-        if name == "p":
-            converted.append(float(raw))
-        else:
-            converted.append(int(raw))
+        try:
+            converted.append(float(raw) if name == "p" else int(raw))
+        except ValueError:
+            what = "a number" if name == "p" else "an integer"
+            raise DomainError(f"{kind} parameter {name} must be {what}, got {raw!r}") from None
     return func(*converted)

@@ -140,25 +140,10 @@ class Bipartite:
 # ---------------------------------------------------------------------------
 
 
-def bfs_array(g: Graph, src: int) -> np.ndarray:
-    """Shortest-path distances from ``src`` as an int array; -1 = unreachable."""
-    g._check_vertex(src)
-    dist = np.full(g.n, UNREACHED, dtype=np.int64)
-    dist[src] = 0
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[src] = True
-    d = 0
-    while frontier.any():
-        d += 1
-        reached = g.adj[frontier].any(axis=0) & (dist == UNREACHED)
-        dist[reached] = d
-        frontier = reached
-    return dist
-
-
 def bfs_distances(g: Graph, src: int) -> dict[int, ExtDist]:
     """Exact shortest-path distances from ``src``; unreachable maps to INF."""
-    dist = bfs_array(g, src)
+    g._check_vertex(src)
+    dist = distance_matrix(g)[src]
     return {v: (INF if dist[v] == UNREACHED else int(dist[v])) for v in range(g.n)}
 
 
@@ -211,9 +196,7 @@ def within(dist: np.ndarray, r: int) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """A graph on at most one vertex counts as connected."""
-    if g.n <= 1:
-        return True
-    return not (bfs_array(g, 0) == UNREACHED).any()
+    return g.n <= 1 or not (distance_matrix(g)[0] == UNREACHED).any()
 
 
 def diameter(g: Graph) -> ExtDist:
@@ -231,8 +214,7 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
     g._check_vertex(v)
-    dist = bfs_array(g, v)
-    return frozenset(np.flatnonzero(within(dist, r)).tolist())
+    return frozenset(np.flatnonzero(within(distance_matrix(g)[v], r)).tolist())
 
 
 # ---------------------------------------------------------------------------

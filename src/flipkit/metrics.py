@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError
+from .errors import DomainError
 from .flips import (
     Partition,
-    default_max_parts,
+    check_part_cap,
     definable_partition,
     distinct_flip_codes,
     flip_adjacency_batch,
@@ -65,64 +65,54 @@ class SetFamily:
         return f"SetFamily({list(self.sets)!r})"
 
 
-def _check_cap(p: Partition, cap: int | None, s=None) -> None:
-    """Refuse a metric over more parts than the cap; ``s`` is the defining
-    set that induced ``p``, if any."""
-    cap = default_max_parts() if cap is None else cap
-    k = len(p.parts)
-    if k > cap:
-        what, hint = f"a {k}-part partition", ""
-        if s is not None:
-            what, hint = f"defining set {sorted(set(s))} ({k} parts)", "use a smaller set or "
-        raise CapExceeded(
-            f"metric over {what} exceeds the cap {cap}; "
-            f"{hint}raise with --max-parts / FLIPKIT_MAX_PARTS"
-        )
-
-
-def dist_partition_matrix(
-    g: Graph, p: Partition, *, max_parts: int | None = None
-) -> np.ndarray:
-    """All-pairs partition distance, sentinel-coded (-1 = INF).
-
-    One distance matrix per distinct flip, folded with the absorbing max
-    chunk by chunk; the max ignores duplicate flips, so skipping them keeps
-    the result exact.
-    """
-    if p.n != g.n:
-        raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
-    _check_cap(p, max_parts)
+def _flip_metric(g: Graph, p: Partition) -> np.ndarray:
+    """One distance matrix per distinct flip of ``p``, folded with the
+    absorbing max chunk by chunk; the max ignores duplicate flips, so
+    skipping them keeps the result exact."""
     return fold_max_distances(np.stack([
         fold_max_distances(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
         for codes in distinct_flip_codes(p)
     ]))
 
 
+def _pair_distance(g: Graph, u: int, v: int, metric) -> ExtDist:
+    """Entry (u, v) of the all-pairs matrix that ``metric()`` computes, the
+    pair checked first; INF if any flip separates it."""
+    g._check_vertex(u)
+    g._check_vertex(v)
+    value = metric()[u, v]
+    return INF if value == UNREACHED else int(value)
+
+
+def dist_partition_matrix(
+    g: Graph, p: Partition, *, max_parts: int | None = None
+) -> np.ndarray:
+    """All-pairs partition distance, sentinel-coded (-1 = INF)."""
+    if p.n != g.n:
+        raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
+    check_part_cap(len(p.parts), max_parts)
+    return _flip_metric(g, p)
+
+
 def dist_partition(
     g: Graph, p: Partition, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
     """Maximum over all flips of the u-v distance; INF if any flip separates."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    value = dist_partition_matrix(g, p, max_parts=max_parts)[u, v]
-    return INF if value == UNREACHED else int(value)
+    return _pair_distance(g, u, v, lambda: dist_partition_matrix(g, p, max_parts=max_parts))
 
 
 def dist_definable_matrix(
     g: Graph, s, *, max_parts: int | None = None
 ) -> np.ndarray:
     p = definable_partition(g, s)
-    _check_cap(p, max_parts, s)
-    return dist_partition_matrix(g, p, max_parts=max_parts)
+    check_part_cap(len(p.parts), max_parts, f"defining set {sorted(set(s))}", "set")
+    return _flip_metric(g, p)
 
 
 def dist_definable(
     g: Graph, s, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
-    g._check_vertex(u)
-    g._check_vertex(v)
-    value = dist_definable_matrix(g, s, max_parts=max_parts)[u, v]
-    return INF if value == UNREACHED else int(value)
+    return _pair_distance(g, u, v, lambda: dist_definable_matrix(g, s, max_parts=max_parts))
 
 
 def dist_family_matrix(
@@ -144,10 +134,7 @@ def dist_family_matrix(
 def dist_family(
     g: Graph, fam: SetFamily, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
-    g._check_vertex(u)
-    g._check_vertex(v)
-    value = dist_family_matrix(g, fam, max_parts=max_parts)[u, v]
-    return INF if value == UNREACHED else int(value)
+    return _pair_distance(g, u, v, lambda: dist_family_matrix(g, fam, max_parts=max_parts))
 
 
 def _metric_ball(g: Graph, vertices, r: int, metric) -> frozenset[int]:

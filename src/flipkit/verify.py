@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from math import comb, inf
 
 import numpy as np
@@ -71,13 +72,15 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _all_graph_adjacencies(n: int) -> np.ndarray:
-    """(2^C(n,2), n, n) boolean stack of every labeled graph on n vertices."""
-    iu, iv = np.triu_indices(n, k=1)
-    npairs = len(iu)
-    count = 1 << npairs
+def _graph_stack(n: int, cells) -> np.ndarray:
+    """(2^len(cells), n, n) boolean stack of every graph on n vertices whose
+    edges lie in ``cells``, (u, v) pairs: graph i has cell t iff bit t of i
+    is set.  So graph count-1-i is graph i with every cell complemented,
+    and the last graph has every cell."""
+    iu, iv = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    count = 1 << len(iu)
     bits = (
-        (np.arange(count, dtype=np.uint64)[:, None] >> np.arange(npairs, dtype=np.uint64))
+        (np.arange(count, dtype=np.uint64)[:, None] >> np.arange(len(iu), dtype=np.uint64))
         & 1
     ).astype(bool)
     adjs = np.zeros((count, n, n), dtype=bool)
@@ -100,33 +103,15 @@ def verify_diam_complement(n: int) -> RunReport:
     )
     if not 1 <= n <= _EXHAUSTIVE_N_CAP:
         raise CapExceeded(f"exhaustive diameter sweep capped at n <= {_EXHAUSTIVE_N_CAP}")
-    adjs = _all_graph_adjacencies(n)
-    eye = np.eye(n, dtype=bool)
-    comps = ~adjs & ~eye
+    adjs = _graph_stack(n, combinations(range(n), 2))
     ok = _diam_at_most(batched_distance_matrices(adjs), 3)
-    ok |= _diam_at_most(batched_distance_matrices(comps), 3)
+    ok |= ok[::-1]  # the complement stack is adjs[::-1]
     report.counters["graphs_checked"] = int(adjs.shape[0])
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         report.outcome = "fail"
         report.payload = {"n": n, "edges": Graph(adjs[bad]).edges()}
     return report
-
-
-def _bipartite_adjacencies(a: int, b: int) -> np.ndarray:
-    """(2^(a*b), a+b, a+b) stack of every bipartite graph with sides a, b."""
-    n = a + b
-    cells = [(i, a + j) for i in range(a) for j in range(b)]
-    count = 1 << len(cells)
-    bits = (
-        (np.arange(count, dtype=np.uint64)[:, None] >> np.arange(len(cells), dtype=np.uint64))
-        & 1
-    ).astype(bool)
-    adjs = np.zeros((count, n, n), dtype=bool)
-    for t, (u, v) in enumerate(cells):
-        adjs[:, u, v] = bits[:, t]
-        adjs[:, v, u] = bits[:, t]
-    return adjs
 
 
 def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
@@ -142,17 +127,11 @@ def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunRepor
     total = 0
     for a in range(1, max_side + 1):
         for b in range(1, max_side + 1):
-            adjs = _bipartite_adjacencies(a, b)
-            n = a + b
-            cross = np.zeros((n, n), dtype=bool)
-            cross[:a, a:] = True
-            cross[a:, :a] = True
-            d, d_comp = batched_distance_matrices(adjs), batched_distance_matrices(adjs ^ cross)
-            ok = (
-                _diam_at_most(d, 6)
-                | _diam_at_most(d_comp, 6)
-                | ~(_diam_at_most(d, n) | _diam_at_most(d_comp, n))
-            )
+            adjs = _graph_stack(a + b, product(range(a), range(a, a + b)))
+            # the bipartite complement of graph i is graph count-1-i
+            d = batched_distance_matrices(adjs)
+            small, connected = _diam_at_most(d, 6), _diam_at_most(d, a + b)
+            ok = small | small[::-1] | ~(connected | connected[::-1])
             total += int(adjs.shape[0])
             if not ok.all():
                 bad = int(np.flatnonzero(~ok)[0])
@@ -208,7 +187,7 @@ def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunR
     degenerate = 0
     for a in range(1, max_side + 1):
         for b_side in range(1, max_side + 1):
-            adjs = _bipartite_adjacencies(a, b_side)
+            adjs = _graph_stack(a + b_side, product(range(a), range(a, a + b_side)))
             left = tuple(range(a))
             right = tuple(range(a, a + b_side))
             for idx in range(adjs.shape[0]):

@@ -325,6 +325,23 @@ RUNS = {
     "sep2break-malformed-probes": (
         ["sep2break", "{path6}", "--W", "{bad_probes}", "-r", "1"], 2, "error: line 1: ",
     ),
+    "gen-non-integer": (["gen", "path", "abc"], 2, "error: path parameter n "),
+    "gen-non-number": (["gen", "gnp", "5", "x"], 2, "error: gnp parameter p "),
+    "verify-negative-count": (
+        ["verify", "conversion", "--random", "-5"], 2, "error: --random must be a positive",
+    ),
+    "dist-negative-cap": (
+        ["dist", "{path6}", "0", "1", "--partition", "{halves}", "--max-parts", "-3"], 2,
+        "error: the part cap must be a positive integer, got -3",
+    ),
+    "dist-zero-cap": (
+        ["dist", "{path6}", "0", "1", "--partition", "{halves}", "--max-parts", "0"], 2,
+        "error: the part cap must be a positive integer, got 0",
+    ),
+    "break-negative-cap": (
+        ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "2", "--part-cap", "-1"], 2,
+        "error: the part cap must be a positive integer, got -1",
+    ),
 }
 
 
@@ -359,3 +376,10 @@ class TestRunner:
         assert code == 2
         assert err.startswith("refused: ") and "FLIPKIT_MAX_PARTS" in err
         assert "--max-parts" not in err
+
+    def test_zero_env_cap_is_a_usage_error(self, capsys, inputs, monkeypatch):
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", "0")
+        assert main(["dist", inputs["path6"], "0", "1", "--partition", inputs["halves"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: FLIPKIT_MAX_PARTS must be a positive integer, got '0'\n"

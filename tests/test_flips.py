@@ -8,16 +8,24 @@ from flipkit import (
     FlipSpec,
     Graph,
     Partition,
+    SearchBudget,
+    SetFamily,
+    WeightFn,
     apply_flip,
+    breakability_search,
     canonical_pairs,
     complement,
     definable_partition,
+    dist_definable_matrix,
+    dist_family_matrix,
     dist_partition_matrix,
     enumerate_flips,
     enumerate_partitions,
     num_flips,
     reconstruct_flip_spec,
     refine,
+    search_definable_emulation,
+    separability_search,
 )
 from flipkit.flips import flip_adjacency_batch
 from flipkit.generators import clique, cycle, path, star
@@ -191,7 +199,8 @@ class TestEnumerateFlips:
     def test_cap_refusal_names_the_flag(self):
         g = Graph.empty(5)
         p = Partition.singletons(5)
-        with pytest.raises(CapExceeded, match="max-parts"):
+        hint = "raise the cap with the max_parts argument or FLIPKIT_MAX_PARTS"
+        with pytest.raises(CapExceeded, match=hint):
             list(enumerate_flips(g, p))
 
     def test_env_var_overrides_cap(self, monkeypatch):
@@ -199,6 +208,58 @@ class TestEnumerateFlips:
         p = Partition.singletons(5)
         monkeypatch.setenv("FLIPKIT_MAX_PARTS", "5")
         assert sum(1 for _ in enumerate_flips(g, p)) == num_flips(5)
+
+
+class TestOnePartCap:
+    """FLIPKIT_MAX_PARTS reaches every exhaustive entry point the same way:
+    at the cap an input runs, one part above it is refused or skipped."""
+
+    @pytest.mark.parametrize("cap", [2, 5])
+    def test_every_entry_point_applies_the_env_cap(self, monkeypatch, cap):
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", str(cap))
+        g = path(6)
+        at_cap = Partition.from_labels([min(v, cap - 1) for v in range(6)])
+        above = Partition.from_labels([min(v, cap) for v in range(6)])
+        next(enumerate_flips(g, at_cap))
+        dist_partition_matrix(g, at_cap)
+        for run in (lambda: next(enumerate_flips(g, above)),
+                    lambda: dist_partition_matrix(g, above)):
+            with pytest.raises(CapExceeded, match=f"above the part cap {cap};"):
+                run()
+
+        s = [2, 3] if cap == 2 else [0, 1, 2, 3]  # 5 and 6 parts on path(6)
+        with pytest.raises(CapExceeded, match=f"above the part cap {cap};"):
+            dist_definable_matrix(g, s)
+        with pytest.raises(CapExceeded, match=f"above the part cap {cap};"):
+            dist_family_matrix(g, SetFamily([s]))
+
+        ones = WeightFn.uniform(6)
+        assert separability_search(g, ones, 1, 1, cap)
+        with pytest.raises(CapExceeded, match=f"above the part cap {cap};"):
+            separability_search(g, ones, 1, 1, cap + 1)
+
+        # misses: every defining set of size <= 1 is tried or skipped
+        skipped = sum(len(definable_partition(g, s).parts) > cap
+                      for s in [()] + [(v,) for v in range(6)])
+        found = breakability_search(g, range(6), 1, 6, SearchBudget())
+        assert not found and (found.sets_tried, found.sets_skipped) == (7 - skipped, skipped)
+        found = search_definable_emulation(g, Graph.empty(6), 1, 1)
+        assert not found and (found.sets_tried, found.sets_skipped) == (7 - skipped, skipped)
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "x", "2.5"])
+    def test_bad_env_cap_is_a_usage_error(self, monkeypatch, raw):
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", raw)
+        message = f"FLIPKIT_MAX_PARTS must be a positive integer, got '{raw}'"
+        with pytest.raises(DomainError, match=message):
+            list(enumerate_flips(path(3), Partition.trivial(3)))
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    def test_bad_cap_argument_is_a_usage_error(self, bad):
+        g, p = path(3), Partition.trivial(3)
+        with pytest.raises(DomainError, match="the part cap must be a positive integer"):
+            dist_partition_matrix(g, p, max_parts=bad)
+        with pytest.raises(DomainError, match="the part cap must be a positive integer"):
+            breakability_search(g, [0, 2], 1, 1, SearchBudget(part_cap=bad))
 
 
 class TestFlipAdjacencyBatch:

@@ -39,6 +39,37 @@ def test_no_search_uses_the_per_flip_enumeration():
     assert not callers, f"searches must run on the batched flip kernel: {callers}"
 
 
+def _names(node) -> set[str]:
+    """Identifiers, attributes, imported names and string constants below ``node``."""
+    return {
+        getattr(sub, attr)
+        for sub in ast.walk(node)
+        for attr in ("id", "attr", "name", "value")
+        if isinstance(getattr(sub, attr, None), str)
+    }
+
+
+def test_only_flips_resolves_the_part_cap():
+    readers = {
+        module.name: sorted(found)
+        for module in sorted(SRC.glob("*.py"))
+        if module.name != "flips.py"
+        if (found := _names(ast.parse(module.read_text()))
+            & {"FLIPKIT_MAX_PARTS", "DEFAULT_MAX_PARTS", "environ", "getenv"})
+    }
+    assert not readers, f"the part cap is resolved by flips.resolve_max_parts only: {readers}"
+
+
+def test_one_bfs():
+    defined = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "bfs_array"
+    ]
+    assert not defined, f"graphs.batched_distance_matrices is the one BFS: {defined}"
+
+
 class TestBrokenTheoryRaises:
     def test_bipartite_block_large_on_both_sides(self, monkeypatch):
         monkeypatch.setattr(conversion, "diameter", lambda g: INF)

@@ -1,10 +1,14 @@
 import json
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from flipkit import Bipartite, Graph
 from flipkit.errors import CapExceeded
 from flipkit.verify import (
     RunReport,
+    _graph_stack,
     verify_aggregation,
     verify_bipartite_classification,
     verify_bipartite_trichotomy,
@@ -27,6 +31,28 @@ class TestRunReport:
         assert RunReport("c", {}, "witness").exit_code == 0
         assert RunReport("c", {}, "fail").exit_code == 1
         assert RunReport("c", {}, "refused").exit_code == 2
+
+
+class TestGraphStack:
+    """Graph count-1-i of a stack is graph i with every cell complemented,
+    which the diam-complement and bipartite sweeps read off reversed."""
+
+    def test_graph_i_has_the_cells_of_bit_i_and_reversed_is_the_complement(self):
+        for n in range(1, 6):
+            cells = list(combinations(range(n), 2))
+            adjs = _graph_stack(n, cells)
+            assert len(adjs) == 1 << len(cells)
+            for i, adj in enumerate(adjs):
+                assert Graph(adj).edges() == [c for t, c in enumerate(cells) if i >> t & 1]
+            assert np.array_equal(adjs[::-1], ~adjs & ~np.eye(n, dtype=bool))
+
+    def test_last_bipartite_graph_is_the_cross_mask(self):
+        for a, b in product(range(1, 4), repeat=2):
+            adjs = _graph_stack(a + b, product(range(a), range(a, a + b)))
+            cross = Bipartite(Graph.empty(a + b), range(a), range(a, a + b)).cross_mask()
+            assert len(adjs) == 1 << (a * b)
+            assert np.array_equal(adjs[-1], cross)
+            assert np.array_equal(adjs[::-1], adjs ^ cross)
 
 
 class TestExhaustiveSweeps:
