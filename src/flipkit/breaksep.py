@@ -35,7 +35,7 @@ from .flips import (
     first_flip,
     resolve_max_parts,
 )
-from .graphs import Graph, ball, distance_matrix, within
+from .graphs import Graph, distance_matrix, within
 from .metrics import SetFamily, dist_family_matrix
 
 _FLOAT_TOL = 1e-9
@@ -199,20 +199,25 @@ class BreakWitness:
     m: int
 
 
+def _balls(h: Graph, vertices, r: int) -> np.ndarray:
+    """(n, n) mask whose row v is the r-ball of v in ``h``, from one BFS.
+    As with ``graphs.ball``, a negative radius or a centre in ``vertices``
+    outside ``h`` is a DomainError."""
+    if r < 0:
+        raise DomainError(f"radius must be nonnegative, got {r}")
+    for v in vertices:
+        h._check_vertex(v)
+    return within(distance_matrix(h), r)
+
+
 def verify_break_witness(g: Graph, w: BreakWitness) -> bool:
     """Recompute the flip and check the witness contract from scratch."""
     if set(w.a1) & set(w.a2):
         return False
     if len(w.a1) < w.m or len(w.a2) < w.m:
         return False
-    h = apply_flip(g, w.partition, w.spec)
-    ball1: set[int] = set()
-    for v in w.a1:
-        ball1 |= ball(h, v, w.radius)
-    for v in w.a2:
-        if ball1 & ball(h, v, w.radius):
-            return False
-    return True
+    balls = _balls(apply_flip(g, w.partition, w.spec), (*w.a1, *w.a2), w.radius)
+    return not (balls[list(w.a1)].any(axis=0) & balls[list(w.a2)].any(axis=0)).any()
 
 
 @dataclass
@@ -336,11 +341,10 @@ def breakability_search(
     for s, p in candidates:
         if budget.raw_partitions:
             stats.sets_tried += 1
-        tried, bits = first_flip(g, p, first_split)
+        tried, spec = first_flip(g, p, first_split)
         stats.flips_tried += tried
-        if bits is None:
+        if spec is None:
             continue
-        spec = FlipSpec.from_bits(len(p.parts), bits)
         split = _greedy_split(
             distance_matrix(apply_flip(g, p, spec)), probes, r, m, side1, side2
         )
@@ -396,6 +400,8 @@ def separability_search(
     """
     if len(w.weights) != g.n:
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
+    if k_max < 1:
+        raise DomainError(f"k_max must be positive, got {k_max}")
     check_part_cap(k_max, max_parts, "k_max")
     if g.n > n_cap:
         raise CapExceeded(
@@ -423,12 +429,11 @@ def separability_search(
     result = SeparabilityResult(partition=None, spec=None)
     for p in enumerate_partitions(g.n, k_max):
         result.partitions_tried += 1
-        tried, bits = first_flip(g, p, first_light)
+        tried, spec = first_flip(g, p, first_light)
         result.flips_tried += tried
-        if bits is not None:
-            spec = FlipSpec.from_bits(len(p.parts), bits)
-            h = apply_flip(g, p, spec)
-            if not all(w.within_eps(w.of(sorted(ball(h, v, r))), eps) for v in small):
+        if spec is not None:
+            balls = _balls(apply_flip(g, p, spec), small, r)
+            if not all(w.within_eps(w.of(np.flatnonzero(balls[v]).tolist()), eps) for v in small):
                 raise RuntimeError("separability witness failed re-verification")
             result.partition = p
             result.spec = spec
@@ -444,13 +449,14 @@ def separability_search(
 def greedy_scattered(g_flipped: Graph, w_set, d: int) -> tuple[int, ...]:
     """Maximal subset of the probes pairwise at distance > d, greedily in
     ascending vertex order."""
+    probes = sorted(set(w_set))
+    balls = _balls(g_flipped, probes, d)
     chosen: list[int] = []
-    covered: set[int] = set()
-    for v in sorted(set(w_set)):
-        g_flipped._check_vertex(v)
-        if v not in covered:
+    covered = np.zeros(g_flipped.n, dtype=bool)
+    for v in probes:
+        if not covered[v]:
             chosen.append(v)
-            covered |= ball(g_flipped, v, d)
+            covered |= balls[v]
     return tuple(chosen)
 
 

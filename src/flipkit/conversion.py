@@ -178,27 +178,16 @@ def bipartite_flip(b: Bipartite) -> BipartiteFlipResult:
     block of the result with a complement of diameter at most 6.
     """
     case = classify_bipartite(b)
-    u, v = b.left, b.right
-    if case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
-        u_split, v_split = (u, ()), (v, ())
-    elif case.tag is BipartiteCaseTag.TWO_BICLIQUES:
+    u_split, v_split = (b.left, ()), (b.right, ())
+    if case.tag is BipartiteCaseTag.TWO_BICLIQUES:
         (u1, v1), (u2, v2) = case.blocks
         u_split, v_split = (u1, u2), (v1, v2)
-    else:
-        if case.side == "right":
-            if case.chosen_u is None:
-                u_split, v_split = (u, ()), (v, ())
-            else:
-                n1 = tuple(sorted(b.graph.neighbors(case.chosen_u)))
-                v_split = (n1, tuple(x for x in v if x not in set(n1)))
-                u_split = (u, ())
-        else:
-            if case.chosen_u is None:
-                u_split, v_split = (u, ()), (v, ())
-            else:
-                n1 = tuple(sorted(b.graph.neighbors(case.chosen_u)))
-                u_split = (n1, tuple(x for x in u if x not in set(n1)))
-                v_split = (v, ())
+    elif case.chosen_u is not None:
+        # the pivot's neighborhood splits the side opposite the pivot
+        n1 = tuple(sorted(b.graph.neighbors(case.chosen_u)))
+        side = b.right if case.side == "right" else b.left
+        split = (n1, tuple(x for x in side if x not in n1))
+        u_split, v_split = (u_split, split) if case.side == "right" else (split, v_split)
 
     adj = b.graph.adj.copy()
     flipped_blocks = set()
@@ -438,10 +427,9 @@ def search_definable_emulation(
         return int(hits[0]) if hits.size else None
 
     for s, p in definable_candidates(g, s_max, max_parts, result):
-        tried, bits = first_flip(g, p, first_contained)
+        tried, spec = first_flip(g, p, first_contained)
         result.flips_tried += tried
-        if bits is not None:
-            spec = FlipSpec.from_bits(len(p.parts), bits)
+        if spec is not None:
             flipped = apply_flip(g, p, spec)
             if not ball_containment_ok(flipped, gprime, r_max):
                 raise RuntimeError("emulation witness failed re-verification")

@@ -263,10 +263,11 @@ def apply_flip(g: Graph, p: Partition, spec: FlipSpec) -> Graph:
 def enumerate_flips(
     g: Graph, p: Partition, *, max_parts: int | None = None
 ) -> Iterator[tuple[FlipSpec, Graph]]:
-    """Yield every flip of ``p`` exactly once, specs in binary-counter order.
+    """Yield every flip spec of ``p`` exactly once, in binary-counter order.
 
     Spec k includes canonical pair t iff bit t of k is set, so the identity
-    flip comes first and the enumeration is reproducible.
+    flip comes first and the enumeration is reproducible.  Specs that differ
+    only in the self pair of a singleton part yield the same graph.
     """
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
@@ -277,21 +278,23 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def first_flip(g: Graph, p: Partition, first_hit) -> tuple[int, int | None]:
-    """(specs tried, counter of the first hit or None) over the flip specs
-    of ``p`` in counter order, built and BFS'd CHUNK at a time.
+def first_flip(g: Graph, p: Partition, first_hit) -> tuple[int, FlipSpec | None]:
+    """(specs tried, first accepted spec or None) over the flip specs of
+    ``p`` in counter order, of which only the distinct flips are built and
+    BFS'd, CHUNK at a time.
 
     ``first_hit`` maps a (F, n, n) distance stack to the index of its first
-    accepted flip, or None.  Specs tried counts every spec up to and
-    including the hit, no-op duplicates included.
+    accepted flip, or None.  A spec that sets the self pair of a singleton
+    part builds the same graph as the spec without it, which comes earlier
+    in counter order, so the first accepted spec is a distinct code c and
+    c + 1 specs were tried; a miss tried all ``num_flips`` specs.
     """
-    tried = 0
-    for codes in _counter_chunks(num_flips(len(p.parts))):
+    for codes in distinct_flip_codes(p):
         hit = first_hit(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
         if hit is not None:
-            return tried + hit + 1, tried + hit
-        tried += len(codes)
-    return tried, None
+            code = int(codes[hit])
+            return code + 1, FlipSpec.from_bits(len(p.parts), code)
+    return num_flips(len(p.parts)), None
 
 
 def flip_adjacency_batch(
@@ -350,6 +353,8 @@ def definable_candidates(
     """Defining sets by ascending size, lexicographic within a size, with
     their partitions; sets over the part cap are skipped.  Both kinds are
     counted in ``stats.sets_tried`` and ``stats.sets_skipped``."""
+    if s_max < 0:
+        raise DomainError(f"s_max must be nonnegative, got {s_max}")
     cap = resolve_max_parts(max_parts)
     for size in range(min(s_max, g.n) + 1):
         for s in combinations(range(g.n), size):

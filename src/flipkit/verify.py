@@ -231,18 +231,40 @@ def _as_float(dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def _random_sweep(lemma: str, count: int, seed: int, check) -> RunReport:
+    """Run ``check(rng)`` on ``count`` instances drawn from one seeded rng;
+    the first failure payload it returns ends the sweep as a failure."""
+    report = RunReport(
+        command="verify",
+        parameters={"lemma": lemma, "random": count, "seed": seed},
+        outcome="pass",
+    )
+    rng = random.Random(seed)
+    for index in range(count):
+        payload = check(rng)
+        if payload is not None:
+            report.outcome = "fail"
+            report.payload = {"instance": index, **payload}
+            report.counters["instances_checked"] = index + 1
+            return report
+    report.counters["instances_checked"] = count
+    return report
+
+
+def _problems_payload(g: Graph, p: Partition, problems: list[str]) -> dict | None:
+    if not problems:
+        return None
+    return {"edges": g.edges(), "parts": [list(part) for part in p.parts], "problems": problems}
+
+
 def verify_conversion(count: int, seed: int) -> RunReport:
     """Conversion soundness on random instances: 6 * flip distance bounds
     the partition distance (full flip enumeration), plus the refinement
     contract and the size bound."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "conversion", "random": count, "seed": seed},
-        outcome="pass",
-    )
-    rng = random.Random(seed)
     max_ratio = 0.0
-    for index in range(count):
+
+    def check(rng):
+        nonlocal max_ratio
         g, p = _random_instance(rng)
         result = convert(g, p)
         problems = []
@@ -257,19 +279,11 @@ def verify_conversion(count: int, seed: int) -> RunReport:
         finite = np.isfinite(dg) & (dg > 0)
         if not (dp[finite] <= 6 * dg[finite]).all() or not np.isfinite(dp[finite]).all():
             problems.append("partition distance exceeds 6x flip distance")
-        else:
-            if finite.any():
-                max_ratio = max(max_ratio, float((dp[finite] / dg[finite]).max()))
-        if problems:
-            report.outcome = "fail"
-            report.payload = {
-                "instance": index,
-                "edges": g.edges(),
-                "parts": [list(part) for part in p.parts],
-                "problems": problems,
-            }
-            break
-    report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
+        elif finite.any():
+            max_ratio = max(max_ratio, float((dp[finite] / dg[finite]).max()))
+        return _problems_payload(g, p, problems)
+
+    report = _random_sweep("conversion", count, seed, check)
     report.counters["max_ratio_times_100"] = int(round(max_ratio * 100))
     return report
 
@@ -278,13 +292,8 @@ def verify_metric_axioms(count: int, seed: int) -> RunReport:
     """Partition distances are symmetric, zero exactly on the diagonal, at
     least 2 off it, satisfy the triangle inequality, and grow under
     refinement."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "metric-axioms", "random": count, "seed": seed},
-        outcome="pass",
-    )
-    rng = random.Random(seed)
-    for index in range(count):
+
+    def check(rng):
         g, p = _random_instance(rng)
         d = _as_float(dist_partition_matrix(g, p))
         problems = []
@@ -309,29 +318,16 @@ def verify_metric_axioms(count: int, seed: int) -> RunReport:
             d_fine = _as_float(dist_partition_matrix(g, finer))
             if (d_fine < d - 1e-9).any():
                 problems.append("refinement decreased the metric")
-        if problems:
-            report.outcome = "fail"
-            report.payload = {
-                "instance": index,
-                "edges": g.edges(),
-                "parts": [list(part) for part in p.parts],
-                "problems": problems,
-            }
-            break
-    report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
-    return report
+        return _problems_payload(g, p, problems)
+
+    return _random_sweep("metric-axioms", count, seed, check)
 
 
 def verify_aggregation(count: int, seed: int) -> RunReport:
     """Joining two defining sets never shrinks the metric: the union's
     distance dominates the pointwise max of the members'."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "aggregation", "random": count, "seed": seed},
-        outcome="pass",
-    )
-    rng = random.Random(seed)
-    for index in range(count):
+
+    def check(rng):
         for _ in range(40):
             n = rng.randint(3, 8)
             g = gnp(n, rng.choice([0.2, 0.4, 0.6]), seed=rng.randrange(1 << 30))
@@ -343,27 +339,17 @@ def verify_aggregation(count: int, seed: int) -> RunReport:
         d_b = _as_float(dist_definable_matrix(g, [b]))
         d_union = _as_float(dist_definable_matrix(g, [a, b], max_parts=6))
         if (d_union < np.maximum(d_a, d_b) - 1e-9).any():
-            report.outcome = "fail"
-            report.payload = {
-                "instance": index,
-                "edges": g.edges(),
-                "sets": [[a], [b]],
-            }
-            break
-    report.counters["instances_checked"] = count if report.outcome == "pass" else index + 1
-    return report
+            return {"edges": g.edges(), "sets": [[a], [b]]}
+        return None
+
+    return _random_sweep("aggregation", count, seed, check)
 
 
 def verify_sauer_shelah(count: int, seed: int) -> RunReport:
     """Computed trace counts never exceed the binomial-sum bound at the
     computed VC-dimension."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "sauer-shelah", "random": count, "seed": seed},
-        outcome="pass",
-    )
-    rng = random.Random(seed)
-    for index in range(count):
+
+    def check(rng):
         n = rng.randint(1, 12)
         g = gnp(n, rng.random(), seed=rng.randrange(1 << 30))
         rep = vc_dimension(g)
@@ -372,18 +358,10 @@ def verify_sauer_shelah(count: int, seed: int) -> RunReport:
                 continue
             bound = sum(comb(size, i) for i in range(rep.vcdim + 1))
             if value > bound:
-                report.outcome = "fail"
-                report.payload = {
-                    "instance": index,
-                    "edges": g.edges(),
-                    "size": size,
-                    "traces": value,
-                    "bound": bound,
-                }
-                report.counters["instances_checked"] = index + 1
-                return report
-    report.counters["instances_checked"] = count
-    return report
+                return {"edges": g.edges(), "size": size, "traces": value, "bound": bound}
+        return None
+
+    return _random_sweep("sauer-shelah", count, seed, check)
 
 
 LEMMA_SWEEPS = {

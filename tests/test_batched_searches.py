@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from flipkit import (
@@ -160,3 +161,31 @@ def test_emulation_matches_reference(chunk):
         wit = got.witness
         assert (wit.defining_set, wit.spec, wit.flipped) == want
     assert 5 <= found < 20
+
+
+def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
+    """No search builds a spec that sets the self pair of a singleton part,
+    which builds the same graph as the spec without it."""
+    built = []
+    real = flips.flip_adjacency_batch
+
+    def spy(g, p, codes):
+        built.append((p, codes))
+        return real(g, p, codes)
+
+    monkeypatch.setattr(flips, "flip_adjacency_batch", spy)
+    for rng, n, g in _instances(8):
+        w1 = sorted(rng.sample(range(n), rng.randint(2, n)))
+        for raw in (False, True):
+            budget = SearchBudget(s_max=2, part_cap=3, raw_partitions=raw)
+            breakability_search(g, w1, 1, 2, budget)
+        w = WeightFn([rng.randint(0, 4) for _ in range(n)])
+        separability_search(g, w, 1, Fraction(1, 4), 3)
+        search_definable_emulation(g, random_graph(rng, n, 0.3), 1, 2, max_parts=3)
+    singleton_stacks = 0
+    for p, codes in built:
+        order = flips.canonical_pairs(len(p.parts))
+        dead = sum(1 << t for t, (i, j) in enumerate(order) if i == j and len(p.parts[i]) == 1)
+        singleton_stacks += dead != 0
+        assert not (np.asarray(codes, dtype=np.uint64) & np.uint64(dead)).any(), (p, codes)
+    assert singleton_stacks >= 20

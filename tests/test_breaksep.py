@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracle
 from flipkit import (
+    BreakWitness,
     CapExceeded,
     DomainError,
     FlipSpec,
@@ -17,6 +19,7 @@ from flipkit import (
     break_from_sep,
     breakability_search,
     greedy_scattered,
+    num_flips,
     sep_then_break,
     separability_search,
     small_balls_orchestrate,
@@ -27,7 +30,7 @@ from flipkit.breaksep import sunflower_guarantee
 from flipkit.generators import clique, gnp, path, star
 from flipkit.metrics import dist_family_matrix
 from flipkit.graphs import UNREACHED
-from conftest import random_graph
+from conftest import random_graph, random_partition_labels
 
 
 class TestWeightFn:
@@ -268,6 +271,39 @@ class TestGreedyScattered:
             edges = oracle.edges_of(g)
             for v in range(n):
                 assert any(oracle.bfs(n, edges, v)[c] <= d for c in chosen)
+
+
+class TestVerifyBreakWitness:
+    def test_matches_oracle_on_random_witnesses(self, rng):
+        """Against oracle balls of the flipped graph, with every way a
+        witness can fail: a shared probe, a side below m, meeting balls."""
+        outcomes = Counter()
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 3))
+            spec = FlipSpec.from_bits(len(p.parts), rng.randrange(num_flips(len(p.parts))))
+            order = rng.sample(range(n), n)
+            i, j = rng.randint(1, 3), rng.randint(1, 3)
+            a1, a2 = order[:i], order[i : i + j]
+            if rng.random() < 0.2:
+                a2.append(a1[0])
+            a1, a2 = tuple(sorted(a1)), tuple(sorted(a2))
+            r, m = rng.randint(0, 2), rng.randint(0, 2)
+            edges = oracle.flip_edges(n, oracle.edges_of(g), p.parts, spec.pairs)
+            if set(a1) & set(a2):
+                outcome = "shared"
+            elif min(len(a1), len(a2)) < m:
+                outcome = "short"
+            elif any(oracle.ball(n, edges, u, r) & oracle.ball(n, edges, v, r)
+                     for u in a1 for v in a2):
+                outcome = "meet"
+            else:
+                outcome = "ok"
+            outcomes[outcome] += 1
+            w = BreakWitness(p, spec, None, a1, a2, r, m)
+            assert verify_break_witness(g, w) == (outcome == "ok"), (g.edges(), w)
+        assert all(outcomes[o] >= 10 for o in ("shared", "short", "meet", "ok")), outcomes
 
 
 class TestBreakFromSep:

@@ -342,6 +342,18 @@ RUNS = {
         ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "2", "--part-cap", "-1"], 2,
         "error: the part cap must be a positive integer, got -1",
     ),
+    "break-negative-s-max": (
+        ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "1", "--s-max", "-1"], 2,
+        "error: s_max must be nonnegative, got -1",
+    ),
+    "separate-zero-k-max": (
+        ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "2/5",
+         "--k-max", "0"], 2, "error: k_max must be positive, got 0",
+    ),
+    "sep2break-negative-k-max": (
+        ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,
+        "error: k_max must be positive, got -2",
+    ),
 }
 
 

@@ -278,6 +278,10 @@ class TestEmulationSearch:
         assert not ball_containment_ok(inner, outer, 1)
         assert ball_containment_ok(outer, inner, 3)
 
+    def test_negative_s_max_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="s_max must be nonnegative, got -1"):
+            search_definable_emulation(path(4), path(4), 1, -1)
+
     def test_statistics_reported(self, rng):
         g = random_graph(rng, 5, 0.5)
         result = search_definable_emulation(g, g, 1, 1)
