@@ -35,7 +35,7 @@ from .flips import (
     first_flip,
     resolve_max_parts,
 )
-from .graphs import Graph, distance_matrix, within
+from .graphs import UNREACHED, Graph, batched_distance_matrices, distance_matrix, within
 from .metrics import SetFamily, dist_family_matrix
 
 _FLOAT_TOL = 1e-9
@@ -49,7 +49,7 @@ DEFAULT_PARTITION_ENUM_CAP = 10
 
 
 class WeightFn:
-    """Nonnegative per-vertex weights with a cached total.
+    """Finite nonnegative per-vertex weights with a cached total.
 
     Epsilon comparisons are exact rational arithmetic when all weights are
     integers (numpy integers are converted to ``int``; bools are refused);
@@ -63,6 +63,8 @@ class WeightFn:
         for v, w in enumerate(ws):
             if isinstance(w, (bool, np.bool_)):
                 raise DomainError(f"weight of vertex {v} is a bool: {w}")
+            if w != w or abs(w) == math.inf:
+                raise DomainError(f"weight of vertex {v} is not finite: {w}")
             if w < 0:
                 raise DomainError(f"weight of vertex {v} is negative: {w}")
         self.weights = ws = tuple(int(w) if isinstance(w, numbers.Integral) else w for w in ws)
@@ -231,71 +233,46 @@ class BreakSearchResult:
         return self.witness is not None
 
 
-def _conflict_components(meets: np.ndarray) -> list[list[int]]:
-    """Components of the conflict relation as probe-index lists, ordered by
-    minimum member."""
-    k = meets.shape[0]
-    seen = [False] * k
-    comps: list[list[int]] = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        stack, members = [start], [start]
-        seen[start] = True
-        while stack:
-            a = stack.pop()
-            for b in np.flatnonzero(meets[a]).tolist():
-                if not seen[b]:
-                    seen[b] = True
-                    stack.append(b)
-                    members.append(b)
-        comps.append(sorted(members))
-    return comps
-
-
-def _greedy_split(
-    dist: np.ndarray, probes: list[int], r: int, m: int, w1: set[int], w2: set[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _splits(
+    dists: np.ndarray, probes: list[int], r: int, m: int, w1, w2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic two-stage greedy for two size-m probe subsets with no
-    cross conflict (hence disjoint r-balls).
+    cross conflict (hence disjoint r-balls), on each matrix of a (F, n, n)
+    distance stack: (F, k) masks a1, a2 over the sorted probes, and ok.
 
-    Stage one assigns whole components of the conflict relation, ascending,
-    to the currently smaller side.  When that fails (a single component can
-    still admit a split, as on a path where balls are intervals), stage two
-    anchors A1 on the lowest-index probes of the first side and collects
-    the lowest-index probes of the second side that avoid all of A1.
+    Two probes conflict when their centres are within 2r.  Stage one
+    assigns whole conflict components, by minimum member, to the currently
+    smaller side: its W1 members to a1 if |a1| <= |a2|, else its W2 members
+    to a2.  Where that fails (a single component can still admit a split,
+    as on a path where balls are intervals), stage two anchors a1 on the
+    first m probes of W1 and takes the first m probes of W2 that are not
+    anchors and meet no anchor.
     """
-    if m == 0:
-        return (), ()
-    # probes x probes conflicts: two r-balls meet iff their centres are within 2r
-    meets = within(dist[np.ix_(probes, probes)], 2 * r)
-    np.fill_diagonal(meets, False)
-
-    a1: list[int] = []
-    a2: list[int] = []
-    for comp in _conflict_components(meets):
-        side1 = [probes[i] for i in comp if probes[i] in w1]
-        side2 = [probes[i] for i in comp if probes[i] in w2]
-        if len(a1) <= len(a2):
-            a1.extend(side1)
-        else:
-            a2.extend(side2)
-    if len(a1) >= m and len(a2) >= m:
-        return tuple(sorted(a1)), tuple(sorted(a2))
-
-    index_of = {v: i for i, v in enumerate(probes)}
-    anchor = [v for v in probes if v in w1][:m]
-    if len(anchor) < m:
-        return None
-    anchor_rows = meets[[index_of[v] for v in anchor]].any(axis=0)
-    other: list[int] = []
-    taken = set(anchor)
-    for i, v in enumerate(probes):
-        if v in w2 and v not in taken and not anchor_rows[i]:
-            other.append(v)
-            if len(other) == m:
-                return tuple(anchor), tuple(other)
-    return None
+    f, k = len(dists), len(probes)
+    if m == 0 or k == 0:
+        none = np.zeros((f, k), dtype=bool)
+        return none, none, np.full(f, m == 0)
+    idx = np.array(probes)
+    in1 = np.isin(idx, list(w1))
+    in2 = np.isin(idx, list(w2))
+    meets = within(dists[:, idx[:, None], idx], 2 * r)
+    # a probe's first reachable probe is the minimum of its component
+    labels = (batched_distance_matrices(meets) != UNREACHED).argmax(-1)
+    a1 = np.zeros((f, k), dtype=bool)
+    a2 = np.zeros((f, k), dtype=bool)
+    for c in range(k):
+        comp = labels == c
+        to1 = (a1.sum(1) <= a2.sum(1))[:, None]
+        a1 |= comp & in1 & to1
+        a2 |= comp & in2 & ~to1
+    ok = (a1.sum(1) >= m) & (a2.sum(1) >= m)
+    anchor = in1 & (np.cumsum(in1) <= m)
+    other = in2 & ~anchor & ~meets[:, anchor].any(1)
+    other &= np.cumsum(other, axis=1) <= m
+    fallback = ~ok & (anchor.sum() == m) & (other.sum(1) == m)
+    a1[fallback] = anchor
+    a2[fallback] = other[fallback]
+    return a1, a2, ok | fallback
 
 
 def breakability_search(
@@ -323,6 +300,7 @@ def breakability_search(
         raise DomainError("radius and target size must be nonnegative")
     stats = BreakSearchResult(witness=None)
     probes = sorted(set(w1) | set(w2 or []))
+    probe_arr = np.array(probes, dtype=int)
     side1 = set(w1)
     side2 = set(w2) if w2 is not None else set(w1)
     cap = resolve_max_parts(budget.part_cap)
@@ -332,11 +310,8 @@ def breakability_search(
         candidates = definable_candidates(g, budget.s_max, cap, stats)
 
     def first_split(dists: np.ndarray) -> int | None:
-        return next(
-            (i for i, d in enumerate(dists)
-             if _greedy_split(d, probes, r, m, side1, side2) is not None),
-            None,
-        )
+        hits = np.flatnonzero(_splits(dists, probes, r, m, side1, side2)[2])
+        return int(hits[0]) if hits.size else None
 
     for s, p in candidates:
         if budget.raw_partitions:
@@ -345,17 +320,16 @@ def breakability_search(
         stats.flips_tried += tried
         if spec is None:
             continue
-        split = _greedy_split(
-            distance_matrix(apply_flip(g, p, spec)), probes, r, m, side1, side2
-        )
-        if split is None:
+        dist = distance_matrix(apply_flip(g, p, spec))[None]
+        a1, a2, ok = _splits(dist, probes, r, m, side1, side2)
+        if not ok[0]:
             raise RuntimeError("the batched flip kernel found a split that apply_flip does not")
         witness = BreakWitness(
             partition=p,
             spec=spec,
             defining_set=s,
-            a1=split[0],
-            a2=split[1],
+            a1=tuple(probe_arr[a1[0]].tolist()),
+            a2=tuple(probe_arr[a2[0]].tolist()),
             radius=r,
             m=m,
         )
@@ -410,6 +384,8 @@ def separability_search(
         )
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
     small = w.small_vertices(eps)
     weights_arr = np.array([float(x) for x in w.weights])
     # Float screen: a flip is skipped only when a ball weight exceeds the
@@ -450,9 +426,13 @@ def greedy_scattered(g_flipped: Graph, w_set, d: int) -> tuple[int, ...]:
     """Maximal subset of the probes pairwise at distance > d, greedily in
     ascending vertex order."""
     probes = sorted(set(w_set))
-    balls = _balls(g_flipped, probes, d)
+    return _scattered(_balls(g_flipped, probes, d), probes)
+
+
+def _scattered(balls: np.ndarray, probes) -> tuple[int, ...]:
+    """``greedy_scattered`` over a mask whose row v is the d-ball of v."""
     chosen: list[int] = []
-    covered = np.zeros(g_flipped.n, dtype=bool)
+    covered = np.zeros(len(balls), dtype=bool)
     for v in probes:
         if not covered[v]:
             chosen.append(v)
@@ -500,7 +480,7 @@ def break_from_sep(
         a1 = tuple(probe_arr[in_r2[v]].tolist())
         a2 = tuple(probe_arr[~in_r4[v]].tolist())
     else:
-        scattered = greedy_scattered(flipped, probes, 2 * r)
+        scattered = _scattered(within(dist, 2 * r), probes)
         if len(scattered) < 2 * m:
             raise RuntimeError(
                 "scattered set too small although no vertex covers 2m probes; "

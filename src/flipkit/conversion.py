@@ -78,16 +78,9 @@ class BipartiteCase:
 
 
 def _components(g: Graph) -> list[tuple[int, ...]]:
-    dist = distance_matrix(g)
-    seen: set[int] = set()
-    comps = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = tuple(np.flatnonzero(dist[v] != UNREACHED).tolist())
-        seen.update(comp)
-        comps.append(comp)
-    return comps
+    """Components by minimum member, read off the reachability of one BFS."""
+    labels = (distance_matrix(g) != UNREACHED).argmax(-1)
+    return [tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels).tolist()]
 
 
 def _is_biclique_component(b: Bipartite, comp: tuple[int, ...]) -> bool:

@@ -145,3 +145,45 @@ def ball_containment(n: int, inner_edges, outer_edges, r_max: int, factor: int) 
                 if d_in[u] <= r and d_out[u] > factor * r:
                     return False
     return True
+
+
+def greedy_split(n: int, edges, probes, r: int, m: int, w1, w2):
+    """The breakability predicate's two-stage greedy, or None.
+
+    Probes conflict when their r-balls meet (distance at most 2r).  Stage
+    one gives whole conflict components, in order of their minimum member,
+    to the currently smaller side: W1 members to A1 when |A1| <= |A2|, else
+    W2 members to A2.  Stage two anchors A1 on the first m probes of W1 and
+    takes the first m probes of W2 that are not anchors and meet no anchor.
+    """
+    if m == 0:
+        return (), ()
+    probes = sorted(set(probes))
+    dist = all_pairs(n, edges)
+
+    def meets(a, b):
+        return dist[a, b] <= 2 * r
+
+    a1, a2, seen = [], [], set()
+    for v in probes:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            a = stack.pop()
+            fresh = [b for b in probes if b not in comp and meets(a, b)]
+            comp.update(fresh)
+            stack.extend(fresh)
+        seen |= comp
+        if len(a1) <= len(a2):
+            a1 += [u for u in comp if u in w1]
+        else:
+            a2 += [u for u in comp if u in w2]
+    if len(a1) >= m and len(a2) >= m:
+        return tuple(sorted(a1)), tuple(sorted(a2))
+    anchor = [v for v in probes if v in w1][:m]
+    other = [v for v in probes
+             if v in w2 and v not in anchor and not any(meets(a, v) for a in anchor)]
+    if len(anchor) < m or len(other) < m:
+        return None
+    return tuple(anchor), tuple(other[:m])

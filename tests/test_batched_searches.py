@@ -1,8 +1,9 @@
 """The batched searches against a per-flip reference loop.
 
 Each reference below walks the same candidates as the library search, but
-flip by flip through ``enumerate_flips`` and ``distance_matrix``, the way
-the searches worked before they ran on the batched flip kernel.  Witnesses
+flip by flip through ``enumerate_flips``, the way the searches worked before
+they ran on the batched flip kernel; the breakability reference decides
+each flip with the pure-Python split of ``oracle.greedy_split``.  Witnesses
 and every counter must agree, also when the kernel's chunks are tiny, so
 that a witness or a miss falls across chunk boundaries.
 """
@@ -22,17 +23,19 @@ from flipkit import (
     breakability_search,
     convert,
     definable_partition,
-    distance_matrix,
     enumerate_flips,
     enumerate_partitions,
     flips,
+    is_connected,
     search_definable_emulation,
     separability_search,
 )
-from flipkit.breaksep import _greedy_split
+from flipkit.breaksep import _splits
 from flipkit.conversion import ball_containment_ok
 from flipkit.flips import Partition
+from flipkit.graphs import batched_distance_matrices
 from conftest import random_graph, random_partition_labels
+from oracle import edges_of, greedy_split
 
 
 def _candidates(g, s_max, cap, raw, counts):
@@ -58,7 +61,7 @@ def reference_break(g, w1, w2, r, m, budget):
     for s, p in cands:
         for spec, h in enumerate_flips(g, p, max_parts=budget.part_cap):
             counts["flips_tried"] += 1
-            split = _greedy_split(distance_matrix(h), probes, r, m, set(w1), set(w2))
+            split = greedy_split(g.n, edges_of(h), probes, r, m, set(w1), set(w2))
             if split is not None:
                 return (p, spec, s) + split, counts
     return None, counts
@@ -161,6 +164,46 @@ def test_emulation_matches_reference(chunk):
         wit = got.witness
         assert (wit.defining_set, wit.spec, wit.flipped) == want
     assert 5 <= found < 20
+
+
+@pytest.mark.parametrize("w2_kind", ["absent", "disjoint", "overlapping"])
+def test_splits_match_the_oracle_matrix_by_matrix(w2_kind):
+    """The stack split against ``oracle.greedy_split`` on each matrix of
+    random stacks, disconnected graphs, empty and one-probe sets, m = 0 and
+    W1 shorter than m included."""
+    rng = random.Random(f"splits-{w2_kind}")
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        graphs = [random_graph(rng, n, rng.choice([0.0, 0.2, 0.4, 0.7]))
+                  for _ in range(rng.randint(1, 5))]
+        w1 = rng.sample(range(n), rng.randint(w2_kind == "overlapping", n))
+        rest = [v for v in range(n) if v not in w1]
+        if w2_kind == "absent":
+            w2 = w1
+        elif w2_kind == "disjoint":
+            w2 = rng.sample(rest, rng.randint(0, len(rest)))
+        else:
+            w2 = w1[: rng.randint(1, len(w1))] + rest[: rng.randint(0, len(rest))]
+        probes = sorted(set(w1) | set(w2))
+        r, m = rng.randint(0, 2), rng.randint(0, 3)
+        stack = batched_distance_matrices(np.stack([h.adj for h in graphs]))
+        a1, a2, ok = _splits(stack, probes, r, m, set(w1), set(w2))
+        assert a1.shape == a2.shape == (len(graphs), len(probes))
+        names = np.array(probes, dtype=int)
+        for i, h in enumerate(graphs):
+            want = greedy_split(n, edges_of(h), probes, r, m, set(w1), set(w2))
+            got = (tuple(names[a1[i]].tolist()), tuple(names[a2[i]].tolist())) if ok[i] else None
+            assert got == want, (h.edges(), w1, w2, r, m)
+            seen["split" if want else "miss"] += 1
+            seen["disconnected"] += not is_connected(h)
+        seen["m=0"] += m == 0
+        seen["short W1"] += len(w1) < m
+        seen[f"{min(len(probes), 2)} probes"] += 1
+    wanted = ["split", "miss", "disconnected", "m=0", "short W1", "1 probes", "2 probes"]
+    if w2_kind != "overlapping":
+        wanted.append("0 probes")
+    assert all(seen[key] >= 5 for key in wanted), seen
 
 
 def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):

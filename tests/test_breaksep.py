@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from flipkit import (
     WeightFn,
     apply_flip,
     break_from_sep,
+    breaksep,
     breakability_search,
+    definable_partition,
     greedy_scattered,
     num_flips,
     sep_then_break,
@@ -60,6 +63,15 @@ class TestWeightFn:
         assert w.integral and all(type(x) is int for x in w.weights)
         assert type(w.total) is int and w.total == 3
         assert w.within_eps(1, Fraction(1, 3))
+
+    def test_rejects_non_finite_weights(self):
+        for bad in (float("nan"), float("inf"), -math.inf, np.float64("nan")):
+            with pytest.raises(DomainError, match=f"weight of vertex 1 is not finite: {bad}"):
+                WeightFn([1, bad, 2])
+
+    def test_accepts_integers_of_any_size(self):
+        w = WeightFn([10**400, 2**61])
+        assert w.integral and w.total == 10**400 + 2**61
 
     def test_rejects_bool_weights(self):
         for weights in ([True, 2], [1, np.bool_(False)]):
@@ -174,6 +186,21 @@ class TestBreakabilitySearch:
         assert result.flips_tried == 2
         assert result.sets_tried == 1
 
+    def test_empty_probe_set(self):
+        g = path(4)
+        budget = SearchBudget(s_max=1, part_cap=3)
+        sets = [s for s in [(), (0,), (1,), (2,), (3,)]
+                if len(definable_partition(g, s).parts) <= 3]
+        result = breakability_search(g, [], 1, 1, budget, w2_set=[])
+        assert result.witness is None
+        assert result.flips_tried == sum(
+            num_flips(len(definable_partition(g, s).parts)) for s in sets
+        )
+        assert (result.sets_tried, result.sets_skipped) == (len(sets), 5 - len(sets))
+        assert breakability_search(g, [], 1, 1, budget) == result
+        found = breakability_search(g, [], 1, 0, budget).witness
+        assert (found.a1, found.a2) == ((), ())
+
     def test_raw_partition_mode(self):
         g = clique(4)
         budget = SearchBudget(part_cap=2, raw_partitions=True)
@@ -237,6 +264,11 @@ class TestSeparabilitySearch:
         assert result.partition == Partition.trivial(6)
         assert result.spec == FlipSpec()
         assert result.flips_tried == 1
+
+    def test_nonpositive_eps_refused(self):
+        for eps in (Fraction(-1), 0, -0.5):
+            with pytest.raises(DomainError, match=f"eps must be positive, got {eps}"):
+                separability_search(Graph.empty(3), WeightFn.uniform(3), 1, eps, 1)
 
     def test_k_max_cap_refusal(self):
         with pytest.raises(CapExceeded):
@@ -314,6 +346,14 @@ class TestBreakFromSep:
         assert w.m == 1
         assert w.a1 == (0,) and w.a2 == (1,)
         assert verify_break_witness(g, w)
+
+    def test_one_bfs_besides_the_verification(self, monkeypatch):
+        calls = []
+        real = breaksep.distance_matrix
+        monkeypatch.setattr(breaksep, "distance_matrix", lambda h: calls.append(h) or real(h))
+        g = Graph.empty(4)
+        break_from_sep(g, range(4), 1, (Partition.trivial(4), FlipSpec()))
+        assert calls == [g, g]
 
     def test_heavy_ball_case(self):
         g = path(14)

@@ -266,6 +266,8 @@ def inputs(tmp_path):
         "halves": "".join(f"{v} {v % 2}\n" for v in range(6)),
         "singletons": "".join(f"{v} {v}\n" for v in range(6)),
         "ones": fileio.dumps_weights([1] * 6),
+        "nan_weight": "0 1\n1 nan\n2 1\n3 1\n4 1\n5 1\n",
+        "inf_weight": "0 1\n1 inf\n2 1\n3 1\n4 1\n5 1\n",
         "probes12": " ".join(map(str, range(12))),
         "leaves": "1 2 3 4",
         "quad": "0 1 2 3",
@@ -349,6 +351,22 @@ RUNS = {
     "separate-zero-k-max": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "2/5",
          "--k-max", "0"], 2, "error: k_max must be positive, got 0",
+    ),
+    "separate-nan-weight": (
+        ["separate", "{k6}", "--weights", "{nan_weight}", "-r", "1", "--eps", "1/2",
+         "--k-max", "2"], 2, "error: weight of vertex 1 is not finite: nan",
+    ),
+    "separate-inf-weight": (
+        ["separate", "{k6}", "--weights", "{inf_weight}", "-r", "1", "--eps", "1/2",
+         "--k-max", "2"], 2, "error: weight of vertex 1 is not finite: inf",
+    ),
+    "separate-negative-eps": (
+        ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "-1",
+         "--k-max", "2"], 2, "error: eps must be positive, got -1",
+    ),
+    "separate-zero-eps": (
+        ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "0",
+         "--k-max", "2"], 2, "error: eps must be positive, got 0",
     ),
     "sep2break-negative-k-max": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,

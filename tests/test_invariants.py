@@ -70,6 +70,17 @@ def test_one_bfs():
     assert not defined, f"graphs.batched_distance_matrices is the one BFS: {defined}"
 
 
+def test_one_breakability_split():
+    defined = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_greedy_split", "_conflict_components")
+    ]
+    assert not defined, f"breaksep._splits is the one split; the oracle keeps the reference: {defined}"
+
+
 class TestBrokenTheoryRaises:
     def test_bipartite_block_large_on_both_sides(self, monkeypatch):
         monkeypatch.setattr(conversion, "diameter", lambda g: INF)
@@ -83,7 +94,7 @@ class TestBrokenTheoryRaises:
             convert(path(4), Partition.trivial(4))
 
     def test_scattered_set_too_small(self, monkeypatch):
-        monkeypatch.setattr(breaksep, "greedy_scattered", lambda g, w_set, d: ())
+        monkeypatch.setattr(breaksep, "_scattered", lambda balls, probes: ())
         h = (Partition.trivial(4), FlipSpec())
         with pytest.raises(RuntimeError, match="scattered set too small"):
             break_from_sep(Graph.empty(4), range(4), 1, h)
