@@ -377,6 +377,8 @@ def separability_search(
     if k_max < 1:
         raise DomainError(f"k_max must be positive, got {k_max}")
     check_part_cap(k_max, max_parts, "k_max")
+    if n_cap < 1:
+        raise DomainError(f"n_cap must be a positive integer, got {n_cap}")
     if g.n > n_cap:
         raise CapExceeded(
             f"exhaustive partition search on n={g.n} exceeds the cap {n_cap} "
@@ -522,6 +524,8 @@ def sep_then_break(
 ) -> PipelineResult:
     """Full pipeline: separability at radius 4r with eps = 1/2 over the
     probe-indicator weights, then the witness construction on success."""
+    if r < 0:
+        raise DomainError(f"radius must be nonnegative, got {r}")
     probes = tuple(sorted(set(w_set)))
     weights = WeightFn.indicator(g.n, probes)
     sep = separability_search(
@@ -530,7 +534,7 @@ def sep_then_break(
         4 * r,
         Fraction(1, 2),
         k_max,
-        n_cap=g.n if n_cap is None else n_cap,
+        n_cap=max(g.n, 1) if n_cap is None else n_cap,
         max_parts=max_parts,
     )
     if not sep:

@@ -279,16 +279,13 @@ def _cmd_sep2break(args) -> Result:
 
 def _cmd_verify(args) -> Result:
     mode, func = LEMMA_SWEEPS[args.lemma]
-    if mode == "exhaustive":
-        if args.exhaustive is None:
-            raise DomainError(f"{args.lemma} is an exhaustive sweep: pass --exhaustive N")
-        report = func(args.exhaustive)
-    else:
-        if args.random is None:
-            raise DomainError(f"{args.lemma} is a randomized sweep: pass --random COUNT")
-        if args.random < 1:
-            raise DomainError(f"--random must be a positive count, got {args.random}")
-        report = func(args.random, args.seed)
+    other = "random" if mode == "exhaustive" else "exhaustive"
+    value = getattr(args, mode)
+    if value is None or getattr(args, other) is not None:
+        raise DomainError(f"{args.lemma} takes --{mode} N and not --{other}")
+    if value < 1:
+        raise DomainError(f"--{mode} must be a positive integer, got {value}")
+    report = func(value) if mode == "exhaustive" else func(value, args.seed)
     return report.serialize(), report.exit_code, {}
 
 

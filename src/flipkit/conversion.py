@@ -267,22 +267,19 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
             np.fill_diagonal(adj, False)
             part_certs.append(PartCertificate(part=x, flipped=True, branch="self_diam_le3"))
 
-    # splits[x][y]: two-cell partition of part x induced by processing the
-    # pair {x, y}; trivial cell pairs keep the second cell empty.
-    k = len(p.parts)
-    splits: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = [
-        {} for _ in range(k)
-    ]
+    # refined label of v: its part, then each pair {x, y} whose split puts v
+    # in the second cell (trivial splits keep the second cell empty)
+    labels = [(x,) for x in p.part_labels().tolist()]
     pair_certs = []
-    for x, y in combinations(range(k), 2):
+    for x, y in combinations(range(len(p.parts)), 2):
         px, py = p.parts[x], p.parts[y]
         block, mapping = bipartite_induced(g, px, py)
         result = bipartite_flip(block)
         to_orig = lambda cell: tuple(sorted(mapping[i] for i in cell))
         left_split = (to_orig(result.u_split[0]), to_orig(result.u_split[1]))
         right_split = (to_orig(result.v_split[0]), to_orig(result.v_split[1]))
-        splits[x][y] = left_split
-        splits[y][x] = right_split
+        for v in left_split[1] + right_split[1]:
+            labels[v] += (x, y)
         for i, j in result.flipped_blocks:
             ui = left_split[i - 1]
             vj = right_split[j - 1]
@@ -298,17 +295,7 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
             )
         )
 
-    second_cell: list[dict[int, set[int]]] = [
-        {y: set(cells[1]) for y, cells in by_pair.items()} for by_pair in splits
-    ]
-    cells: dict[tuple, list[int]] = {}
-    for v in range(g.n):
-        x = p.part_of(v)
-        signature = tuple(
-            1 if v in second_cell[x][y] else 0 for y in range(k) if y != x
-        )
-        cells.setdefault((x,) + signature, []).append(v)
-    refined = Partition(g.n, cells.values())
+    refined = Partition.from_labels(labels)
     flipped = Graph(adj)
     refined_spec = reconstruct_flip_spec(g, flipped, refined)
     return ConversionResult(

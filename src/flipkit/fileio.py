@@ -121,6 +121,8 @@ def loads_weights(text: str, n: int | None = None) -> list[int | float]:
     entries: dict[int, str] = {}
     for row in _rows(text):
         v, _ = _fields(row, int, float)
+        if v in entries:
+            raise DomainError(f"line {row[0]}: vertex {v} listed twice in weights file")
         entries[v] = row[1][1]
     count = n if n is not None else (max(entries) + 1 if entries else 0)
     if set(entries) != set(range(count)):

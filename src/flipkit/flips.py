@@ -229,19 +229,15 @@ def _check_spec(p: Partition, spec: FlipSpec) -> None:
             )
 
 
-def pair_toggle_masks(p: Partition) -> np.ndarray:
-    """(npairs, n, n) boolean masks: entries complemented by each pair.
-
-    Diagonal entries are never included, matching the a != b proviso of the
-    flip definition.
-    """
-    n, k = p.n, len(p.parts)
-    ind = np.equal.outer(np.arange(k), p.part_labels())
-    upper = ~np.tri(k, k, -1, dtype=bool)  # pairs i <= j in canonical order
-    masks = (ind[:, None, :, None] & ind[None, :, None, :])[upper]
-    masks |= masks.transpose(0, 2, 1)
-    masks.reshape(-1, n * n)[:, :: n + 1] = False
-    return masks
+def pair_index(p: Partition) -> np.ndarray:
+    """(n, n) int64 map from each cell (u, v) to the canonical index of the
+    part pair of the labels of u and v; the diagonal, which no flip
+    touches, is -1."""
+    labels = p.part_labels()
+    i, j = np.minimum.outer(labels, labels), np.maximum.outer(labels, labels)
+    index = i * len(p.parts) - i * (i - 1) // 2 + j - i
+    np.fill_diagonal(index, -1)
+    return index
 
 
 def apply_flip(g: Graph, p: Partition, spec: FlipSpec) -> Graph:
@@ -312,13 +308,13 @@ def flip_adjacency_batch(
     npairs = k * (k + 1) // 2
     if npairs > 64:
         raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
-    masks = pair_toggle_masks(p)
+    index = pair_index(p)
     codes = np.asarray(spec_indices, dtype=np.uint64)
     adjs = np.repeat(g.adj[None], len(codes), axis=0)
     for lo in range(0, npairs, 8):
         table = np.zeros((1, p.n, p.n), dtype=bool)
-        for mask in masks[lo : lo + 8]:
-            table = np.concatenate((table, table ^ mask))
+        for t in range(lo, min(lo + 8, npairs)):
+            table = np.concatenate((table, table ^ (index == t)))
         adjs ^= table[(codes >> lo) & (len(table) - 1)]
     return adjs
 
@@ -332,19 +328,11 @@ def definable_partition(g: Graph, s) -> Partition:
     s_sorted = sorted(set(s))
     for v in s_sorted:
         g._check_vertex(v)
-    parts: list[list[int]] = [[v] for v in s_sorted]
-    classes: dict[bytes, list[int]] = {}
-    s_idx = np.array(s_sorted, dtype=np.int64)
-    in_s = set(s_sorted)
-    for v in range(g.n):
-        if v in in_s:
-            continue
-        key = g.adj[v, s_idx].tobytes() if len(s_sorted) else b""
-        classes.setdefault(key, []).append(v)
-    parts.extend(classes.values())
-    if not parts:
+    if g.n == 0:
         raise DomainError("definable partition of an empty graph is undefined")
-    return Partition(g.n, parts)
+    rows = g.adj[:, s_sorted]
+    in_s = set(s_sorted)
+    return Partition.from_labels(v if v in in_s else rows[v].tobytes() for v in range(g.n))
 
 
 def definable_candidates(
@@ -370,10 +358,7 @@ def refine(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: nonempty pairwise intersections."""
     if p.n != q.n:
         raise DomainError(f"partitions over different universes: {p.n} vs {q.n}")
-    cells: dict[tuple[int, int], list[int]] = {}
-    for v in range(p.n):
-        cells.setdefault((p.part_of(v), q.part_of(v)), []).append(v)
-    return Partition(p.n, cells.values())
+    return Partition.from_labels(zip(p.part_labels().tolist(), q.part_labels().tolist()))
 
 
 def enumerate_partitions(n: int, max_parts: int) -> Iterator[Partition]:
@@ -410,23 +395,15 @@ def reconstruct_flip_spec(g: Graph, flipped: Graph, p: Partition) -> FlipSpec:
     if g.n != flipped.n or p.n != g.n:
         raise DomainError("graphs and partition must share one vertex set")
     diff = g.adj ^ flipped.adj
+    index = pair_index(p)
     pairs = []
-    for i in range(len(p.parts)):
-        for j in range(i, len(p.parts)):
-            pi, pj = list(p.parts[i]), list(p.parts[j])
-            block = diff[np.ix_(pi, pj)].copy()
-            if i == j:
-                if len(pi) == 1:
-                    continue
-                mask = ~np.eye(len(pi), dtype=bool)
-                values = block[mask]
-            else:
-                values = block.reshape(-1)
-            if values.all():
-                pairs.append((i, j))
-            elif values.any():
-                raise DomainError(
-                    f"difference is not uniform on parts ({i},{j}); "
-                    "not a flip over this partition"
-                )
+    for t, (i, j) in enumerate(canonical_pairs(len(p.parts))):
+        values = diff[index == t]
+        if values.all() and values.size:
+            pairs.append((i, j))
+        elif values.any():
+            raise DomainError(
+                f"difference is not uniform on parts ({i},{j}); "
+                "not a flip over this partition"
+            )
     return FlipSpec(pairs)

@@ -82,6 +82,8 @@ def vc_dimension(g: Graph, *, cap: int = DEFAULT_VCDIM_CAP) -> ShatterReport:
     """
     if g.n == 0:
         raise DomainError("VC-dimension of the empty graph is undefined")
+    if cap < 1:
+        raise DomainError(f"the VC-dimension cap must be a positive integer, got {cap}")
     if g.n > cap:
         raise CapExceeded(
             f"exhaustive VC-dimension on n={g.n} exceeds the cap {cap}"

@@ -279,6 +279,11 @@ class TestSeparabilitySearch:
         with pytest.raises(CapExceeded):
             separability_search(g, WeightFn.uniform(12), 1, 1, 1)
 
+    def test_nonpositive_n_cap_is_a_usage_error(self):
+        for n_cap in (0, -3):
+            with pytest.raises(DomainError, match=f"n_cap must be a positive integer, got {n_cap}"):
+                separability_search(Graph.empty(3), WeightFn.uniform(3), 1, 1, 1, n_cap=n_cap)
+
 
 class TestGreedyScattered:
     def test_far_apart_probes_all_chosen(self):

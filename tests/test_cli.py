@@ -266,6 +266,7 @@ def inputs(tmp_path):
         "halves": "".join(f"{v} {v % 2}\n" for v in range(6)),
         "singletons": "".join(f"{v} {v}\n" for v in range(6)),
         "ones": fileio.dumps_weights([1] * 6),
+        "twice_weight": "0 1\n0 7\n1 1\n2 1\n3 1\n4 1\n5 1\n",
         "nan_weight": "0 1\n1 nan\n2 1\n3 1\n4 1\n5 1\n",
         "inf_weight": "0 1\n1 inf\n2 1\n3 1\n4 1\n5 1\n",
         "probes12": " ".join(map(str, range(12))),
@@ -367,6 +368,34 @@ RUNS = {
     "separate-zero-eps": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "0",
          "--k-max", "2"], 2, "error: eps must be positive, got 0",
+    ),
+    "separate-duplicate-weight": (
+        ["separate", "{k6}", "--weights", "{twice_weight}", "-r", "1", "--eps", "1/2",
+         "--k-max", "1"], 2, "error: line 2: vertex 0 listed twice in weights file",
+    ),
+    "separate-negative-n-cap": (
+        ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "1/2",
+         "--k-max", "1", "--n-cap", "-3"], 2, "error: n_cap must be a positive integer, got -3",
+    ),
+    "vcdim-negative-cap": (
+        ["vcdim", "{path6}", "--cap", "-1"], 2,
+        "error: the VC-dimension cap must be a positive integer, got -1",
+    ),
+    "sep2break-negative-radius": (
+        ["sep2break", "{empty6}", "--W", "{quad}", "-r", "-1"], 2,
+        "error: radius must be nonnegative, got -1",
+    ),
+    "verify-both-modes": (
+        ["verify", "conversion", "--random", "2", "--exhaustive", "3"], 2,
+        "error: conversion takes --random N and not --exhaustive",
+    ),
+    "verify-zero-exhaustive": (
+        ["verify", "diam-complement", "--exhaustive", "0"], 2,
+        "error: --exhaustive must be a positive integer, got 0",
+    ),
+    "verify-negative-exhaustive": (
+        ["verify", "bipartite-trichotomy", "--exhaustive", "-1"], 2,
+        "error: --exhaustive must be a positive integer, got -1",
     ),
     "sep2break-negative-k-max": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,

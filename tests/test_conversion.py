@@ -178,6 +178,30 @@ class TestConvert:
             assert len(result.refined.parts) <= len(p.parts) * 2 ** len(p.parts)
             assert apply_flip(g, result.refined, result.refined_spec) == result.flipped
 
+    def test_refined_is_the_common_refinement_of_the_splits(self, rng):
+        # exactly as fine as the parts and the certificates' second cells
+        # demand: refined parts are the classes of (part, membership in
+        # every second cell), grouped here without the library
+        finer = 0
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 3))
+            result = convert(g, p)
+            seconds = [
+                set(split[1])
+                for cert in result.pair_certificates
+                for split in (cert.left_split, cert.right_split)
+            ]
+            classes = {}
+            for v in range(n):
+                key = (p.part_of(v),) + tuple(v in cell for cell in seconds)
+                classes.setdefault(key, set()).add(v)
+            want = {frozenset(c) for c in classes.values()}
+            assert {frozenset(part) for part in result.refined.parts} == want
+            finer += len(want) > len(p.parts)
+        assert finer > 0
+
     def test_certificate_counts(self, rng):
         g = random_graph(rng, 8, 0.5)
         p = Partition.from_labels(random_partition_labels(rng, 8, 3))

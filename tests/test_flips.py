@@ -27,7 +27,7 @@ from flipkit import (
     search_definable_emulation,
     separability_search,
 )
-from flipkit.flips import flip_adjacency_batch
+from flipkit.flips import flip_adjacency_batch, pair_index
 from flipkit.generators import clique, cycle, path, star
 from conftest import random_graph, random_partition_labels
 
@@ -122,6 +122,10 @@ class TestDefinablePartition:
     def test_empty_set_is_trivial(self, rng):
         g = random_graph(rng, 5, 0.5)
         assert definable_partition(g, []) == Partition.trivial(5)
+
+    def test_empty_graph_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="empty graph"):
+            definable_partition(Graph.empty(0), [])
 
     def test_star_center(self):
         g = star(4)
@@ -260,6 +264,25 @@ class TestOnePartCap:
             dist_partition_matrix(g, p, max_parts=bad)
         with pytest.raises(DomainError, match="the part cap must be a positive integer"):
             breakability_search(g, [0, 2], 1, 1, SearchBudget(part_cap=bad))
+
+
+class TestPairIndex:
+    def test_matches_the_oracle_pair_by_pair(self, rng):
+        singletons = 0
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            p = Partition.from_labels(random_partition_labels(rng, n, 5))
+            singletons += sum(len(part) == 1 for part in p.parts)
+            index = pair_index(p)
+            pairs = canonical_pairs(len(p.parts))
+            assert index.dtype == np.int64 and index.shape == (n, n)
+            assert (np.diag(index) == -1).all()
+            off = ~np.eye(n, dtype=bool)
+            assert ((index[off] >= 0) & (index[off] < len(pairs))).all()
+            for t, pair in enumerate(pairs):
+                cells = {frozenset(cell) for cell in np.argwhere(index == t).tolist()}
+                assert cells == oracle.flip_edges(n, (), p.parts, [pair]), (p, pair)
+        assert singletons > 0
 
 
 class TestFlipAdjacencyBatch:

@@ -135,6 +135,10 @@ class TestSpecAndWeights:
         with pytest.raises(DomainError):
             fileio.loads_weights("0 1\n", 2)
 
+    def test_weights_reject_duplicate_vertex(self):
+        with pytest.raises(DomainError, match="^line 2: vertex 0 listed twice in weights file"):
+            fileio.loads_weights("0 1\n0 7\n1 1\n")
+
     def test_family_roundtrip(self):
         sets = [(0, 1), (2,), (3, 4, 5)]
         assert fileio.loads_family(fileio.dumps_family(sets)) == sets

@@ -81,6 +81,31 @@ def test_one_breakability_split():
     assert not defined, f"breaksep._splits is the one split; the oracle keeps the reference: {defined}"
 
 
+def test_partitions_through_their_labels():
+    """Partition.from_labels is the one grouping of vertices by a key and
+    flips.pair_index the one cell-to-pair map; apply_flip, the reference
+    the kernel is checked against, does not read it."""
+    offenders = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        grouping = {
+            sub
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Partition"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "from_labels"
+            for sub in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name == "pair_toggle_masks"
+                or node.name == "apply_flip" and "pair_index" in _names(node)
+            ):
+                offenders.append(f"{module.name}:{node.lineno} {node.name}")
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+                    and node not in grouping):
+                offenders.append(f"{module.name}:{node.lineno} setdefault")
+    assert not offenders, f"group through Partition.from_labels, map cells by pair_index: {offenders}"
+
+
 class TestBrokenTheoryRaises:
     def test_bipartite_block_large_on_both_sides(self, monkeypatch):
         monkeypatch.setattr(conversion, "diameter", lambda g: INF)

@@ -83,6 +83,11 @@ class TestVcDimension:
         with pytest.raises(DomainError):
             vc_dimension(Graph.empty(0))
 
+    def test_nonpositive_cap_is_a_usage_error(self):
+        for cap in (0, -1):
+            with pytest.raises(DomainError, match=f"cap must be a positive integer, got {cap}"):
+                vc_dimension(Graph.empty(3), cap=cap)
+
     def test_trace_counts_monotone_until_stop(self, rng):
         for _ in range(10):
             n = rng.randint(2, 10)
