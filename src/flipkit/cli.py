@@ -17,6 +17,7 @@ the file of the graph instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -312,6 +313,9 @@ def _cmd_export(args) -> Result:
 # ---------------------------------------------------------------------------
 
 
+# built once per process: parse_args fills a fresh Namespace on every call,
+# so repeated main calls share no parsed state
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipkit",

@@ -8,7 +8,7 @@ exact; the caps are refusals, not approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -18,6 +18,9 @@ from .graphs import Graph
 
 DEFAULT_SHATTER_CAP = 5
 DEFAULT_VCDIM_CAP = 16
+# subsets whose traces are counted together: bounds the (n, _BLOCK) int64
+# code block that _shatter_value holds at any cap
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -38,20 +41,31 @@ def _trace_count(g: Graph, subset: tuple[int, ...]) -> int:
 
 
 def _shatter_value(g: Graph, n: int) -> tuple[int, tuple[int, ...] | None]:
-    """Exact max trace count over size-n subsets, plus a maximizing subset.
+    """Exact max trace count over size-n subsets, plus the first subset (in
+    ``combinations`` order) that reaches it.
 
-    Early exit on the first subset realizing all 2^n traces.
+    Counts the traces of ``_BLOCK`` subsets at a time: column b of ``codes``
+    holds every vertex's trace on subset b as an n-bit code, so the distinct
+    codes of a sorted column are its trace count.  Stops after the first
+    block in which some subset realizes all 2^n traces.
     """
     if n == 0:
         return 1, ()
     best, best_subset = 0, None
     full = 1 << n
-    for subset in combinations(range(g.n), n):
-        count = _trace_count(g, subset)
-        if count > best:
-            best, best_subset = count, subset
-            if best == full:
-                break
+    subsets = combinations(range(g.n), n)
+    while block := list(islice(subsets, _BLOCK)):
+        cols = np.array(block, dtype=np.intp)
+        codes = np.zeros((g.n, len(block)), dtype=np.int64)
+        for j in range(n):
+            codes |= g.adj[:, cols[:, j]].astype(np.int64) << j
+        codes.sort(axis=0)
+        counts = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
+        b = int(counts.argmax())
+        if counts[b] > best:
+            best, best_subset = int(counts[b]), block[b]
+        if best == full:
+            break
     return best, best_subset
 
 
@@ -59,6 +73,8 @@ def shatter_function(g: Graph, n: int, *, cap: int = DEFAULT_SHATTER_CAP) -> int
     """Max number of distinct neighborhood traces on any size-n vertex set."""
     if not 0 <= n <= g.n:
         raise DomainError(f"trace size {n} out of range for n={g.n}")
+    if cap < 1:
+        raise DomainError(f"the shatter-function cap must be a positive integer, got {cap}")
     if n > cap:
         raise CapExceeded(
             f"shatter function at n={n} exceeds the exhaustive cap {cap}"
@@ -69,6 +85,8 @@ def shatter_function(g: Graph, n: int, *, cap: int = DEFAULT_SHATTER_CAP) -> int
 def is_shattered(g: Graph, subset) -> bool:
     """Whether every subset of ``subset`` occurs as a neighborhood trace."""
     subset = tuple(sorted(set(subset)))
+    for v in subset:
+        g._check_vertex(v)
     return _trace_count(g, subset) == 1 << len(subset)
 
 
@@ -78,7 +96,9 @@ def vc_dimension(g: Graph, *, cap: int = DEFAULT_VCDIM_CAP) -> ShatterReport:
     Stops at the first n that fails to shatter (the shatter function can
     never recover past it).  Also cross-checks the trace-count table against
     the binomial-sum bound; a violation would falsify the theory this
-    package is built on, so it is reported as a hard error.
+    package is built on, so it is reported as a hard error.  The witness
+    the block scan found is re-checked by ``is_shattered``, which counts
+    its traces on its own.
     """
     if g.n == 0:
         raise DomainError("VC-dimension of the empty graph is undefined")

@@ -110,15 +110,22 @@ def definable_parts(n: int, edges, s) -> list[tuple[int, ...]]:
     return parts
 
 
-def shatter(n: int, edges, size: int) -> int:
-    adj = adjacency(n, edges)
-    best = 0
+def best_traces(n: int, edges, size: int) -> tuple[int, tuple[int, ...]]:
+    """Max trace count on size-``size`` sets, and the first set in
+    lexicographic order that reaches it."""
     if size == 0:
-        return 1
+        return 1, ()
+    adj = adjacency(n, edges)
+    best, first = 0, None
     for subset in combinations(range(n), size):
-        traces = {frozenset(adj[v] & set(subset)) for v in range(n)}
-        best = max(best, len(traces))
-    return best
+        count = len({frozenset(adj[v] & set(subset)) for v in range(n)})
+        if count > best:
+            best, first = count, subset
+    return best, first
+
+
+def shatter(n: int, edges, size: int) -> int:
+    return best_traces(n, edges, size)[0]
 
 
 def vcdim(n: int, edges) -> int:

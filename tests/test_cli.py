@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,34 @@ class TestDeterminism:
             _, out1 = run(capsys, "--seed", "11", *argv)
             _, out2 = run(capsys, "--seed", "11", *argv)
             assert out1 == out2, argv
+
+    def test_one_parser_per_process_matches_fresh_processes(self, capsys, graph_file):
+        # main reuses one parser for the life of the process: every call in
+        # this sequence must print what a fresh process prints for it
+        g = graph_file(path(5))
+        calls = [
+            ["--seed", "4", "gen", "gnp", "8", "0.5"],
+            ["gen", "gnp", "8", "0.5"],
+            ["gen", "gnp", "8", "0.5", "--seed", "4"],
+            ["dist", g, "0", "3", "--set", "0"],
+            ["dist", g, "--set", "0", "--all-pairs"],
+            ["gen", "nosuchkind", "3"],
+            ["diam", g],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            out = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "flipkit.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert codes == [0, 0, 0, 0, 0, 2, 0]
 
 
 @pytest.fixture

@@ -106,6 +106,18 @@ def test_partitions_through_their_labels():
     assert not offenders, f"group through Partition.from_labels, map cells by pair_index: {offenders}"
 
 
+def test_vc_witness_is_rechecked_off_the_block_scan():
+    """The block scan never re-verifies its own witness: vc_dimension checks
+    it with is_shattered, the per-subset count the scan does not use."""
+    called = {
+        node.name: {getattr(sub.func, "id", None) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+        for node in ast.parse((SRC / "vc.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_trace_count" not in called["_shatter_value"]
+    assert "is_shattered" in called["vc_dimension"]
+
+
 class TestBrokenTheoryRaises:
     def test_bipartite_block_large_on_both_sides(self, monkeypatch):
         monkeypatch.setattr(conversion, "diameter", lambda g: INF)

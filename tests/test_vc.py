@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 import oracle
-from flipkit import CapExceeded, DomainError, Graph, is_shattered, shatter_function, vc_dimension
-from flipkit.generators import clique, halfgraph, star
+from flipkit import CapExceeded, DomainError, Graph, is_shattered, shatter_function, vc, vc_dimension
+from flipkit.generators import clique, halfgraph, path, star
 from conftest import random_graph
 
 
@@ -28,6 +28,17 @@ class TestShatterFunction:
     def test_bad_size(self):
         with pytest.raises(DomainError):
             shatter_function(Graph.empty(3), 4)
+
+    def test_nonpositive_cap_is_a_usage_error(self):
+        for cap in (0, -1):
+            with pytest.raises(DomainError, match=f"cap must be a positive integer, got {cap}"):
+                shatter_function(path(4), 1, cap=cap)
+
+    def test_is_shattered_checks_its_vertices(self):
+        # unchecked, numpy indexing wraps -1 to vertex 3 and raises IndexError on 9
+        for v in (-1, 9):
+            with pytest.raises(DomainError, match=f"vertex {v} out of range"):
+                is_shattered(path(4), [v])
 
     def test_matches_oracle(self, rng):
         for _ in range(15):
@@ -107,3 +118,34 @@ class TestVcDimension:
                 if size >= report.vcdim:
                     bound = sum(comb(size, i) for i in range(report.vcdim + 1))
                     assert value <= bound
+
+
+@pytest.fixture(params=[None, 3], ids=["block-default", "block-3"])
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(vc, "_BLOCK", request.param)
+    return request.param
+
+
+class TestBlockScan:
+    """The block scan gives the oracle's maximum trace count and the first
+    subset, in lexicographic order, that reaches it."""
+
+    def test_best_subset_matches_oracle(self, rng, block):
+        for _ in range(25):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.random())
+            for size in range(min(n, 4) + 1):
+                assert vc._shatter_value(g, size) == oracle.best_traces(n, oracle.edges_of(g), size)
+
+    def test_report_matches_oracle(self, rng, block):
+        for _ in range(25):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.random())
+            edges = oracle.edges_of(g)
+            report = vc_dimension(g)
+            for size, value in report.traces_by_size.items():
+                assert value == oracle.shatter(n, edges, size)
+            value, first = oracle.best_traces(n, edges, report.vcdim)
+            assert value == 1 << report.vcdim
+            assert report.witness == first
