@@ -259,7 +259,7 @@ def _cmd_separate(args) -> Result:
 def _cmd_sep2break(args) -> Result:
     g = _read_graph(args.graph)
     w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
-    result = sep_then_break(g, w_set, args.radius, k_max=args.k_max)
+    result = sep_then_break(g, w_set, args.radius, k_max=args.k_max, n_cap=args.n_cap)
     report = RunReport(
         command="sep2break",
         parameters={
@@ -390,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", dest="probes", required=True, help="probe-set file (size 4m^2)")
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--k-max", type=int, default=1)
+    p.add_argument("--n-cap", type=int, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sep2break)
 

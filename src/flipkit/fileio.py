@@ -15,7 +15,7 @@ import io
 
 from .errors import DomainError
 from .flips import FlipSpec, Partition
-from .graphs import Bipartite, Graph
+from .graphs import Bipartite, Graph, check_dense_n
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
@@ -47,6 +47,7 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
     n, m = _fields(header, int, int)
     if n < 0 or m < 0:
         raise DomainError(f"line {header[0]}: header counts must be nonnegative")
+    check_dense_n(n, f"line {header[0]}: a graph on {n} vertices")
     if len(edge_rows) != m:
         raise DomainError(
             f"line {header[0]}: header declares {m} edges, file has {len(edge_rows)}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError
 
 #: Distance of a disconnected pair.  Absorbing under addition and ordered
 #: above every integer, so ``max`` folds treat it as a top element.
@@ -27,6 +27,20 @@ ExtDist = int | float
 
 #: Sentinel for INF inside integer distance matrices.
 UNREACHED = -1
+
+#: Most vertices of a dense graph: its adjacency takes n² bytes and the BFS
+#: several float32 copies of it, so larger inputs are refused up front.
+_MAX_DENSE_N = 1 << 12
+
+
+def check_dense_n(n: int, what: str | None = None) -> None:
+    """Refuse a graph on more than ``_MAX_DENSE_N`` vertices before its n²
+    adjacency, or a loop over its vertex pairs, is built."""
+    if n > _MAX_DENSE_N:
+        raise CapExceeded(
+            f"{what or f'a graph on {n} vertices'} has more than {_MAX_DENSE_N} vertices, "
+            "the dense-vertex ceiling"
+        )
 
 
 class Graph:
@@ -55,6 +69,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        check_dense_n(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -66,6 +81,7 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        check_dense_n(n)
         return cls(np.zeros((n, n), dtype=bool))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -153,32 +169,55 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def batched_distance_matrices(adjs: np.ndarray) -> np.ndarray:
-    """All-pairs distances for a stack of adjacency matrices (F, n, n).
+    """All-pairs distances for a stack of adjacency matrices (F, n, n): an
+    int16 array of the same shape, -1 for unreachable pairs, one per flip."""
+    return _bfs(adjs, fold=False)
 
-    Returns an int16 array of the same shape with -1 for unreachable pairs;
-    the one BFS kernel behind every flip metric, search and sweep.  All
-    sources advance by float32 frontier products, ``frontier @ adj > 0`` on
-    the pairs not yet reached, and a pair's distance is the number of levels
-    at which it was unreached.  Exact at any n: a product entry is a sum of
-    nonnegative terms, so it is positive iff one term is, however it rounds.
-    """
+
+def max_distance_matrix(adjs: np.ndarray) -> np.ndarray:
+    """``fold_max_distances(batched_distance_matrices(adjs))`` as one (n, n)
+    int16 matrix, without the per-flip stack; the flip metric's kernel.
+    An empty stack (F = 0) has no max and is a DomainError."""
+    return _bfs(adjs, fold=True)
+
+
+#: Stacks of at least this many flips drop their finished flips in the
+#: folded BFS once fewer than 3/4 of them are still live.
+_COMPACT_MIN = 256
+
+
+def _bfs(adjs, fold: bool) -> np.ndarray:
+    """The one level loop.  All sources advance by float32 frontier
+    products, ``frontier @ adj > 0`` on the pairs not yet reached; a pair's
+    distance is 1 plus the levels at which it was unreached.  Exact at any
+    n: a product entry is a sum of nonnegative terms, so it is positive iff
+    one term is, however it rounds.  Unreached sets only shrink, so the max
+    over flips adds ``left.any(0)`` per level and may drop finished flips."""
     adjs = np.asarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
+    if fold and not f:
+        raise DomainError("the max over an empty flip stack has no value")
     a = frontier = adjs.astype(np.float32)
     left = ~adjs
     left.reshape(f, n * n)[:, :: n + 1] = False  # reached at level 0
-    dist = (adjs | left).astype(np.int16)
-    dist += left
-    while np.count_nonzero(left):
+    dist = (adjs[0] | left[0] if fold else adjs | left).astype(np.int16)
+    while True:
+        pending = left.any(0) if fold else left
+        if not np.count_nonzero(pending):
+            return dist
+        dist += pending
         reached = np.matmul(frontier, a) > 0
         reached &= left
         if not np.count_nonzero(reached):
-            dist[left] = UNREACHED
-            break
+            dist[pending] = UNREACHED
+            return dist
         left ^= reached
-        dist += left
+        if fold and f >= _COMPACT_MIN:
+            live = left.any((1, 2))
+            if 4 * np.count_nonzero(live) < 3 * f:
+                a, reached, left = a[live], reached[live], left[live]
+                f = len(a)
         frontier = reached.astype(np.float32)
-    return dist
 
 
 def fold_max_distances(batch: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ The distance between u and v under a partition is the maximum shortest-path
 distance over every flip of that partition; a defining vertex set S induces
 the same notion through its neighborhood-class partition, and a family of
 defining sets takes the pointwise maximum over its members.  Everything here
-is computed exactly by enumerating each distinct flip once; per-flip
-distance matrices are batched and folded with max, so no flip is ever
-stored.
+is computed exactly by enumerating each distinct flip once; the BFS folds
+the max over each batch of flips as it goes, so no flip and no per-flip
+distance matrix is ever stored.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .graphs import (
     UNREACHED,
     ExtDist,
     Graph,
-    batched_distance_matrices,
     fold_max_distances,
+    max_distance_matrix,
     within,
 )
 
@@ -66,11 +66,11 @@ class SetFamily:
 
 
 def _flip_metric(g: Graph, p: Partition) -> np.ndarray:
-    """One distance matrix per distinct flip of ``p``, folded with the
-    absorbing max chunk by chunk; the max ignores duplicate flips, so
-    skipping them keeps the result exact."""
+    """The absorbing max of the distances over every distinct flip of
+    ``p``, folded inside the BFS chunk by chunk; the max ignores duplicate
+    flips, so skipping them keeps the result exact."""
     return fold_max_distances(np.stack([
-        fold_max_distances(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
+        max_distance_matrix(flip_adjacency_batch(g, p, codes))
         for codes in distinct_flip_codes(p)
     ]))
 

@@ -305,6 +305,7 @@ def inputs(tmp_path):
         "leaves": "1 2 3 4",
         "quad": "0 1 2 3",
         "bad_probes": "0 x\n",
+        "huge": "200000 0\n",
     }
     names = {"dir": str(tmp_path)}
     for name, text in texts.items():
@@ -428,6 +429,22 @@ RUNS = {
     "verify-negative-exhaustive": (
         ["verify", "bipartite-trichotomy", "--exhaustive", "-1"], 2,
         "error: --exhaustive must be a positive integer, got -1",
+    ),
+    "gen-over-ceiling": (
+        ["gen", "path", "200000"], 2,
+        "refused: a graph on 200000 vertices has more than 4096 vertices",
+    ),
+    "diam-over-ceiling": (
+        ["diam", "{huge}"], 2,
+        "refused: line 1: a graph on 200000 vertices has more than 4096 vertices",
+    ),
+    "sep2break-n-cap": (
+        ["sep2break", "{path12}", "--W", "{quad}", "-r", "1"], 2,
+        "refused: exhaustive partition search on n=12 exceeds the cap 10 (raise with --n-cap)",
+    ),
+    "sep2break-zero-n-cap": (
+        ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--n-cap", "0"], 2,
+        "error: n_cap must be a positive integer, got 0",
     ),
     "sep2break-negative-k-max": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,

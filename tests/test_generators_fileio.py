@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flipkit import DomainError, FlipSpec, Graph, Partition
-from flipkit import fileio
+from flipkit import CapExceeded, DomainError, FlipSpec, Graph, Partition
+from flipkit import fileio, graphs
 from flipkit.generators import (
     clique,
     cycle,
@@ -192,6 +192,36 @@ class TestMalformedInput:
             except DomainError:
                 continue
             assert parse(dump(value)) == value, (parse.__name__, text)
+
+
+class TestDenseVertexCeiling:
+    """Graphs above the dense-vertex ceiling are refused before their n²
+    adjacency or a loop over their vertex pairs is built."""
+
+    def test_huge_inputs_refuse_at_once(self):
+        with pytest.raises(CapExceeded, match="line 1: a graph on 200000 vertices"):
+            fileio.loads_graph("200000 0\n")
+        for make in (lambda: path(200000), lambda: gnp(100000, 0.5),
+                     lambda: hypercube(1000), lambda: grid(10**6, 10**6),
+                     lambda: halfgraph(10**6), lambda: Graph.empty(10**6)):
+            with pytest.raises(CapExceeded, match="dense-vertex ceiling"):
+                make()
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_ceiling_admits_exactly_its_vertex_count(self, monkeypatch, n):
+        monkeypatch.setattr(graphs, "_MAX_DENSE_N", 8)
+        builds = [
+            lambda: path(n), lambda: cycle(n), lambda: clique(n), lambda: star(n),
+            lambda: gnp(n, 0.5), lambda: grid(1, n), lambda: Graph.empty(n),
+            lambda: Graph.from_edges(n, []), lambda: fileio.loads_graph(f"{n} 0\n"),
+            lambda: hypercube(n - 5), lambda: halfgraph(n - 4),
+        ]
+        for build in builds:
+            if n == 8:
+                assert build().n <= 8
+            else:
+                with pytest.raises(CapExceeded, match="more than 8 vertices"):
+                    build()
 
 
 class TestExports:

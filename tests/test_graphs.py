@@ -18,7 +18,8 @@ from flipkit import (
     is_connected,
 )
 from flipkit.generators import clique, cycle, path, star
-from flipkit.graphs import batched_distance_matrices
+from flipkit import graphs
+from flipkit.graphs import batched_distance_matrices, fold_max_distances, max_distance_matrix
 from conftest import random_graph
 
 
@@ -96,6 +97,59 @@ class TestBatchedDistanceMatrices:
                 for (u, v), expected in want.items():
                     assert (INF if d[u, v] < 0 else d[u, v]) == expected
         assert unreached  # disconnected graphs were among the inputs
+
+
+def _mixed_stack(rng, f, n):
+    """``f`` graphs on ``n`` vertices mixing edgeless, complete and path
+    members (finished at once, never, and late) with random ones."""
+    kinds = [Graph.empty(n), clique(n), path(n)]
+    members = [kinds[i] if i < 3 else random_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
+               for i in range(f)]
+    rng.shuffle(members)
+    return members, np.array([g.adj for g in members], dtype=bool).reshape(f, n, n)
+
+
+class TestMaxDistanceMatrix:
+    """The folded entry against the oracle and the per-flip kernel, with
+    the compaction threshold lowered so that small stacks drop finished
+    flips; only the folded path may shrink the stack it multiplies."""
+
+    @pytest.fixture(params=[None, 1, 2, 3], ids=lambda t: f"compact-{t or 'default'}")
+    def sizes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(graphs, "_COMPACT_MIN", request.param)
+        sizes = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda x, y: sizes.append(len(x)) or real(x, y))
+        return sizes
+
+    def test_matches_oracle_and_per_flip_fold(self, rng, sizes):
+        unreached = shrunk = 0
+        for n in (1, 2, 5, 10):
+            for f in (1, 2, 3, 7, 16):
+                stack, adjs = _mixed_stack(rng, f, n)
+                per_flip = batched_distance_matrices(adjs)
+                assert set(sizes) <= {f}
+                del sizes[:]
+                got = max_distance_matrix(adjs)
+                assert got.shape == (n, n) and got.dtype == np.int16
+                assert np.array_equal(got, fold_max_distances(per_flip))
+                shrunk += any(size < f for size in sizes)
+                del sizes[:]
+                want = [oracle.all_pairs(n, oracle.edges_of(g)) for g in stack]
+                for u in range(n):
+                    for v in range(n):
+                        assert (INF if got[u, v] < 0 else got[u, v]) == max(d[u, v] for d in want)
+                        for d, h in zip(want, per_flip):
+                            assert (INF if h[u, v] < 0 else h[u, v]) == d[u, v]
+                unreached += int((got == -1).sum())
+        assert unreached
+        assert bool(shrunk) == (graphs._COMPACT_MIN <= 16)
+
+    def test_empty_stack_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="empty flip stack"):
+            max_distance_matrix(np.zeros((0, 3, 3), dtype=bool))
+        assert batched_distance_matrices(np.zeros((0, 3, 3), dtype=bool)).shape == (0, 3, 3)
 
 
 class TestDiameter:

@@ -67,7 +67,21 @@ def test_one_bfs():
         for node in ast.walk(ast.parse(module.read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "bfs_array"
     ]
-    assert not defined, f"graphs.batched_distance_matrices is the one BFS: {defined}"
+    assert not defined, f"graphs._bfs is the one BFS: {defined}"
+    loops = sorted(
+        f"{module.name}:{func.name}"
+        for module in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(module.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and "matmul" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(func)
+        )
+    )
+    assert loops == ["graphs.py:_bfs"], f"one level loop calls np.matmul: {loops}"
+    named = _names(ast.parse((SRC / "metrics.py").read_text()))
+    assert "batched_distance_matrices" not in named, "the flip metric folds inside the BFS"
 
 
 def test_one_breakability_split():
