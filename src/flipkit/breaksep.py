@@ -20,7 +20,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -298,46 +298,41 @@ def breakability_search(
         g._check_vertex(v)
     if r < 0 or m < 0:
         raise DomainError("radius and target size must be nonnegative")
-    stats = BreakSearchResult(witness=None)
     probes = sorted(set(w1) | set(w2 or []))
     probe_arr = np.array(probes, dtype=int)
     side1 = set(w1)
     side2 = set(w2) if w2 is not None else set(w1)
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
-        candidates = ((None, p) for p in enumerate_partitions(g.n, cap))
+        candidates = zip(repeat(None), enumerate_partitions(g.n, cap))
     else:
-        candidates = definable_candidates(g, budget.s_max, cap, stats)
+        candidates = definable_candidates(g, budget.s_max, cap)
 
     def first_split(dists: np.ndarray) -> int | None:
         hits = np.flatnonzero(_splits(dists, probes, r, m, side1, side2)[2])
         return int(hits[0]) if hits.size else None
 
-    for s, p in candidates:
-        if budget.raw_partitions:
-            stats.sets_tried += 1
-        tried, spec = first_flip(g, p, first_split)
-        stats.flips_tried += tried
-        if spec is None:
-            continue
-        dist = distance_matrix(apply_flip(g, p, spec))[None]
-        a1, a2, ok = _splits(dist, probes, r, m, side1, side2)
-        if not ok[0]:
-            raise RuntimeError("the batched flip kernel found a split that apply_flip does not")
-        witness = BreakWitness(
-            partition=p,
-            spec=spec,
-            defining_set=s,
-            a1=tuple(probe_arr[a1[0]].tolist()),
-            a2=tuple(probe_arr[a2[0]].tolist()),
-            radius=r,
-            m=m,
-        )
-        if not verify_break_witness(g, witness):
-            raise RuntimeError("greedy split produced an invalid witness")
-        stats.witness = witness
-        return stats
-    return stats
+    sets, skipped, specs, hit = first_flip(g, candidates, first_split)
+    result = BreakSearchResult(witness=None, flips_tried=specs, sets_tried=sets,
+                               sets_skipped=skipped)
+    if hit is None:
+        return result
+    s, p, spec, h = hit
+    a1, a2, ok = _splits(distance_matrix(h)[None], probes, r, m, side1, side2)
+    if not ok[0]:
+        raise RuntimeError("the batched flip kernel found a split that apply_flip does not")
+    result.witness = BreakWitness(
+        partition=p,
+        spec=spec,
+        defining_set=s,
+        a1=tuple(probe_arr[a1[0]].tolist()),
+        a2=tuple(probe_arr[a2[0]].tolist()),
+        radius=r,
+        m=m,
+    )
+    if not verify_break_witness(g, result.witness):
+        raise RuntimeError("greedy split produced an invalid witness")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +399,15 @@ def separability_search(
                 return i
         return None
 
-    result = SeparabilityResult(partition=None, spec=None)
-    for p in enumerate_partitions(g.n, k_max):
-        result.partitions_tried += 1
-        tried, spec = first_flip(g, p, first_light)
-        result.flips_tried += tried
-        if spec is not None:
-            balls = _balls(apply_flip(g, p, spec), small, r)
-            if not all(w.within_eps(w.of(np.flatnonzero(balls[v]).tolist()), eps) for v in small):
-                raise RuntimeError("separability witness failed re-verification")
-            result.partition = p
-            result.spec = spec
-            return result
-    return result
+    tried, _, specs, hit = first_flip(g, zip(repeat(None), enumerate_partitions(g.n, k_max)),
+                                      first_light)
+    if hit is None:
+        return SeparabilityResult(None, None, tried, specs)
+    _, p, spec, h = hit
+    balls = _balls(h, small, r)
+    if not all(w.within_eps(w.of(np.flatnonzero(balls[v]).tolist()), eps) for v in small):
+        raise RuntimeError("separability witness failed re-verification")
+    return SeparabilityResult(p, spec, tried, specs)
 
 
 # ---------------------------------------------------------------------------

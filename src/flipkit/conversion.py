@@ -25,7 +25,6 @@ from .errors import DomainError
 from .flips import (
     FlipSpec,
     Partition,
-    apply_flip,
     definable_candidates,
     first_flip,
     reconstruct_flip_spec,
@@ -397,7 +396,6 @@ def search_definable_emulation(
         raise DomainError("graphs must share one vertex set")
     if r_max < 0:
         raise DomainError(f"r_max must be nonnegative, got {r_max}")
-    result = EmulationSearchResult(witness=None)
     d_out = distance_matrix(gprime)
     unreached = d_out == UNREACHED
 
@@ -406,13 +404,12 @@ def search_definable_emulation(
         hits = np.flatnonzero(~bad.any(axis=(1, 2)))
         return int(hits[0]) if hits.size else None
 
-    for s, p in definable_candidates(g, s_max, max_parts, result):
-        tried, spec = first_flip(g, p, first_contained)
-        result.flips_tried += tried
-        if spec is not None:
-            flipped = apply_flip(g, p, spec)
-            if not ball_containment_ok(flipped, gprime, r_max):
-                raise RuntimeError("emulation witness failed re-verification")
-            result.witness = EmulationWitness(defining_set=s, spec=spec, flipped=flipped)
-            return result
-    return result
+    sets, skipped, specs, hit = first_flip(
+        g, definable_candidates(g, s_max, max_parts), first_contained
+    )
+    if hit is None:
+        return EmulationSearchResult(None, sets, skipped, specs)
+    s, _, spec, flipped = hit
+    if not ball_containment_ok(flipped, gprime, r_max):
+        raise RuntimeError("emulation witness failed re-verification")
+    return EmulationSearchResult(EmulationWitness(s, spec, flipped), sets, skipped, specs)

@@ -1,11 +1,11 @@
-"""Text formats for graphs, partitions, specs, weights, families and sets.
+"""Text formats for graphs, partitions, weights, families and sets.
 
 Every writer produces the canonical form its reader round-trips: graph
-files start with ``n m`` and list edges ``u v`` with u < v; bipartite files
-add a second header line ``U: ...`` naming the left side; partitions are
-``v part_id`` lines, flip specs ``i j`` lines, weights ``v weight`` lines,
-and set families one whitespace-separated set per line.  A vertex set (read
-only) lists its vertices separated by commas or whitespace.
+files start with ``n m`` and list edges ``u v`` with u < v; partitions are
+``v part_id`` lines and weights ``v weight`` lines, each listing every
+vertex once; set families are one whitespace-separated set per line.  A
+vertex set (read only) lists its vertices separated by commas or
+whitespace.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import csv
 import io
 
 from .errors import DomainError
-from .flips import FlipSpec, Partition
-from .graphs import Bipartite, Graph, check_dense_n
+from .flips import Partition
+from .graphs import Graph, check_dense_n
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
@@ -55,6 +55,22 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
     return Graph.from_edges(n, [_fields(row, int, int) for row in edge_rows])
 
 
+def _per_vertex(text: str, n: int | None, what: str, kind) -> list[str]:
+    """The raw second fields of the ``v value`` lines of a per-vertex file,
+    in vertex order; the lines must list each vertex 0..n-1 exactly once
+    (0..max v when ``n`` is None), and ``kind`` must parse every value."""
+    entries: dict[int, str] = {}
+    for row in _rows(text):
+        v, _ = _fields(row, int, kind)
+        if v in entries:
+            raise DomainError(f"line {row[0]}: vertex {v} listed twice in {what} file")
+        entries[v] = row[1][1]
+    count = n if n is not None else max(entries, default=-1) + 1
+    if len(entries) != count or not all(0 <= v < count for v in entries):
+        raise DomainError(f"{what} file must list every vertex 0..n-1 once")
+    return [entries[v] for v in range(count)]
+
+
 def dumps_graph(g: Graph) -> str:
     edges = g.edges()
     out = [f"{g.n} {len(edges)}"]
@@ -69,47 +85,12 @@ def loads_graph(text: str) -> Graph:
     return _graph(rows[0], rows[1:])
 
 
-def dumps_bipartite(b: Bipartite) -> str:
-    edges = b.graph.edges()
-    out = [f"{b.n} {len(edges)}", "U: " + " ".join(map(str, b.left))]
-    out.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(out) + "\n"
-
-
-def loads_bipartite(text: str) -> Bipartite:
-    rows = _rows(text)
-    if len(rows) < 2 or not rows[1][1][0].startswith("U:"):
-        raise DomainError("bipartite file needs an 'U: ...' second header line")
-    number, fields = rows[1]
-    left = _fields((number, " ".join(fields)[2:].split()))
-    g = _graph(rows[0], rows[2:])
-    right = tuple(v for v in range(g.n) if v not in set(left))
-    return Bipartite(g, left, right)
-
-
 def dumps_partition(p: Partition) -> str:
     return "\n".join(f"{v} {p.part_of(v)}" for v in range(p.n)) + "\n"
 
 
 def loads_partition(text: str, n: int | None = None) -> Partition:
-    labels: dict[int, int] = {}
-    for row in _rows(text):
-        v, part = _fields(row, int, int)
-        if v in labels:
-            raise DomainError(f"line {row[0]}: vertex {v} listed twice in partition file")
-        labels[v] = part
-    count = n if n is not None else (max(labels) + 1 if labels else 0)
-    if set(labels) != set(range(count)):
-        raise DomainError("partition file must assign every vertex 0..n-1 once")
-    return Partition.from_labels([labels[v] for v in range(count)])
-
-
-def dumps_flip_spec(spec: FlipSpec) -> str:
-    return "\n".join(f"{i} {j}" for i, j in spec) + ("\n" if len(spec) else "")
-
-
-def loads_flip_spec(text: str) -> FlipSpec:
-    return FlipSpec(_fields(row, int, int) for row in _rows(text))
+    return Partition.from_labels(map(int, _per_vertex(text, n, "partition", int)))
 
 
 def dumps_weights(weights) -> str:
@@ -119,16 +100,7 @@ def dumps_weights(weights) -> str:
 def loads_weights(text: str, n: int | None = None) -> list[int | float]:
     """Parse ``v weight`` lines; all-integer files come back as ints so the
     exact-arithmetic comparison path stays available."""
-    entries: dict[int, str] = {}
-    for row in _rows(text):
-        v, _ = _fields(row, int, float)
-        if v in entries:
-            raise DomainError(f"line {row[0]}: vertex {v} listed twice in weights file")
-        entries[v] = row[1][1]
-    count = n if n is not None else (max(entries) + 1 if entries else 0)
-    if set(entries) != set(range(count)):
-        raise DomainError("weights file must cover every vertex 0..n-1 once")
-    raws = [entries[v] for v in range(count)]
+    raws = _per_vertex(text, n, "weights", float)
     try:
         return [int(w) for w in raws]
     except ValueError:

@@ -274,23 +274,37 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def first_flip(g: Graph, p: Partition, first_hit) -> tuple[int, FlipSpec | None]:
-    """(specs tried, first accepted spec or None) over the flip specs of
-    ``p`` in counter order, of which only the distinct flips are built and
-    BFS'd, CHUNK at a time.
+def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | None]:
+    """Walk ``candidates``, ``(tag, partition)`` pairs, to the first flip
+    that ``first_hit`` accepts: (candidates tried, candidates skipped,
+    specs tried, hit).
 
-    ``first_hit`` maps a (F, n, n) distance stack to the index of its first
-    accepted flip, or None.  A spec that sets the self pair of a singleton
-    part builds the same graph as the spec without it, which comes earlier
-    in counter order, so the first accepted spec is a distinct code c and
-    c + 1 specs were tried; a miss tried all ``num_flips`` specs.
+    A None partition marks a set over the part cap and is skipped.  The
+    specs of each partition are scanned in counter order, of which only the
+    distinct flips are built and BFS'd, CHUNK at a time; ``first_hit`` maps
+    a (F, n, n) distance stack to the index of its first accepted flip, or
+    None.  A spec that sets the self pair of a singleton part builds the
+    same graph as the spec without it, which comes earlier in counter
+    order, so the first accepted spec is a distinct code c and c + 1 of its
+    partition's specs were tried; a miss tried all ``num_flips`` specs.
+    The hit is ``(tag, p, spec, apply_flip(g, p, spec))``, the independent
+    rebuild that callers re-verify on, or None.  Candidates are drawn
+    lazily, so none after the hit is ever drawn.
     """
-    for codes in distinct_flip_codes(p):
-        hit = first_hit(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
-        if hit is not None:
-            code = int(codes[hit])
-            return code + 1, FlipSpec.from_bits(len(p.parts), code)
-    return num_flips(len(p.parts)), None
+    tried = skipped = specs = 0
+    for tag, p in candidates:
+        if p is None:
+            skipped += 1
+            continue
+        tried += 1
+        for codes in distinct_flip_codes(p):
+            hit = first_hit(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
+            if hit is not None:
+                code = int(codes[hit])
+                spec = FlipSpec.from_bits(len(p.parts), code)
+                return tried, skipped, specs + code + 1, (tag, p, spec, apply_flip(g, p, spec))
+        specs += num_flips(len(p.parts))
+    return tried, skipped, specs, None
 
 
 def flip_adjacency_batch(
@@ -336,22 +350,17 @@ def definable_partition(g: Graph, s) -> Partition:
 
 
 def definable_candidates(
-    g: Graph, s_max: int, max_parts: int | None, stats
-) -> Iterator[tuple[tuple[int, ...], Partition]]:
+    g: Graph, s_max: int, max_parts: int | None
+) -> Iterator[tuple[tuple[int, ...], Partition | None]]:
     """Defining sets by ascending size, lexicographic within a size, with
-    their partitions; sets over the part cap are skipped.  Both kinds are
-    counted in ``stats.sets_tried`` and ``stats.sets_skipped``."""
+    their partitions; a set over the part cap comes with None."""
     if s_max < 0:
         raise DomainError(f"s_max must be nonnegative, got {s_max}")
     cap = resolve_max_parts(max_parts)
     for size in range(min(s_max, g.n) + 1):
         for s in combinations(range(g.n), size):
             p = definable_partition(g, s)
-            if len(p.parts) > cap:
-                stats.sets_skipped += 1
-                continue
-            stats.sets_tried += 1
-            yield s, p
+            yield s, (p if len(p.parts) <= cap else None)
 
 
 def refine(p: Partition, q: Partition) -> Partition:

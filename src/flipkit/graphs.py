@@ -34,8 +34,11 @@ _MAX_DENSE_N = 1 << 12
 
 
 def check_dense_n(n: int, what: str | None = None) -> None:
-    """Refuse a graph on more than ``_MAX_DENSE_N`` vertices before its n²
-    adjacency, or a loop over its vertex pairs, is built."""
+    """Refuse a negative vertex count, and a graph on more than
+    ``_MAX_DENSE_N`` vertices before its n² adjacency, or a loop over its
+    vertex pairs, is built."""
+    if n < 0:
+        raise DomainError(f"a graph needs a nonnegative vertex count, got n={n}")
     if n > _MAX_DENSE_N:
         raise CapExceeded(
             f"{what or f'a graph on {n} vertices'} has more than {_MAX_DENSE_N} vertices, "

@@ -27,7 +27,9 @@ from flipkit import (
     search_definable_emulation,
     separability_search,
 )
-from flipkit.flips import flip_adjacency_batch, pair_index
+from flipkit import flips
+from flipkit.flips import first_flip, flip_adjacency_batch, pair_index
+from flipkit.graphs import UNREACHED
 from flipkit.generators import clique, cycle, path, star
 from conftest import random_graph, random_partition_labels
 
@@ -334,6 +336,42 @@ class TestFlipAdjacencyBatch:
             flip_adjacency_batch(g, p, np.zeros(1, dtype=np.uint64))
         with pytest.raises(CapExceeded, match="at most 64"):
             dist_partition_matrix(g, p)
+
+
+class TestFirstFlip:
+    def test_walks_the_candidate_stream_to_the_first_hit(self, monkeypatch):
+        """Skipped sets before and after the hit, a miss, and a hit in the
+        second chunk of a partition with a singleton part (whose dead
+        self-pair codes are never built) at CHUNK = 3."""
+        monkeypatch.setattr(flips, "CHUNK", 3)
+        g = path(5)
+        hit_partition = Partition(5, [[0], [1, 2], [3, 4]])
+        stream = [("a", None), ("b", Partition.trivial(5)), ("c", None),
+                  ("d", hit_partition), ("e", None), ("f", Partition.trivial(5))]
+        drawn = []
+
+        def candidates():
+            for tag, p in stream:
+                drawn.append(tag)
+                yield tag, p
+
+        def first_hit(dists):
+            # the first flip where 0 keeps a neighbor but cannot reach 4 is
+            # d's spec {(1, 1)}, code 8
+            hits = np.flatnonzero((dists[:, 0, 4] == UNREACHED) & (dists[:, 0] == 1).any(-1))
+            return int(hits[0]) if hits.size else None
+
+        tried, skipped, specs, hit = first_flip(g, candidates(), first_hit)
+        # b's 2 specs, then d's codes 0..8
+        assert (tried, skipped, specs) == (2, 2, 2 + 9)
+        tag, p, spec, h = hit
+        assert (tag, p, spec) == ("d", hit_partition, FlipSpec([(1, 1)]))
+        assert h == apply_flip(g, hit_partition, spec)
+        assert drawn == ["a", "b", "c", "d"]
+
+    def test_a_miss_counts_every_spec(self):
+        stream = [(None, Partition.trivial(3)), (None, None), (None, Partition.singletons(3))]
+        assert first_flip(path(3), iter(stream), lambda dists: None) == (2, 1, 2 + 64, None)
 
 
 class TestRefine:

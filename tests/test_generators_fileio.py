@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flipkit import CapExceeded, DomainError, FlipSpec, Graph, Partition
+from flipkit import CapExceeded, DomainError, Graph, Partition
 from flipkit import fileio, graphs
 from flipkit.generators import (
     clique,
@@ -14,7 +14,6 @@ from flipkit.generators import (
     path,
     star,
 )
-from flipkit.graphs import Bipartite
 
 
 class TestGenerators:
@@ -88,16 +87,6 @@ class TestGraphFormat:
         assert fileio.loads_graph(text) == Graph.from_edges(3, [(0, 1)])
 
 
-class TestBipartiteFormat:
-    def test_roundtrip(self):
-        b = Bipartite(Graph.from_edges(4, [(0, 2), (1, 3)]), (0, 1), (2, 3))
-        assert fileio.loads_bipartite(fileio.dumps_bipartite(b)) == b
-
-    def test_header_required(self):
-        with pytest.raises(DomainError):
-            fileio.loads_bipartite("2 1\n0 1\n")
-
-
 class TestPartitionFormat:
     def test_roundtrip(self):
         p = Partition(5, [[0, 2], [1], [3, 4]])
@@ -112,14 +101,22 @@ class TestPartitionFormat:
             fileio.loads_partition("0 0\n", 2)
 
 
+class TestPerVertexFiles:
+    """Partition and weights files share one contract: each vertex 0..n-1
+    listed exactly once, a repeat named by its line."""
+
+    @pytest.mark.parametrize("parse, what", [(fileio.loads_partition, "partition"),
+                                             (fileio.loads_weights, "weights")])
+    def test_one_contract(self, parse, what):
+        with pytest.raises(DomainError, match=f"^line 3: vertex 1 listed twice in {what} file$"):
+            parse("0 0\n1 1\n1 0\n")
+        for text, n in (("0 0\n", 2), ("0 0\n2 0\n", None), ("-1 0\n0 0\n", 2),
+                        ("0 0\n1 0\n", 1), ("", 1), ("10000000000000 0\n", None)):
+            with pytest.raises(DomainError, match=f"^{what} file must list every vertex 0..n-1 once$"):
+                parse(text, n)
+
+
 class TestSpecAndWeights:
-    def test_spec_roundtrip(self):
-        spec = FlipSpec([(0, 1), (2, 2)])
-        assert fileio.loads_flip_spec(fileio.dumps_flip_spec(spec)) == spec
-
-    def test_empty_spec(self):
-        assert fileio.loads_flip_spec(fileio.dumps_flip_spec(FlipSpec())) == FlipSpec()
-
     def test_weights_roundtrip_int(self):
         ws = [3, 0, 7]
         loaded = fileio.loads_weights(fileio.dumps_weights(ws), 3)
@@ -153,15 +150,12 @@ class TestMalformedInput:
         "parse, text, line",
         [
             (fileio.loads_graph, "3 2\n0 1\n0 x\n", 3),
-            (fileio.loads_bipartite, "4 1\nU: 0 a\n0 2\n", 2),
             (fileio.loads_partition, "0 0\n# comment\n\n1 0 2\n", 4),
-            (fileio.loads_flip_spec, "0 1\n1\n", 2),
             (fileio.loads_weights, "0 1\n1 2 3\n", 2),
             (fileio.loads_family, "0 1\n2 3.5\n", 2),
             (fileio.loads_vertex_set, "0, 1\n2,x\n", 2),
         ],
-        ids=["graph", "bipartite", "partition", "flip_spec", "weights", "family",
-             "vertex_set"],
+        ids=["graph", "partition", "weights", "family", "vertex_set"],
     )
     def test_names_the_line(self, parse, text, line):
         with pytest.raises(DomainError, match=f"^line {line}: "):
@@ -181,9 +175,7 @@ class TestMalformedInput:
         text = "".join(token + sep for token, sep in tokens)
         for parse, dump in (
             (fileio.loads_graph, fileio.dumps_graph),
-            (fileio.loads_bipartite, fileio.dumps_bipartite),
             (fileio.loads_partition, fileio.dumps_partition),
-            (fileio.loads_flip_spec, fileio.dumps_flip_spec),
             (fileio.loads_weights, fileio.dumps_weights),
             (fileio.loads_family, fileio.dumps_family),
         ):
@@ -205,6 +197,11 @@ class TestDenseVertexCeiling:
                      lambda: hypercube(1000), lambda: grid(10**6, 10**6),
                      lambda: halfgraph(10**6), lambda: Graph.empty(10**6)):
             with pytest.raises(CapExceeded, match="dense-vertex ceiling"):
+                make()
+
+    def test_negative_vertex_count_is_a_domain_error(self):
+        for make in (lambda: Graph.from_edges(-1, []), lambda: Graph.empty(-1)):
+            with pytest.raises(DomainError, match="nonnegative vertex count, got n=-1"):
                 make()
 
     @pytest.mark.parametrize("n", [8, 9])

@@ -49,6 +49,38 @@ def _names(node) -> set[str]:
     }
 
 
+def _called(node) -> set[str]:
+    """Names of the functions called anywhere below ``node``."""
+    return {
+        getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+    }
+
+
+def test_one_candidate_walker():
+    """flips.first_flip is the one walk over flip candidates: no other
+    module loops over a candidate stream or calls the walker per
+    candidate, and only the walker and the flip metric read the distinct
+    flip codes of a partition."""
+    streams = {"enumerate_partitions", "definable_candidates"}
+    loops, readers = [], set()
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        for node in ast.walk(tree):
+            if module.name != "flips.py" and isinstance(node, (ast.For, ast.comprehension)):
+                if _called(node.iter) & streams:
+                    loops.append(f"{module.name}:{getattr(node, 'lineno', node.iter.lineno)}")
+            if isinstance(node, (ast.For, ast.While)) and "first_flip" in _called(node):
+                loops.append(f"{module.name}:{node.lineno} first_flip")
+            if isinstance(node, ast.FunctionDef) and "distinct_flip_codes" in _called(node):
+                readers.add(f"{module.name}:{node.name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "definable_candidates":
+                assert "stats" not in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    assert not loops, f"walk flip candidates through flips.first_flip: {loops}"
+    assert readers == {"flips.py:first_flip", "metrics.py:_flip_metric"}, readers
+
+
 def test_only_flips_resolves_the_part_cap():
     readers = {
         module.name: sorted(found)
