@@ -31,8 +31,8 @@ from .flips import (
     apply_flip,
     check_part_cap,
     definable_candidates,
-    enumerate_partitions,
     first_flip,
+    partition_labels,
     resolve_max_parts,
 )
 from .graphs import UNREACHED, Graph, batched_distance_matrices, distance_matrix, within
@@ -304,7 +304,7 @@ def breakability_search(
     side2 = set(w2) if w2 is not None else set(w1)
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
-        candidates = zip(repeat(None), enumerate_partitions(g.n, cap))
+        candidates = zip(repeat(None), partition_labels(g.n, cap))
     else:
         candidates = definable_candidates(g, budget.s_max, cap)
 
@@ -399,7 +399,7 @@ def separability_search(
                 return i
         return None
 
-    tried, _, specs, hit = first_flip(g, zip(repeat(None), enumerate_partitions(g.n, k_max)),
+    tried, _, specs, hit = first_flip(g, zip(repeat(None), partition_labels(g.n, k_max)),
                                       first_light)
     if hit is None:
         return SeparabilityResult(None, None, tried, specs)

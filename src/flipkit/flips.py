@@ -5,6 +5,10 @@ with a set of part pairs: for every chosen pair {i, j} (i = j allowed) the
 adjacency between part i and part j is complemented, never touching the
 diagonal.  Specs over a canonically ordered partition are plain sets of
 index pairs, so they compare, dedupe, and compose by symmetric difference.
+
+Every search walks one stream: ``first_flip`` packs the distinct flips
+of consecutive candidate partitions, given as part labels, into stacks;
+``flip_adjacency_pack`` builds every stack through ``pair_index``.
 """
 
 from __future__ import annotations
@@ -120,6 +124,10 @@ class Partition:
     def part_labels(self) -> np.ndarray:
         return self._part_of
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A partition is array-like as its part labels."""
+        return np.array(self._part_of, dtype=dtype, copy=copy)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
@@ -202,22 +210,29 @@ def _counter_chunks(total: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + CHUNK, total), dtype=np.uint64)
 
 
-def distinct_flip_codes(p: Partition) -> Iterator[np.ndarray]:
-    """Counter codes of the distinct flips of ``p``, ascending, in chunks.
+def _pair_count(k: int) -> int:
+    """The canonical pairs of k parts, refused above the 64 bits of a code."""
+    npairs = k * (k + 1) // 2
+    if npairs > 64:
+        raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
+    return npairs
+
+
+def distinct_flip_codes(p) -> Iterator[np.ndarray]:
+    """Counter codes of the distinct flips of ``p`` (part labels or a
+    Partition), ascending, in chunks.
 
     The self pair (i, i) of a singleton part is a no-op, since flips never
     touch the diagonal.  The 2^L codes over the L remaining "live" canonical
-    pairs therefore give every distinct flip exactly once; each keeps the
-    bit positions of the full canonical pair order, so it is a valid
-    ``flip_adjacency_batch`` code.
+    pairs give every distinct flip once, each the counter value with a zero
+    bit inserted at each dead position, in the full canonical pair order.
     """
-    order = canonical_pairs(len(p.parts))
-    live = [t for t, (i, j) in enumerate(order) if i != j or len(p.parts[i]) > 1]
-    one = np.uint64(1)
-    for counter in _counter_chunks(1 << len(live)):
-        codes = np.zeros_like(counter)
-        for b, t in enumerate(live):
-            codes |= ((counter >> np.uint64(b)) & one) << np.uint64(t)
+    sizes = np.bincount(np.asarray(p)).tolist()
+    k = len(sizes)
+    dead = [i * k - i * (i - 1) // 2 for i in range(k) if sizes[i] == 1]
+    for codes in _counter_chunks(1 << (_pair_count(k) - len(dead))):
+        for d in dead:
+            codes = (codes & ((1 << d) - 1)) | (codes >> d << (d + 1))
         yield codes
 
 
@@ -229,14 +244,18 @@ def _check_spec(p: Partition, spec: FlipSpec) -> None:
             )
 
 
-def pair_index(p: Partition) -> np.ndarray:
-    """(n, n) int64 map from each cell (u, v) to the canonical index of the
-    part pair of the labels of u and v; the diagonal, which no flip
-    touches, is -1."""
-    labels = p.part_labels()
-    i, j = np.minimum.outer(labels, labels), np.maximum.outer(labels, labels)
-    index = i * len(p.parts) - i * (i - 1) // 2 + j - i
-    np.fill_diagonal(index, -1)
+def pair_index(p) -> np.ndarray:
+    """(..., n, n) int64 map from each cell (u, v) to the canonical index of
+    the part pair of the labels of u and v; the diagonal, which no flip
+    touches, is -1.  ``p`` is a Partition or part labels of shape (..., n),
+    one partition per row."""
+    labels = np.asarray(p)
+    k = labels.max(-1, initial=-1, keepdims=True)[..., None] + 1
+    i = np.minimum(labels[..., :, None], labels[..., None, :])
+    j = np.maximum(labels[..., :, None], labels[..., None, :])
+    index = i * k - i * (i - 1) // 2 + j - i
+    diagonal = np.arange(labels.shape[-1])
+    index[..., diagonal, diagonal] = -1
     return index
 
 
@@ -279,58 +298,91 @@ def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | 
     that ``first_hit`` accepts: (candidates tried, candidates skipped,
     specs tried, hit).
 
-    A None partition marks a set over the part cap and is skipped.  The
-    specs of each partition are scanned in counter order, of which only the
-    distinct flips are built and BFS'd, CHUNK at a time; ``first_hit`` maps
-    a (F, n, n) distance stack to the index of its first accepted flip, or
-    None.  A spec that sets the self pair of a singleton part builds the
-    same graph as the spec without it, which comes earlier in counter
-    order, so the first accepted spec is a distinct code c and c + 1 of its
-    partition's specs were tried; a miss tried all ``num_flips`` specs.
-    The hit is ``(tag, p, spec, apply_flip(g, p, spec))``, the independent
-    rebuild that callers re-verify on, or None.  Candidates are drawn
-    lazily, so none after the hit is ever drawn.
+    A partition is given by its part labels (or a Partition); None marks a
+    set over the part cap, which is skipped.  The distinct flips of
+    consecutive partitions, in counter order, fill packs of 64 flips, then
+    twice the last, of at most CHUNK flips and CHUNK * 100 cells (flips
+    times n^2) but at least one flip; each pack is built, BFS'd and judged
+    by ``first_hit`` (distance stack to first accepted index, or None) as
+    one stack.  Dead self-pair specs repeat earlier graphs, so the hit is
+    a distinct code c, and c + 1 of its partition's specs were tried (all
+    ``num_flips`` of a missed one).  The hit is ``(tag, p, spec,
+    apply_flip(g, p, spec))``, the rebuild callers re-verify on.  A
+    candidate is drawn only while the current pack still needs flips.
+    Drawing is pure, so no counter or output moves: the counts stop at the
+    hit, and a refusal while drawing waits for the flips drawn before it.
     """
     tried = skipped = specs = 0
-    for tag, p in candidates:
-        if p is None:
-            skipped += 1
-            continue
-        tried += 1
-        for codes in distinct_flip_codes(p):
-            hit = first_hit(batched_distance_matrices(flip_adjacency_batch(g, p, codes)))
-            if hit is not None:
-                code = int(codes[hit])
-                spec = FlipSpec.from_bits(len(p.parts), code)
-                return tried, skipped, specs + code + 1, (tag, p, spec, apply_flip(g, p, spec))
-        specs += num_flips(len(p.parts))
-    return tried, skipped, specs, None
+
+    def draw():
+        nonlocal tried, skipped, specs
+        for tag, p in candidates:
+            if p is None:
+                skipped += 1
+                continue
+            labels = np.asarray(p)
+            yield tag, labels, tried, skipped, specs
+            tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
+
+    runs = ((start, codes) for start in draw() for codes in distinct_flip_codes(start[1]))
+    most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
+    size, rest, end = min(64, most), None, None
+    while True:
+        pack, room = [], size
+        while room and end is None:
+            try:
+                start, codes = rest or next(runs)
+            except (StopIteration, CapExceeded) as exc:
+                end = exc
+                break
+            pack.append((start, codes[:room]))
+            rest = (start, codes[room:]) if len(codes) > room else None
+            room -= len(pack[-1][1])
+        if not pack:
+            if isinstance(end, CapExceeded):
+                raise end
+            return tried, skipped, specs, None
+        stack = flip_adjacency_pack(g, [(start[1], codes) for start, codes in pack])
+        hit = first_hit(batched_distance_matrices(stack))
+        if hit is not None:
+            for (tag, labels, before, skips, spec_count), codes in pack:
+                if hit < len(codes):
+                    break
+                hit -= len(codes)
+            code = int(codes[hit])
+            p = Partition.from_labels(labels.tolist())
+            spec = FlipSpec.from_bits(len(p.parts), code)
+            return before + 1, skips, spec_count + code + 1, (tag, p, spec, apply_flip(g, p, spec))
+        size = min(2 * size, most)
+
+
+def flip_adjacency_pack(g: Graph, pieces) -> np.ndarray:
+    """Boolean (flips, n, n) adjacency matrices of a stack of flips, given
+    as (partition, codes) pieces in stack order.  Each cell reads the bit
+    of its flip's code at its ``pair_index``: with one row of flips per
+    bit position, each piece takes its cells' rows in one gather, and no
+    index the size of the stack is built."""
+    codes = np.concatenate([c for _, c in pieces]).astype(np.uint64)
+    index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
+    shifts = np.arange(index.max(initial=0) + 1, dtype=np.uint64)[:, None]
+    rows = ((codes >> shifts) & np.uint64(1)).astype(bool)
+    cells = np.empty((g.n * g.n, len(codes)), dtype=bool)
+    start = 0
+    for piece, (_, c) in zip(index, pieces):
+        cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
+        start += len(c)
+    cells[:: g.n + 1] = False
+    return np.bitwise_xor(g.adj, cells.T.reshape(len(codes), g.n, g.n), order="C")
 
 
 def flip_adjacency_batch(
     g: Graph, p: Partition, spec_indices: np.ndarray
 ) -> np.ndarray:
-    """Adjacency matrices of the flips with the given counter values, batched.
-
-    Returns a boolean (len(spec_indices), n, n) array.  Codes are read 8
-    bits at a time, each group XORing in one row of its table of the 2^8
-    combined pair masks (built by doubling); bits at or above the pair
-    count are ignored.  Codes are uint64, so partitions with more than 64
-    canonical pairs (11 or more parts) are refused whatever the cap.
-    """
-    k = len(p.parts)
-    npairs = k * (k + 1) // 2
-    if npairs > 64:
-        raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
-    index = pair_index(p)
-    codes = np.asarray(spec_indices, dtype=np.uint64)
-    adjs = np.repeat(g.adj[None], len(codes), axis=0)
-    for lo in range(0, npairs, 8):
-        table = np.zeros((1, p.n, p.n), dtype=bool)
-        for t in range(lo, min(lo + 8, npairs)):
-            table = np.concatenate((table, table ^ (index == t)))
-        adjs ^= table[(codes >> lo) & (len(table) - 1)]
-    return adjs
+    """The flips of ``p`` with the given counter values, as one stack of
+    ``flip_adjacency_pack``; codes are uint64, so partitions with more than
+    64 canonical pairs (11 or more parts) are refused whatever the cap."""
+    _pair_count(len(p.parts))
+    return flip_adjacency_pack(g, [(p, np.asarray(spec_indices, dtype=np.uint64))])
 
 
 def definable_partition(g: Graph, s) -> Partition:
@@ -351,16 +403,16 @@ def definable_partition(g: Graph, s) -> Partition:
 
 def definable_candidates(
     g: Graph, s_max: int, max_parts: int | None
-) -> Iterator[tuple[tuple[int, ...], Partition | None]]:
+) -> Iterator[tuple[tuple[int, ...], np.ndarray | None]]:
     """Defining sets by ascending size, lexicographic within a size, with
-    their partitions; a set over the part cap comes with None."""
+    the part labels of their partitions; a set over the part cap comes with
+    None.  The arguments are checked at the call."""
     if s_max < 0:
         raise DomainError(f"s_max must be nonnegative, got {s_max}")
     cap = resolve_max_parts(max_parts)
-    for size in range(min(s_max, g.n) + 1):
-        for s in combinations(range(g.n), size):
-            p = definable_partition(g, s)
-            yield s, (p if len(p.parts) <= cap else None)
+    sets = (s for size in range(min(s_max, g.n) + 1) for s in combinations(range(g.n), size))
+    return ((s, p.part_labels() if len(p.parts) <= cap else None)
+            for s, p in ((s, definable_partition(g, s)) for s in sets))
 
 
 def refine(p: Partition, q: Partition) -> Partition:
@@ -370,29 +422,33 @@ def refine(p: Partition, q: Partition) -> Partition:
     return Partition.from_labels(zip(p.part_labels().tolist(), q.part_labels().tolist()))
 
 
-def enumerate_partitions(n: int, max_parts: int) -> Iterator[Partition]:
-    """All partitions of ``0..n-1`` into at most ``max_parts`` parts.
-
-    Enumerated via restricted growth strings in counter order, so the
-    trivial one-part partition comes first and the order is reproducible.
-    """
+def partition_labels(n: int, max_parts: int) -> Iterator[list[int]]:
+    """Part labels of the partitions of ``0..n-1`` into at most ``max_parts``
+    parts: restricted growth strings in counter order, trivial partition
+    first.  The arguments are checked at the call."""
     if n < 1:
         raise DomainError("cannot partition an empty vertex set")
     if max_parts < 1:
         raise DomainError(f"max_parts must be positive, got {max_parts}")
-    labels = [0] * n
-    while True:
-        yield Partition.from_labels(labels)
-        i = n - 1
-        while i > 0:
-            if labels[i] < min(max(labels[:i]) + 1, max_parts - 1):
-                labels[i] += 1
-                for j in range(i + 1, n):
-                    labels[j] = 0
-                break
-            i -= 1
-        else:
-            return
+
+    def strings():
+        labels = [0] * n
+        while True:
+            yield labels[:]
+            i = n - 1
+            while i and labels[i] >= min(max(labels[:i]) + 1, max_parts - 1):
+                i -= 1
+            if not i:
+                return
+            labels[i:] = [labels[i] + 1] + [0] * (n - 1 - i)
+
+    return strings()
+
+
+def enumerate_partitions(n: int, max_parts: int) -> Iterator[Partition]:
+    """All partitions of ``0..n-1`` into at most ``max_parts`` parts, in
+    the order of ``partition_labels``."""
+    return map(Partition.from_labels, partition_labels(n, max_parts))
 
 
 def reconstruct_flip_spec(g: Graph, flipped: Graph, p: Partition) -> FlipSpec:

@@ -208,15 +208,17 @@ def test_splits_match_the_oracle_matrix_by_matrix(w2_kind):
 
 def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
     """No search builds a spec that sets the self pair of a singleton part,
-    which builds the same graph as the spec without it."""
+    which builds the same graph as the spec without it.  The searches build
+    their stacks as packs, which hold flips of several partitions and never
+    more than CHUNK flips."""
     built = []
-    real = flips.flip_adjacency_batch
+    real = flips.flip_adjacency_pack
 
-    def spy(g, p, codes):
-        built.append((p, codes))
-        return real(g, p, codes)
+    def spy(g, pieces):
+        built.append(pieces)
+        return real(g, pieces)
 
-    monkeypatch.setattr(flips, "flip_adjacency_batch", spy)
+    monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
     for rng, n, g in _instances(8):
         w1 = sorted(rng.sample(range(n), rng.randint(2, n)))
         for raw in (False, True):
@@ -226,9 +228,15 @@ def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
         separability_search(g, w, 1, Fraction(1, 4), 3)
         search_definable_emulation(g, random_graph(rng, n, 0.3), 1, 2, max_parts=3)
     singleton_stacks = 0
-    for p, codes in built:
-        order = flips.canonical_pairs(len(p.parts))
-        dead = sum(1 << t for t, (i, j) in enumerate(order) if i == j and len(p.parts[i]) == 1)
-        singleton_stacks += dead != 0
-        assert not (np.asarray(codes, dtype=np.uint64) & np.uint64(dead)).any(), (p, codes)
+    for pieces in built:
+        singleton = False
+        for labels, codes in pieces:
+            p = Partition.from_labels(labels.tolist())
+            order = flips.canonical_pairs(len(p.parts))
+            dead = sum(1 << t for t, (i, j) in enumerate(order) if i == j and len(p.parts[i]) == 1)
+            singleton |= dead != 0
+            assert not (np.asarray(codes, dtype=np.uint64) & np.uint64(dead)).any(), (p, codes)
+        singleton_stacks += singleton
     assert singleton_stacks >= 20
+    assert max(len({labels.tobytes() for labels, _ in pieces}) for pieces in built) >= 2
+    assert max(sum(len(codes) for _, codes in pieces) for pieces in built) <= flips.CHUNK

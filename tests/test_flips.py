@@ -29,8 +29,8 @@ from flipkit import (
 )
 from flipkit import flips
 from flipkit.flips import first_flip, flip_adjacency_batch, pair_index
-from flipkit.graphs import UNREACHED
-from flipkit.generators import clique, cycle, path, star
+from flipkit.graphs import UNREACHED, distance_matrix
+from flipkit.generators import clique, cycle, gnp, path, star
 from conftest import random_graph, random_partition_labels
 
 
@@ -287,6 +287,46 @@ class TestPairIndex:
         assert singletons > 0
 
 
+    def test_label_rows_match_their_partitions(self, rng):
+        """Over a (rows, n) label array, each row maps like its partition,
+        whatever the part counts of the other rows."""
+        parts = [Partition.from_labels(random_partition_labels(rng, 6, 5)) for _ in range(12)]
+        index = pair_index(np.stack([p.part_labels() for p in parts]))
+        assert index.shape == (12, 6, 6) and len({len(p) for p in parts}) > 2
+        for row, p in zip(index, parts):
+            assert np.array_equal(row, pair_index(p))
+
+
+class TestDistinctFlipCodes:
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_the_codes_without_dead_bits_in_chunks(self, rng, monkeypatch, chunk):
+        """The codes that set no self pair of a singleton part, ascending,
+        in chunks of at most CHUNK, from a Partition or from its labels."""
+        if chunk is not None:
+            monkeypatch.setattr(flips, "CHUNK", chunk)
+        for _ in range(30):
+            p = Partition.from_labels(random_partition_labels(rng, rng.randint(1, 7), 4))
+            pairs = canonical_pairs(len(p))
+            dead = sum(1 << t for t, (i, j) in enumerate(pairs) if i == j and len(p.parts[i]) == 1)
+            want = [c for c in range(num_flips(len(p))) if not c & dead]
+            for source in (p, p.part_labels().tolist()):
+                chunks = list(flips.distinct_flip_codes(source))
+                assert all(c.dtype == np.uint64 and 0 < len(c) <= flips.CHUNK for c in chunks)
+                assert np.concatenate(chunks).tolist() == want
+
+    def test_ten_parts_spread_the_counter_over_the_live_bits(self):
+        """At 10 parts, 8 of them singletons, bit b of the counter lands on
+        the b-th live pair; 11 parts would need 66 bits and are refused."""
+        p = Partition(12, [[0], [1], [2, 10], [3], [4], [5, 11], [6], [7], [8], [9]])
+        pairs = canonical_pairs(10)
+        live = [t for t, (i, j) in enumerate(pairs) if i != j or len(p.parts[i]) > 1]
+        first = next(flips.distinct_flip_codes(p))
+        want = [sum(1 << t for b, t in enumerate(live) if c >> b & 1) for c in range(len(first))]
+        assert first.tolist() == want and len(first) == flips.CHUNK
+        with pytest.raises(CapExceeded, match="at most 64"):
+            next(flips.distinct_flip_codes(Partition.singletons(11)))
+
+
 class TestFlipAdjacencyBatch:
     def test_top_pair_of_ten_parts_toggles(self):
         g = Graph.empty(11)
@@ -373,6 +413,110 @@ class TestFirstFlip:
         stream = [(None, Partition.trivial(3)), (None, None), (None, Partition.singletons(3))]
         assert first_flip(path(3), iter(stream), lambda dists: None) == (2, 1, 2 + 64, None)
 
+    # A stream over path(4) with its flips in stack order: 2x2 partitions
+    # have 8 distinct flips (codes 0..7), [[0], [1, 2, 3]] has 4 (codes 0,
+    # 2, 4, 6; 8 specs) and the trivial partition 2.
+    PACK_STREAM = [
+        ("a", Partition(4, [[0, 1], [2, 3]])),  # flips 0-7
+        ("b", Partition(4, [[0, 2], [1, 3]])),  # flips 8-15
+        ("c", Partition(4, [[0, 3], [1, 2]])),  # flips 16-23
+        ("d", None),
+        ("e", Partition(4, [[0], [1, 2, 3]])),  # flips 24-27
+        ("f", Partition.trivial(4)),  # flips 28-29
+        ("g", None),
+        ("h", Partition(4, [[0, 1], [2, 3]])),  # flips 30-37
+        ("i", Partition.trivial(4)),  # flips 38-39
+        ("j", None),
+    ]
+
+    @pytest.mark.parametrize("chunk", [3, 8])
+    @pytest.mark.parametrize("case, flip, counts, hit, drawn", [
+        # flip 24 opens pack 8 of 3 and pack 3 of 8, right after skipped d
+        ("first flip after a skip", 24, (4, 1, 8 * 3 + 1), ("e", 0),
+         {3: "abcde", 8: "abcdefgh"}),
+        # h's flips fill packs 10-12 of 3 and packs 3-4 of 8
+        ("partition across packs", 34, (6, 2, 8 * 3 + 8 + 2 + 4 + 1), ("h", 4),
+         {3: "abcdefgh", 8: "abcdefghi"}),
+        ("miss across packs", None, (7, 3, 8 * 3 + 8 + 2 + 8 + 2), None,
+         {3: "abcdefghij", 8: "abcdefghij"}),
+        # flip 27 shares pack 9 of 3 with f and pack 3 of 8 with f and h
+        ("pack drew past the hit", 27, (4, 1, 8 * 3 + 6 + 1), ("e", 6),
+         {3: "abcdef", 8: "abcdefgh"}),
+    ])
+    def test_pack_boundaries(self, monkeypatch, chunk, case, flip, counts, hit, drawn):
+        """Packs of CHUNK flips cut the stream at fixed flips; the accepted
+        flip, named by its place in the whole stream, maps back to its
+        candidate and code wherever the cuts fall."""
+        monkeypatch.setattr(flips, "CHUNK", chunk)
+        g, seen, stacks, accepted = path(4), [], [], []
+
+        def candidates():
+            for tag, p in self.PACK_STREAM:
+                seen.append(tag)
+                yield tag, p
+
+        def first_hit(dists):
+            start = sum(stacks)
+            stacks.append(len(dists))
+            if flip is not None and start <= flip < start + len(dists):
+                accepted.append(dists[flip - start])
+                return flip - start
+            return None
+
+        tried, skipped, specs, got = first_flip(g, candidates(), first_hit)
+        assert (tried, skipped, specs) == counts
+        assert "".join(seen) == drawn[chunk]
+        assert all(size == chunk for size in stacks[:-1]) and 0 < stacks[-1] <= chunk
+        if hit is None:
+            assert got is None and sum(stacks) == 40
+            return
+        tag, p, spec, h = got
+        want_tag, code = hit
+        want_p = dict(self.PACK_STREAM)[want_tag]
+        assert (tag, p, spec) == (want_tag, want_p, FlipSpec.from_bits(len(want_p), code))
+        assert h == apply_flip(g, p, spec)
+        assert np.array_equal(accepted[0], distance_matrix(h))
+
+    def test_packs_double_from_64_up_to_chunk(self, monkeypatch):
+        """Packs of 64, 128, 256 flips, then CHUNK, and the rest last."""
+        monkeypatch.setattr(flips, "CHUNK", 256)
+        sizes = []
+
+        def miss(dists):
+            sizes.append(len(dists))
+
+        stream = [(None, Partition.trivial(4))] * 350
+        assert first_flip(path(4), iter(stream), miss) == (350, 0, 700, None)
+        assert sizes == [64, 128, 256, 252]
+
+    def test_packs_are_bounded_by_cells(self, monkeypatch):
+        """On 60 vertices a pack holds at most CHUNK * 100 cells (flips
+        times n^2), 113 flips, where 10 vertices allow CHUNK flips."""
+        sizes = []
+        real = flips.flip_adjacency_pack
+
+        def spy(g, pieces):
+            sizes.append(sum(len(codes) for _, codes in pieces))
+            return real(g, pieces)
+
+        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+        result = breakability_search(gnp(60, 0.5, seed=7), range(60), 2, 2, SearchBudget(s_max=1))
+        assert (result.witness, result.sets_tried, result.flips_tried) == (None, 61, 3842)
+        assert max(sizes) * 60**2 <= flips.CHUNK * 100 < (max(sizes) + 1) * 60**2
+        assert sizes[:3] == [64, 113, 113] and len(sizes) > 10
+
+    def test_refusal_while_drawing_waits_for_the_pack(self):
+        """An 11-part partition, whose codes would need 66 bits, is refused
+        when drawn, but only after the flips drawn before it are judged."""
+        stream = [("a", Partition.trivial(11)), ("b", Partition.singletons(11))]
+
+        def complement(dists):
+            return 1 if len(dists) > 1 else None
+
+        assert first_flip(Graph.empty(11), iter(stream), complement)[:3] == (1, 0, 2)
+        with pytest.raises(CapExceeded, match="at most 64"):
+            first_flip(Graph.empty(11), iter(stream), lambda dists: None)
+
 
 class TestRefine:
     def test_against_trivial(self, rng):
@@ -414,6 +558,18 @@ class TestEnumeratePartitions:
     def test_all_distinct(self):
         seen = [p.parts for p in enumerate_partitions(5, 3)]
         assert len(seen) == len(set(seen))
+
+    def test_stream_arguments_are_checked_at_the_call(self):
+        """The candidate streams refuse bad arguments when called, before
+        anything draws from them."""
+        with pytest.raises(DomainError, match="empty vertex set"):
+            enumerate_partitions(0, 3)
+        with pytest.raises(DomainError, match="max_parts must be positive"):
+            flips.partition_labels(3, 0)
+        with pytest.raises(DomainError, match="s_max must be nonnegative"):
+            flips.definable_candidates(path(3), -1, None)
+        with pytest.raises(DomainError, match="the part cap must be a positive integer"):
+            flips.definable_candidates(path(3), 1, 0)
 
 
 def test_reconstruct_flip_spec_roundtrip(rng):

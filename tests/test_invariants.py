@@ -81,6 +81,85 @@ def test_one_candidate_walker():
     assert readers == {"flips.py:first_flip", "metrics.py:_flip_metric"}, readers
 
 
+#: Every exhaustive enumeration of the library, by the function that runs
+#: it, with the cap that refuses its input and the function that checks
+#: that cap before the enumeration starts (the enumeration itself, or a
+#: caller).
+EXHAUSTIVE_CAPS = [
+    ("flips.py:partition_labels", "n_cap", "breaksep.py:separability_search"),
+    ("flips.py:definable_candidates", "resolve_max_parts", "flips.py:definable_candidates"),
+    # the code stream of the walker and of the flip metrics
+    ("flips.py:distinct_flip_codes", "_pair_count", "flips.py:distinct_flip_codes"),
+    ("flips.py:enumerate_flips", "check_part_cap", "flips.py:enumerate_flips"),
+    ("vc.py:_shatter_value", "cap", "vc.py:shatter_function"),
+    ("vc.py:_shatter_value", "cap", "vc.py:vc_dimension"),
+    ("verify.py:verify_diam_complement", "_EXHAUSTIVE_N_CAP", "verify.py:verify_diam_complement"),
+    ("verify.py:verify_bipartite_trichotomy", "_BIPARTITE_SIDE_CAP",
+     "verify.py:verify_bipartite_trichotomy"),
+    ("verify.py:verify_bipartite_classification", "_BIPARTITE_SIDE_CAP",
+     "verify.py:verify_bipartite_classification"),
+]
+
+#: Functions that loop without a fixed bound or run an enumeration but are
+#: bounded by their input, or known to be uncapped, and why.
+BOUNDED = {
+    "breaksep.py:breakability_search": "uncapped in n: raw partitions (partition_labels) are "
+    "capped in parts only, and grow like cap^n / cap! (ROADMAP item 4)",
+    "graphs.py:_bfs": "one round per BFS level, at most n",
+    "flips.py:first_flip": "walks the candidate stream its caller built and capped",
+    "flips.py:enumerate_partitions": "a lazy map over partition_labels; its consumer stops it",
+    "metrics.py:_flip_metric": "the codes of a partition its callers checked against the part cap",
+    "conversion.py:search_definable_emulation": "definable_candidates checks its own cap",
+}
+
+
+def test_every_exhaustive_enumeration_is_capped():
+    """Each enumeration of EXHAUSTIVE_CAPS is refused above its cap by the
+    listed function, which starts the enumeration and either calls the cap
+    check or raises CapExceeded on a test that names the cap; and
+    every function that loops exhaustively (``while True``, ``product``,
+    ``combinations`` of a variable size, the counter chunks or the graph
+    stacks) or starts a listed enumeration is listed, as an enumeration,
+    a checker or BOUNDED, so no new loop ships without a cap."""
+    functions = {
+        f"{module.name}:{node.name}": node
+        for module in sorted(SRC.glob("*.py"))
+        for node in ast.parse(module.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    enumerations = {enum for enum, _, _ in EXHAUSTIVE_CAPS}
+    for enum, cap, checker in EXHAUSTIVE_CAPS:
+        node = functions[checker]
+        guards = {
+            name for sub in ast.walk(node)
+            if isinstance(sub, ast.If)
+            and any(isinstance(s, ast.Raise) and "CapExceeded" in _names(s) for s in sub.body)
+            for name in _names(sub.test)
+        }
+        assert cap in guards | _called(node), (enum, cap, checker)
+        assert checker == enum or enum.split(":")[1] in _called(node), (enum, checker)
+
+    def loops(node) -> bool:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.While) and getattr(sub.test, "value", None) is True:
+                return True
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                variable = name == "combinations" and not isinstance(sub.args[-1], ast.Constant)
+                if variable or name in ("product", "_counter_chunks", "_graph_stack"):
+                    return True
+        return False
+
+    listed = enumerations | {checker for _, _, checker in EXHAUSTIVE_CAPS} | set(BOUNDED)
+    starts = {enum.split(":")[1] for enum in enumerations}
+    unlisted = sorted(
+        name for name, node in functions.items()
+        if (loops(node) or _called(node) & starts) and name not in listed
+    )
+    assert not unlisted, f"cap these loops and list them in EXHAUSTIVE_CAPS: {unlisted}"
+    assert set(BOUNDED) <= set(functions), set(BOUNDED) - set(functions)
+
+
 def test_only_flips_resolves_the_part_cap():
     readers = {
         module.name: sorted(found)
