@@ -6,9 +6,10 @@ adjacency between part i and part j is complemented, never touching the
 diagonal.  Specs over a canonically ordered partition are plain sets of
 index pairs, so they compare, dedupe, and compose by symmetric difference.
 
-Every search walks one stream: ``first_flip`` packs the distinct flips
-of consecutive candidate partitions, given as part labels, into stacks;
-``flip_adjacency_pack`` builds every stack through ``pair_index``.
+Every search and every flip metric walks one stream: ``flip_packs``
+packs the distinct flips of consecutive partitions, given as part labels,
+into cell-bounded stacks; ``flip_adjacency_pack`` builds every stack
+through ``pair_index``.  ``first_flip`` judges the packs of a search.
 """
 
 from __future__ import annotations
@@ -293,24 +294,49 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
+def flip_packs(g: Graph, partitions, size: int) -> Iterator[tuple[np.ndarray, list]]:
+    """The distinct flips of ``partitions``, ``(info, labels)`` pairs, in
+    stream and counter order, as built stacks, each with its ``(info,
+    labels, codes)`` pieces.  The first stack holds ``size`` flips, then
+    twice the last, at most CHUNK flips and CHUNK * 100 cells (flips times
+    n^2) but at least one flip.  A partition is drawn only while the
+    current stack still needs flips, and a refusal raised while drawing is
+    raised only after the stack of the flips drawn before it."""
+    runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p))
+    most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
+    size, rest, end = min(size, most), None, None
+    while end is None:
+        pieces, room = [], size
+        while room and end is None:
+            try:
+                info, labels, codes = rest or next(runs)
+            except (StopIteration, CapExceeded) as exc:
+                end = exc
+                break
+            pieces.append((info, labels, codes[:room]))
+            rest = (info, labels, codes[room:]) if len(codes) > room else None
+            room -= len(pieces[-1][2])
+        if pieces:
+            yield flip_adjacency_pack(g, [(labels, codes) for _, labels, codes in pieces]), pieces
+        size = min(2 * size, most)
+    if isinstance(end, CapExceeded):
+        raise end
+
+
 def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | None]:
     """Walk ``candidates``, ``(tag, partition)`` pairs, to the first flip
     that ``first_hit`` accepts: (candidates tried, candidates skipped,
     specs tried, hit).
 
     A partition is given by its part labels (or a Partition); None marks a
-    set over the part cap, which is skipped.  The distinct flips of
-    consecutive partitions, in counter order, fill packs of 64 flips, then
-    twice the last, of at most CHUNK flips and CHUNK * 100 cells (flips
-    times n^2) but at least one flip; each pack is built, BFS'd and judged
-    by ``first_hit`` (distance stack to first accepted index, or None) as
-    one stack.  Dead self-pair specs repeat earlier graphs, so the hit is
-    a distinct code c, and c + 1 of its partition's specs were tried (all
+    set over the part cap, which is skipped.  The candidates' flips come
+    in ``flip_packs`` of 64 flips first; each is BFS'd and judged by
+    ``first_hit`` (distance stack to first accepted index, or None) as one
+    stack.  Dead self-pair specs repeat earlier graphs, so the hit is a
+    distinct code c, and c + 1 of its partition's specs were tried (all
     ``num_flips`` of a missed one).  The hit is ``(tag, p, spec,
-    apply_flip(g, p, spec))``, the rebuild callers re-verify on.  A
-    candidate is drawn only while the current pack still needs flips.
-    Drawing is pure, so no counter or output moves: the counts stop at the
-    hit, and a refusal while drawing waits for the flips drawn before it.
+    apply_flip(g, p, spec))``, the rebuild callers re-verify on.  Drawing
+    is pure, so no counter or output moves: the counts stop at the hit.
     """
     tried = skipped = specs = 0
 
@@ -321,31 +347,13 @@ def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | 
                 skipped += 1
                 continue
             labels = np.asarray(p)
-            yield tag, labels, tried, skipped, specs
+            yield (tag, tried, skipped, specs), labels
             tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
 
-    runs = ((start, codes) for start in draw() for codes in distinct_flip_codes(start[1]))
-    most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
-    size, rest, end = min(64, most), None, None
-    while True:
-        pack, room = [], size
-        while room and end is None:
-            try:
-                start, codes = rest or next(runs)
-            except (StopIteration, CapExceeded) as exc:
-                end = exc
-                break
-            pack.append((start, codes[:room]))
-            rest = (start, codes[room:]) if len(codes) > room else None
-            room -= len(pack[-1][1])
-        if not pack:
-            if isinstance(end, CapExceeded):
-                raise end
-            return tried, skipped, specs, None
-        stack = flip_adjacency_pack(g, [(start[1], codes) for start, codes in pack])
+    for stack, pieces in flip_packs(g, draw(), 64):
         hit = first_hit(batched_distance_matrices(stack))
         if hit is not None:
-            for (tag, labels, before, skips, spec_count), codes in pack:
+            for (tag, before, skips, spec_count), labels, codes in pieces:
                 if hit < len(codes):
                     break
                 hit -= len(codes)
@@ -353,7 +361,7 @@ def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | 
             p = Partition.from_labels(labels.tolist())
             spec = FlipSpec.from_bits(len(p.parts), code)
             return before + 1, skips, spec_count + code + 1, (tag, p, spec, apply_flip(g, p, spec))
-        size = min(2 * size, most)
+    return tried, skipped, specs, None
 
 
 def flip_adjacency_pack(g: Graph, pieces) -> np.ndarray:

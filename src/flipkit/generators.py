@@ -11,14 +11,12 @@ from .graphs import Graph, check_dense_n
 
 def path(n: int) -> Graph:
     _require(n >= 1, f"path needs n >= 1, got {n}")
-    check_dense_n(n)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     _require(n >= 3, f"cycle needs n >= 3, got {n}")
-    check_dense_n(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def clique(n: int) -> Graph:
@@ -29,8 +27,7 @@ def clique(n: int) -> Graph:
 def star(n: int) -> Graph:
     """Vertex 0 joined to vertices 1..n-1."""
     _require(n >= 1, f"star needs n >= 1, got {n}")
-    check_dense_n(n)
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -61,9 +58,8 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi graph; identical (n, p, seed) gives identical output."""
     _require(n >= 1, f"gnp needs n >= 1, got {n}")
     _require(0.0 <= p <= 1.0, f"gnp needs p in [0,1], got {p}")
-    check_dense_n(n)
     rng = random.Random(seed)
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    edges = ((u, v) for u, v in combinations(range(n), 2) if rng.random() < p)
     return Graph.from_edges(n, edges)
 
 
@@ -71,8 +67,7 @@ def halfgraph(n: int) -> Graph:
     """Vertices a_1..a_n (ids 0..n-1) and b_1..b_n (ids n..2n-1), with an
     edge a_i b_j exactly when i <= j."""
     _require(n >= 1, f"halfgraph needs n >= 1, got {n}")
-    check_dense_n(2 * n)
-    edges = [(i, n + j) for i in range(n) for j in range(n) if i <= j]
+    edges = ((i, n + j) for i in range(n) for j in range(n) if i <= j)
     return Graph.from_edges(2 * n, edges)
 
 

@@ -4,23 +4,18 @@ The distance between u and v under a partition is the maximum shortest-path
 distance over every flip of that partition; a defining vertex set S induces
 the same notion through its neighborhood-class partition, and a family of
 defining sets takes the pointwise maximum over its members.  Everything here
-is computed exactly by enumerating each distinct flip once; the BFS folds
-the max over each batch of flips as it goes, so no flip and no per-flip
-distance matrix is ever stored.
+is one exact max over the stacks of ``flips.flip_packs``, each distinct flip
+once and every member of a family in the one stream; the BFS folds the max
+over each stack as it goes, so no per-flip distance matrix is ever stored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import flips
 from .errors import DomainError
-from .flips import (
-    Partition,
-    check_part_cap,
-    definable_partition,
-    distinct_flip_codes,
-    flip_adjacency_batch,
-)
+from .flips import Partition, check_part_cap, definable_partition
 from .graphs import (
     INF,
     UNREACHED,
@@ -65,14 +60,12 @@ class SetFamily:
         return f"SetFamily({list(self.sets)!r})"
 
 
-def _flip_metric(g: Graph, p: Partition) -> np.ndarray:
-    """The absorbing max of the distances over every distinct flip of
-    ``p``, folded inside the BFS chunk by chunk; the max ignores duplicate
-    flips, so skipping them keeps the result exact."""
-    return fold_max_distances(np.stack([
-        max_distance_matrix(flip_adjacency_batch(g, p, codes))
-        for codes in distinct_flip_codes(p)
-    ]))
+def _flip_metric(g: Graph, partitions) -> np.ndarray:
+    """The absorbing max of the distances over every distinct flip of each
+    of ``partitions``, folded inside the BFS pack by pack; the max ignores
+    duplicate flips, so skipping them keeps the result exact."""
+    packs = flips.flip_packs(g, ((None, p) for p in partitions), flips.CHUNK)
+    return fold_max_distances(np.stack([max_distance_matrix(stack) for stack, _ in packs]))
 
 
 def _pair_distance(g: Graph, u: int, v: int, metric) -> ExtDist:
@@ -91,7 +84,7 @@ def dist_partition_matrix(
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
     check_part_cap(len(p.parts), max_parts)
-    return _flip_metric(g, p)
+    return _flip_metric(g, [p])
 
 
 def dist_partition(
@@ -101,12 +94,17 @@ def dist_partition(
     return _pair_distance(g, u, v, lambda: dist_partition_matrix(g, p, max_parts=max_parts))
 
 
+def _defining_partition(g: Graph, s, max_parts: int | None) -> Partition:
+    """The partition of defining set ``s``, refused above the part cap."""
+    p = definable_partition(g, s)
+    check_part_cap(len(p.parts), max_parts, f"defining set {sorted(set(s))}", "set")
+    return p
+
+
 def dist_definable_matrix(
     g: Graph, s, *, max_parts: int | None = None
 ) -> np.ndarray:
-    p = definable_partition(g, s)
-    check_part_cap(len(p.parts), max_parts, f"defining set {sorted(set(s))}", "set")
-    return _flip_metric(g, p)
+    return _flip_metric(g, [_defining_partition(g, s, max_parts)])
 
 
 def dist_definable(
@@ -118,7 +116,7 @@ def dist_definable(
 def dist_family_matrix(
     g: Graph, fam: SetFamily, *, max_parts: int | None = None
 ) -> np.ndarray:
-    """Pointwise max over the family members' metrics.
+    """Pointwise max over the members' metrics, folded once over all their flips.
 
     The empty family is the metric of the trivial partition, matching the
     defining-set metric with an empty set; this keeps family operations
@@ -126,9 +124,7 @@ def dist_family_matrix(
     """
     if len(fam) == 0:
         return dist_partition_matrix(g, Partition.trivial(g.n), max_parts=max_parts)
-    return fold_max_distances(
-        np.stack([dist_definable_matrix(g, s, max_parts=max_parts) for s in fam])
-    )
+    return _flip_metric(g, [_defining_partition(g, s, max_parts) for s in fam])
 
 
 def dist_family(

@@ -61,8 +61,9 @@ def _called(node) -> set[str]:
 def test_one_candidate_walker():
     """flips.first_flip is the one walk over flip candidates: no other
     module loops over a candidate stream or calls the walker per
-    candidate, and only the walker and the flip metric read the distinct
-    flip codes of a partition."""
+    candidate, and only flips.flip_packs, the one flip stream of the
+    searches and the flip metrics, reads the distinct flip codes of a
+    partition."""
     streams = {"enumerate_partitions", "definable_candidates"}
     loops, readers = [], set()
     for module in sorted(SRC.glob("*.py")):
@@ -78,7 +79,7 @@ def test_one_candidate_walker():
             if isinstance(node, ast.FunctionDef) and node.name == "definable_candidates":
                 assert "stats" not in [a.arg for a in node.args.args + node.args.kwonlyargs]
     assert not loops, f"walk flip candidates through flips.first_flip: {loops}"
-    assert readers == {"flips.py:first_flip", "metrics.py:_flip_metric"}, readers
+    assert readers == {"flips.py:flip_packs"}, readers
 
 
 #: Every exhaustive enumeration of the library, by the function that runs
@@ -88,7 +89,7 @@ def test_one_candidate_walker():
 EXHAUSTIVE_CAPS = [
     ("flips.py:partition_labels", "n_cap", "breaksep.py:separability_search"),
     ("flips.py:definable_candidates", "resolve_max_parts", "flips.py:definable_candidates"),
-    # the code stream of the walker and of the flip metrics
+    # the code stream of flip_packs, which the walker and the flip metrics walk
     ("flips.py:distinct_flip_codes", "_pair_count", "flips.py:distinct_flip_codes"),
     ("flips.py:enumerate_flips", "check_part_cap", "flips.py:enumerate_flips"),
     ("vc.py:_shatter_value", "cap", "vc.py:shatter_function"),
@@ -107,6 +108,7 @@ BOUNDED = {
     "capped in parts only, and grow like cap^n / cap! (ROADMAP item 4)",
     "graphs.py:_bfs": "one round per BFS level, at most n",
     "flips.py:first_flip": "walks the candidate stream its caller built and capped",
+    "flips.py:flip_packs": "packs the codes of a partition stream its callers capped",
     "flips.py:enumerate_partitions": "a lazy map over partition_labels; its consumer stops it",
     "metrics.py:_flip_metric": "the codes of a partition its callers checked against the part cap",
     "conversion.py:search_definable_emulation": "definable_candidates checks its own cap",

@@ -5,6 +5,7 @@ import oracle
 from flipkit import (
     INF,
     CapExceeded,
+    DomainError,
     Graph,
     Partition,
     SetFamily,
@@ -18,9 +19,9 @@ from flipkit import (
     dist_partition_matrix,
 )
 from flipkit import flips, metrics
-from flipkit.flips import canonical_pairs, flip_adjacency_batch
-from flipkit.graphs import UNREACHED
-from flipkit.generators import path
+from flipkit.flips import canonical_pairs
+from flipkit.graphs import UNREACHED, fold_max_distances
+from flipkit.generators import gnp, path
 from conftest import random_graph, random_partition_labels
 
 
@@ -88,21 +89,39 @@ class TestDistPartition:
 
     def test_builds_each_distinct_flip_once(self, rng, monkeypatch):
         built = []
+        real = flips.flip_adjacency_pack
 
-        def spy(g, p, spec_indices):
-            adjs = flip_adjacency_batch(g, p, spec_indices)
-            built.extend(zip(np.asarray(spec_indices).tolist(), (a.tobytes() for a in adjs)))
+        def spy(g, pieces):
+            adjs = real(g, pieces)
+            codes = np.concatenate([codes for _, codes in pieces]).tolist()
+            built.extend(zip(codes, (a.tobytes() for a in adjs)))
             return adjs
 
         g = random_graph(rng, 7, 0.5)
         p = Partition.from_labels([0, 1, 2, 2, 3, 3, 3])  # parts 0 and 1 are singletons
         want = dist_partition_matrix(g, p)
-        monkeypatch.setattr(metrics, "flip_adjacency_batch", spy)
+        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
         monkeypatch.setattr(flips, "CHUNK", 48)
         assert np.array_equal(dist_partition_matrix(g, p), want)
         live = len(canonical_pairs(4)) - 2
         codes, graphs = zip(*built)
         assert len(codes) == len(set(codes)) == len(set(graphs)) == 1 << live
+
+    def test_stacks_are_bounded_by_cells(self, monkeypatch):
+        """On 40 vertices a metric stack holds at most CHUNK * 100 cells
+        (flips times n^2), 256 flips, and every distinct flip once."""
+        sizes = []
+        real = flips.flip_adjacency_pack
+
+        def spy(g, pieces):
+            sizes.append(sum(len(codes) for _, codes in pieces))
+            return real(g, pieces)
+
+        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+        p = Partition.from_labels([v % 5 for v in range(40)])
+        dist_partition_matrix(gnp(40, 0.5, seed=7), p, max_parts=5)
+        assert max(sizes) <= flips.CHUNK and max(sizes) * 40**2 <= flips.CHUNK * 100
+        assert sum(sizes) == 1 << 15
 
     def test_cap_refusal(self):
         g = Graph.empty(5)
@@ -185,6 +204,46 @@ class TestDistFamily:
                 fam_inf = np.where(d_fam == UNREACHED, np.inf, d_fam)
                 s_inf = np.where(d_s == UNREACHED, np.inf, d_s)
                 assert (fam_inf >= s_inf).all()
+
+    @pytest.mark.parametrize("chunk", [None, 3], ids=["chunk-default", "chunk-3"])
+    def test_family_is_the_fold_of_its_members(self, rng, monkeypatch, chunk):
+        """One stream over the flips of every member folds to the max of
+        the members' metrics, whether packs mix members (default CHUNK)
+        or split them (CHUNK = 3)."""
+        if chunk is not None:
+            monkeypatch.setattr(flips, "CHUNK", chunk)
+        packs = []
+        real = flips.flip_adjacency_pack
+
+        def spy(g, pieces):
+            packs.append(len(pieces))
+            return real(g, pieces)
+
+        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+        families = 0
+        while families < 20:
+            n = rng.randint(3, 7)
+            g = random_graph(rng, n, rng.random())
+            sets = [rng.sample(range(n), rng.randint(1, 2)) for _ in range(rng.randint(2, 4))]
+            fam = SetFamily(s for s in sets if len(definable_partition(g, s)) <= 3)
+            if len(fam) < 2:
+                continue
+            want = fold_max_distances(np.stack([dist_definable_matrix(g, s) for s in fam]))
+            packs.clear()
+            assert np.array_equal(dist_family_matrix(g, fam), want)
+            assert max(packs) >= 2 if chunk is None else len(packs) > len(fam)
+            families += 1
+
+    def test_family_refuses_before_it_builds(self, monkeypatch):
+        """Every member is checked, its vertices and the part cap, before
+        the first stack of the family is built."""
+        built = []
+        monkeypatch.setattr(flips, "flip_adjacency_pack", lambda g, pieces: built.append(pieces))
+        with pytest.raises(CapExceeded, match=r"defining set \[0, 1, 2, 3\]: 6 parts"):
+            dist_family_matrix(path(6), SetFamily([[0], [0, 1, 2, 3]]))
+        with pytest.raises(DomainError, match="vertex 9 out of range"):
+            dist_family_matrix(path(6), SetFamily([[0], [9]]))
+        assert built == []
 
     def test_uniformity_validation(self):
         with pytest.raises(Exception):
