@@ -1,10 +1,12 @@
 import json
+import math
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from flipkit import Bipartite, Graph
+from flipkit import Bipartite, Graph, verify
+from flipkit.cli import main
 from flipkit.errors import CapExceeded
 from flipkit.verify import (
     RunReport,
@@ -105,3 +107,176 @@ class TestRandomSweeps:
         a = verify_conversion(10, seed=3).serialize()
         b = verify_conversion(10, seed=3).serialize()
         assert a == b
+
+
+def _fails(capsys, sweep, argv, expected):
+    """The sweep's whole serialized report is ``expected``, and so is the
+    stdout of the CLI call, which exits 1."""
+    text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert sweep().serialize() == text
+    assert main(argv) == 1
+    assert capsys.readouterr().out == text
+
+
+class TestFailureReports:
+    """One forced failure per lemma, through the function its check calls:
+    the report names the counterexample and counts what was checked up to
+    it."""
+
+    def test_diam_complement(self, capsys, monkeypatch):
+        real = verify._diam_at_most
+
+        def diam_at_most(dist, bound):
+            ok = real(dist, bound)
+            ok[[5, 58]] = False  # graph 5 and its complement
+            return ok
+
+        monkeypatch.setattr(verify, "_diam_at_most", diam_at_most)
+        _fails(
+            capsys, lambda: verify_diam_complement(4),
+            ["verify", "diam-complement", "--exhaustive", "4"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "diam-complement", "exhaustive": 4},
+                "outcome": "fail",
+                "counters": {"graphs_checked": 64},
+                "payload": {"n": 4, "edges": [[0, 1], [0, 3]]},
+            },
+        )
+
+    def test_bipartite_trichotomy(self, capsys, monkeypatch):
+        real = verify._diam_at_most
+
+        def diam_at_most(dist, bound):
+            ok = real(dist, bound)
+            if bound == 6 and len(dist) == 16:  # sides (2, 2)
+                ok[[7, 8]] = False  # a connected graph, its disconnected complement
+            return ok
+
+        monkeypatch.setattr(verify, "_diam_at_most", diam_at_most)
+        _fails(
+            capsys, lambda: verify_bipartite_trichotomy(3),
+            ["verify", "bipartite-trichotomy", "--exhaustive", "3"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "bipartite-trichotomy", "max_side": 3},
+                "outcome": "fail",
+                # sides (1, 1), (1, 2), (1, 3), (2, 1) and the whole (2, 2) stack
+                "counters": {"graphs_checked": 2 + 4 + 8 + 4 + 16},
+                "payload": {"sides": [2, 2], "edges": [[0, 2], [0, 3], [1, 2]]},
+            },
+        )
+
+    def test_bipartite_classification(self, capsys, monkeypatch):
+        real = verify._case_matches
+        monkeypatch.setattr(
+            verify, "_case_matches",
+            lambda b, case: real(b, case) and (b.left != (0, 1) or b.graph.edges() != [(0, 2)]),
+        )
+        _fails(
+            capsys, lambda: verify_bipartite_classification(2),
+            ["verify", "bipartite-classification", "--exhaustive", "2"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "bipartite-classification", "max_side": 2},
+                "outcome": "fail",
+                # sides (1, 1), (1, 2), then graphs 0 and 1 of (2, 1); the
+                # failing graph is degenerate and counted as such
+                "counters": {"graphs_checked": 2 + 4 + 2, "degenerate_cases": 3},
+                "payload": {"sides": [2, 1], "edges": [[0, 2]], "tag": "isolated_and_dominating"},
+            },
+        )
+
+    def test_conversion(self, capsys, monkeypatch):
+        real = verify.apply_flip
+        monkeypatch.setattr(
+            verify, "apply_flip", lambda g, p, spec: None if g.n == 7 else real(g, p, spec)
+        )
+        _fails(
+            capsys, lambda: verify_conversion(10, seed=2),
+            ["verify", "conversion", "--random", "10", "--seed", "2"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "conversion", "random": 10, "seed": 2},
+                "outcome": "fail",
+                "counters": {"instances_checked": 6, "max_ratio_times_100": 300},
+                "payload": {
+                    "instance": 5,
+                    "edges": [
+                        [0, 1], [0, 3], [0, 6], [1, 2], [1, 3], [1, 4], [1, 5],
+                        [1, 6], [2, 5], [3, 5], [3, 6], [4, 5], [4, 6], [5, 6],
+                    ],
+                    "parts": [[0], [1, 2, 3, 4, 5, 6]],
+                    "problems": ["replayed spec does not reproduce the flip"],
+                },
+            },
+        )
+
+    def test_metric_axioms(self, capsys, monkeypatch):
+        real = verify.dist_partition_matrix
+
+        def dist_partition_matrix(g, p, **kwargs):
+            d = real(g, p, **kwargs)
+            if g.n == 5:
+                d[0, 0] = 2
+            return d
+
+        monkeypatch.setattr(verify, "dist_partition_matrix", dist_partition_matrix)
+        _fails(
+            capsys, lambda: verify_metric_axioms(10, seed=2),
+            ["verify", "metric-axioms", "--random", "10", "--seed", "2"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "metric-axioms", "random": 10, "seed": 2},
+                "outcome": "fail",
+                "counters": {"instances_checked": 7},
+                "payload": {
+                    "instance": 6,
+                    "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
+                    "parts": [[0, 4], [1], [2, 3]],
+                    "problems": ["nonzero on the diagonal"],
+                },
+            },
+        )
+
+    def test_aggregation(self, capsys, monkeypatch):
+        real = verify.dist_definable_matrix
+
+        def dist_definable_matrix(g, sets, **kwargs):
+            d = real(g, sets, **kwargs)
+            if len(sets) == 2 and g.n == 6:
+                d[:] = 0
+            return d
+
+        monkeypatch.setattr(verify, "dist_definable_matrix", dist_definable_matrix)
+        _fails(
+            capsys, lambda: verify_aggregation(10, seed=2),
+            ["verify", "aggregation", "--random", "10", "--seed", "2"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "aggregation", "random": 10, "seed": 2},
+                "outcome": "fail",
+                "counters": {"instances_checked": 10},
+                "payload": {"instance": 9, "edges": [[0, 1], [1, 2]], "sets": [[5], [3]]},
+            },
+        )
+
+    def test_sauer_shelah(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "comb", lambda n, k: 0 if n == 3 else math.comb(n, k))
+        _fails(
+            capsys, lambda: verify_sauer_shelah(10, seed=2),
+            ["verify", "sauer-shelah", "--random", "10", "--seed", "2"],
+            {
+                "command": "verify",
+                "parameters": {"lemma": "sauer-shelah", "random": 10, "seed": 2},
+                "outcome": "fail",
+                "counters": {"instances_checked": 3},
+                "payload": {
+                    "instance": 2,
+                    "edges": [[0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+                    "size": 3,
+                    "traces": 5,
+                    "bound": 0,
+                },
+            },
+        )
