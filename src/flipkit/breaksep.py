@@ -351,6 +351,14 @@ class SeparabilityResult:
         return self.partition is not None
 
 
+def _check_eps(eps) -> None:
+    """Refuse an eps that is not a positive finite number."""
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    if eps == math.inf:
+        raise DomainError(f"eps must be finite, got {eps}")
+
+
 def separability_search(
     g: Graph,
     w: WeightFn,
@@ -381,8 +389,7 @@ def separability_search(
         )
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     small = w.small_vertices(eps)
     weights_arr = np.array([float(x) for x in w.weights])
     # Float screen: a flip is skipped only when a ball weight exceeds the
@@ -591,9 +598,8 @@ def small_balls_orchestrate(
     t = sizes.pop()
     if t == 0:
         raise DomainError("0-uniform families carry no vertices to separate")
-    if not (0 < float(eps)):
-        raise DomainError(f"eps must be positive, got {eps}")
-    p = math.ceil(1 / float(eps)) if float(eps) < 1 else 1
+    _check_eps(eps)
+    p = math.ceil(1 / Fraction(eps)) if eps < 1 else 1
     group_size = budget.group_size if budget.group_size is not None else budget.m_keep
     outcome = SmallBallsOutcome(
         kept=None, defining=None, selected_group=None, failed_step=None

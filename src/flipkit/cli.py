@@ -185,10 +185,16 @@ def _cmd_convert(args) -> Result:
     return report.serialize(), report.exit_code, files
 
 
+def _flip_payload(found) -> dict:
+    return {
+        "partition": [list(part) for part in found.partition.parts],
+        "spec": sorted(list(pair) for pair in found.spec.pairs),
+    }
+
+
 def _witness_payload(w) -> dict:
     return {
-        "partition": [list(part) for part in w.partition.parts],
-        "spec": sorted(list(pair) for pair in w.spec.pairs),
+        **_flip_payload(w),
         "defining_set": list(w.defining_set) if w.defining_set is not None else None,
         "a1": list(w.a1),
         "a2": list(w.a2),
@@ -232,12 +238,6 @@ def _cmd_separate(args) -> Result:
     result = separability_search(
         g, weights, args.radius, eps, args.k_max, n_cap=args.n_cap
     )
-    payload = None
-    if result:
-        payload = {
-            "partition": [list(part) for part in result.partition.parts],
-            "spec": sorted(list(pair) for pair in result.spec.pairs),
-        }
     report = RunReport(
         command="separate",
         parameters={
@@ -251,7 +251,7 @@ def _cmd_separate(args) -> Result:
             "partitions_tried": result.partitions_tried,
             "flips_tried": result.flips_tried,
         },
-        payload=payload,
+        payload=_flip_payload(result) if result else None,
     )
     return report.serialize(), report.exit_code, {}
 

@@ -252,8 +252,9 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
     adj = g.adj.copy()
     part_certs = []
     for x, part in enumerate(p.parts):
-        sub, _ = induced(g, part)
-        if diameter(complement(sub)) <= _PART_DIAMETER_BOUND:
+        sub, order = induced(g, part)
+        flipped_sub = complement(sub)
+        if diameter(flipped_sub) <= _PART_DIAMETER_BOUND:
             part_certs.append(PartCertificate(part=x, flipped=False, branch="compl_diam_le3"))
         else:
             if diameter(sub) > _PART_DIAMETER_BOUND:
@@ -261,9 +262,7 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
                     "part and its complement both have diameter above 3; "
                     "the diameter dichotomy is broken"
                 )
-            idx = list(part)
-            adj[np.ix_(idx, idx)] ^= True
-            np.fill_diagonal(adj, False)
+            adj[np.ix_(order, order)] = flipped_sub.adj
             part_certs.append(PartCertificate(part=x, flipped=True, branch="self_diam_le3"))
 
     # refined label of v: its part, then each pair {x, y} whose split puts v
@@ -279,11 +278,9 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
         right_split = (to_orig(result.v_split[0]), to_orig(result.v_split[1]))
         for v in left_split[1] + right_split[1]:
             labels[v] += (x, y)
-        for i, j in result.flipped_blocks:
-            ui = left_split[i - 1]
-            vj = right_split[j - 1]
-            adj[np.ix_(list(ui), list(vj))] ^= True
-            adj[np.ix_(list(vj), list(ui))] ^= True
+        k, flipped_block = len(block.left), result.flipped.graph.adj
+        adj[np.ix_(mapping[:k], mapping[k:])] = flipped_block[:k, k:]
+        adj[np.ix_(mapping[k:], mapping[:k])] = flipped_block[k:, :k]
         pair_certs.append(
             PairCertificate(
                 parts=(x, y),

@@ -2,8 +2,10 @@
 
 Each sweep asserts one of the structural guarantees the library is built
 on, over either every labeled graph up to a size cap or a seeded stream of
-random instances, and returns a reproducible report.  A failure payload
-carries the counterexample; none is ever expected.
+random instances, and returns a reproducible report.  ``_sweep`` is the
+one loop that fills and ends a report: the first counterexample ends the
+sweep with outcome ``fail``, its payload carries the counterexample, and
+the counter counts what was checked up to it.  None is ever expected.
 """
 
 from __future__ import annotations
@@ -67,8 +69,24 @@ class RunReport:
         return 2
 
 
+def _sweep(lemma: str, parameters: dict, counter: str, items) -> RunReport:
+    """The one loop that fills and ends a sweep's report: ``items`` yields
+    (instances checked, failure payload or None), the counts add up under
+    ``counter``, and the first payload ends the sweep as a failure."""
+    report = RunReport(
+        command="verify", parameters={"lemma": lemma, **parameters}, outcome="pass",
+        counters={counter: 0},
+    )
+    for checked, payload in items:
+        report.counters[counter] += checked
+        if payload is not None:
+            report.outcome, report.payload = "fail", payload
+            break
+    return report
+
+
 # ---------------------------------------------------------------------------
-# Batched exhaustive helpers
+# Exhaustive sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -94,56 +112,50 @@ def _diam_at_most(dist: np.ndarray, bound: int) -> np.ndarray:
     return within(dist, bound).all(axis=(1, 2))
 
 
+def _first_failure(adjs: np.ndarray, ok: np.ndarray, **payload) -> dict | None:
+    """The first graph of a stack that is not ``ok``, as a failure payload."""
+    bad = np.flatnonzero(~ok)
+    return {**payload, "edges": Graph(adjs[bad[0]]).edges()} if bad.size else None
+
+
 def verify_diam_complement(n: int) -> RunReport:
     """Every labeled n-vertex graph has diameter <= 3 or a complement with
     diameter <= 3; exhaustive for n up to 6."""
-    report = RunReport(
-        command="verify", parameters={"lemma": "diam-complement", "exhaustive": n},
-        outcome="pass",
-    )
     if not 1 <= n <= _EXHAUSTIVE_N_CAP:
         raise CapExceeded(f"exhaustive diameter sweep capped at n <= {_EXHAUSTIVE_N_CAP}")
     adjs = _graph_stack(n, combinations(range(n), 2))
     ok = _diam_at_most(batched_distance_matrices(adjs), 3)
     ok |= ok[::-1]  # the complement stack is adjs[::-1]
-    report.counters["graphs_checked"] = int(adjs.shape[0])
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        report.outcome = "fail"
-        report.payload = {"n": n, "edges": Graph(adjs[bad]).edges()}
-    return report
+    items = [(len(adjs), _first_failure(adjs, ok, n=n))]
+    return _sweep("diam-complement", {"exhaustive": n}, "graphs_checked", items)
+
+
+def _bipartite_stacks(max_side: int):
+    """((a, b), the stack of every bipartite graph between sides 0..a-1 and
+    a..a+b-1) for all sides up to ``max_side``; the cap is checked at the
+    call, before any stack is built."""
+    if not 1 <= max_side <= _BIPARTITE_SIDE_CAP:
+        raise CapExceeded(f"bipartite sweep capped at sides <= {_BIPARTITE_SIDE_CAP}")
+    return (
+        ((a, b), _graph_stack(a + b, product(range(a), range(a, a + b))))
+        for a, b in product(range(1, max_side + 1), repeat=2)
+    )
 
 
 def verify_bipartite_trichotomy(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
     """Every bipartite graph has diameter <= 6, a bipartite complement with
     diameter <= 6, or both disconnected; exhaustive for sides up to 3."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "bipartite-trichotomy", "max_side": max_side},
-        outcome="pass",
-    )
-    if not 1 <= max_side <= _BIPARTITE_SIDE_CAP:
-        raise CapExceeded(f"bipartite sweep capped at sides <= {_BIPARTITE_SIDE_CAP}")
-    total = 0
-    for a in range(1, max_side + 1):
-        for b in range(1, max_side + 1):
-            adjs = _graph_stack(a + b, product(range(a), range(a, a + b)))
+    stacks = _bipartite_stacks(max_side)
+
+    def items():
+        for (a, b), adjs in stacks:
             # the bipartite complement of graph i is graph count-1-i
             d = batched_distance_matrices(adjs)
             small, connected = _diam_at_most(d, 6), _diam_at_most(d, a + b)
             ok = small | small[::-1] | ~(connected | connected[::-1])
-            total += int(adjs.shape[0])
-            if not ok.all():
-                bad = int(np.flatnonzero(~ok)[0])
-                report.outcome = "fail"
-                report.payload = {
-                    "sides": [a, b],
-                    "edges": Graph(adjs[bad]).edges(),
-                }
-                report.counters["graphs_checked"] = total
-                return report
-    report.counters["graphs_checked"] = total
-    return report
+            yield len(adjs), _first_failure(adjs, ok, sides=[a, b])
+
+    return _sweep("bipartite-trichotomy", {"max_side": max_side}, "graphs_checked", items())
 
 
 def _case_matches(b: Bipartite, case) -> bool:
@@ -176,38 +188,24 @@ def _case_matches(b: Bipartite, case) -> bool:
 def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
     """When a bipartite graph and its complement are both disconnected, the
     classifier returns a structurally verified case."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": "bipartite-classification", "max_side": max_side},
-        outcome="pass",
-    )
-    if not 1 <= max_side <= _BIPARTITE_SIDE_CAP:
-        raise CapExceeded(f"bipartite sweep capped at sides <= {_BIPARTITE_SIDE_CAP}")
-    total = 0
+    stacks = _bipartite_stacks(max_side)
     degenerate = 0
-    for a in range(1, max_side + 1):
-        for b_side in range(1, max_side + 1):
-            adjs = _graph_stack(a + b_side, product(range(a), range(a, a + b_side)))
-            left = tuple(range(a))
-            right = tuple(range(a, a + b_side))
-            for idx in range(adjs.shape[0]):
-                total += 1
-                b = Bipartite(Graph(adjs[idx]), left, right)
-                case = classify_bipartite(b)
+
+    def items():
+        nonlocal degenerate
+        for (a, b), adjs in stacks:
+            for adj in adjs:
+                bip = Bipartite(Graph(adj), range(a), range(a, a + b))
+                case = classify_bipartite(bip)
                 if case.tag is not BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
                     degenerate += 1
-                if not _case_matches(b, case):
-                    report.outcome = "fail"
-                    report.payload = {
-                        "sides": [a, b_side],
-                        "edges": b.graph.edges(),
-                        "tag": case.tag.value,
-                    }
-                    report.counters.update(
-                        graphs_checked=total, degenerate_cases=degenerate
-                    )
-                    return report
-    report.counters.update(graphs_checked=total, degenerate_cases=degenerate)
+                if _case_matches(bip, case):
+                    yield 1, None
+                else:
+                    yield 1, {"sides": [a, b], "edges": bip.graph.edges(), "tag": case.tag.value}
+
+    report = _sweep("bipartite-classification", {"max_side": max_side}, "graphs_checked", items())
+    report.counters["degenerate_cases"] = degenerate
     return report
 
 
@@ -234,21 +232,14 @@ def _as_float(dist: np.ndarray) -> np.ndarray:
 def _random_sweep(lemma: str, count: int, seed: int, check) -> RunReport:
     """Run ``check(rng)`` on ``count`` instances drawn from one seeded rng;
     the first failure payload it returns ends the sweep as a failure."""
-    report = RunReport(
-        command="verify",
-        parameters={"lemma": lemma, "random": count, "seed": seed},
-        outcome="pass",
-    )
     rng = random.Random(seed)
-    for index in range(count):
-        payload = check(rng)
-        if payload is not None:
-            report.outcome = "fail"
-            report.payload = {"instance": index, **payload}
-            report.counters["instances_checked"] = index + 1
-            return report
-    report.counters["instances_checked"] = count
-    return report
+
+    def items():
+        for index in range(count):
+            payload = check(rng)
+            yield 1, None if payload is None else {"instance": index, **payload}
+
+    return _sweep(lemma, {"random": count, "seed": seed}, "instances_checked", items())
 
 
 def _problems_payload(g: Graph, p: Partition, problems: list[str]) -> dict | None:

@@ -270,6 +270,10 @@ class TestSeparabilitySearch:
             with pytest.raises(DomainError, match=f"eps must be positive, got {eps}"):
                 separability_search(Graph.empty(3), WeightFn.uniform(3), 1, eps, 1)
 
+    def test_infinite_eps_refused(self):
+        with pytest.raises(DomainError, match="eps must be finite, got inf"):
+            separability_search(Graph.empty(3), WeightFn.uniform(3), 1, math.inf, 1)
+
     def test_k_max_cap_refusal(self):
         with pytest.raises(CapExceeded):
             separability_search(Graph.empty(3), WeightFn.uniform(3), 1, 1, 9)
@@ -464,6 +468,24 @@ class TestSmallBalls:
         )
         assert not out
         assert out.failed_step == (0, 1, 0, 0)
+
+    def test_group_count_is_exact(self):
+        # ceil(1 / float(1/49)) is 50; 48 singletons hold no 50-sunflower
+        # either, so only the reported step tells the two apart
+        fam = SetFamily([(v,) for v in range(48)], uniform_size=1)
+        out = small_balls_orchestrate(path(48), WeightFn.uniform(48), fam, 1, Fraction(1, 49))
+        assert out.failed_step == ("sunflower", 49)
+
+    def test_eps_below_float_range_is_positive(self):
+        fam = SetFamily([(v,) for v in range(4)], uniform_size=1)
+        eps = Fraction(1, 10**400)  # float(eps) is 0.0
+        out = small_balls_orchestrate(path(4), WeightFn.uniform(4), fam, 1, eps)
+        assert out.failed_step == ("sunflower", 10**400)
+
+    def test_infinite_eps_refused(self):
+        fam = SetFamily([(v,) for v in range(4)], uniform_size=1)
+        with pytest.raises(DomainError, match="eps must be finite, got inf"):
+            small_balls_orchestrate(path(4), WeightFn.uniform(4), fam, 1, math.inf)
 
     def test_non_uniform_rejected(self):
         g = Graph.empty(4)

@@ -14,6 +14,7 @@ from flipkit import breakability_search, breaksep, conversion, flips
 from flipkit import search_definable_emulation, separability_search
 from flipkit.generators import clique, path
 from flipkit.graphs import INF, UNREACHED, Bipartite
+from flipkit.verify import LEMMA_SWEEPS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flipkit"
 
@@ -82,6 +83,32 @@ def test_one_candidate_walker():
     assert readers == {"flips.py:flip_packs"}, readers
 
 
+def test_one_sweep_loop():
+    """verify._sweep is the one loop that fills and ends a sweep's report:
+    nothing else in verify.py builds a RunReport or sets its outcome or
+    payload, and every function of LEMMA_SWEEPS reaches it."""
+    tree = ast.parse((SRC / "verify.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def fills(node) -> list:
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            and sub.attr in ("outcome", "payload")
+            or isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "RunReport"
+        ]
+
+    assert "_sweep" in functions and fills(functions["_sweep"]), "verify._sweep fills the report"
+    assert len(fills(tree)) == len(fills(functions["_sweep"])), "only verify._sweep fills a report"
+    for _, fn in LEMMA_SWEEPS.values():
+        reached, todo = set(), [fn.__name__]
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            todo.extend(_called(functions[name]) & set(functions) - reached)
+        assert "_sweep" in reached, f"{fn.__name__} does not report through verify._sweep"
+
+
 #: Every exhaustive enumeration of the library, by the function that runs
 #: it, with the cap that refuses its input and the function that checks
 #: that cap before the enumeration starts (the enumeration itself, or a
@@ -95,10 +122,7 @@ EXHAUSTIVE_CAPS = [
     ("vc.py:_shatter_value", "cap", "vc.py:shatter_function"),
     ("vc.py:_shatter_value", "cap", "vc.py:vc_dimension"),
     ("verify.py:verify_diam_complement", "_EXHAUSTIVE_N_CAP", "verify.py:verify_diam_complement"),
-    ("verify.py:verify_bipartite_trichotomy", "_BIPARTITE_SIDE_CAP",
-     "verify.py:verify_bipartite_trichotomy"),
-    ("verify.py:verify_bipartite_classification", "_BIPARTITE_SIDE_CAP",
-     "verify.py:verify_bipartite_classification"),
+    ("verify.py:_bipartite_stacks", "_BIPARTITE_SIDE_CAP", "verify.py:_bipartite_stacks"),
 ]
 
 #: Functions that loop without a fixed bound or run an enumeration but are
@@ -112,6 +136,8 @@ BOUNDED = {
     "flips.py:enumerate_partitions": "a lazy map over partition_labels; its consumer stops it",
     "metrics.py:_flip_metric": "the codes of a partition its callers checked against the part cap",
     "conversion.py:search_definable_emulation": "definable_candidates checks its own cap",
+    "verify.py:verify_bipartite_trichotomy": "the stacks of _bipartite_stacks, capped at the call",
+    "verify.py:verify_bipartite_classification": "the stacks of _bipartite_stacks, capped at the call",
 }
 
 

@@ -72,6 +72,13 @@ class TestExhaustiveSweeps:
         with pytest.raises(CapExceeded):
             verify_diam_complement(7)
 
+    def test_bipartite_caps_refuse_before_any_stack(self, monkeypatch):
+        monkeypatch.setattr(verify, "_graph_stack", lambda n, cells: pytest.fail("stack built"))
+        for sweep in (verify_bipartite_trichotomy, verify_bipartite_classification):
+            for max_side in (0, 4):
+                with pytest.raises(CapExceeded):
+                    sweep(max_side)
+
     def test_bipartite_trichotomy_small(self):
         report = verify_bipartite_trichotomy(2)
         assert report.outcome == "pass"
