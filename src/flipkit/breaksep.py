@@ -275,6 +275,17 @@ def _splits(
     return a1, a2, ok | fallback
 
 
+def _check_n_cap(n: int, n_cap: int) -> None:
+    """Refuse an exhaustive partition search on more than ``n_cap``
+    vertices; a non-positive cap is a DomainError."""
+    if n_cap < 1:
+        raise DomainError(f"n_cap must be a positive integer, got {n_cap}")
+    if n > n_cap:
+        raise CapExceeded(
+            f"exhaustive partition search on n={n} exceeds the cap {n_cap} (raise with --n-cap)"
+        )
+
+
 def breakability_search(
     g: Graph,
     w_set,
@@ -283,6 +294,7 @@ def breakability_search(
     budget: SearchBudget = SearchBudget(),
     *,
     w2_set=None,
+    n_cap: int = DEFAULT_PARTITION_ENUM_CAP,
 ) -> BreakSearchResult:
     """First flip (defining sets ascending, specs in counter order) whose
     radius-r balls admit two size-m probe subsets with disjoint balls.
@@ -290,7 +302,8 @@ def breakability_search(
     With ``w2_set``, the two subsets are drawn from the two probe sets
     separately.  A miss on one flip just moves the search to the next
     candidate, and exhausting the budget returns an empty result with
-    statistics.
+    statistics.  Raw partitions are refused on more than ``n_cap``
+    vertices, as in ``separability_search``.
     """
     w1 = sorted(set(w_set))
     w2 = sorted(set(w2_set)) if w2_set is not None else None
@@ -304,6 +317,7 @@ def breakability_search(
     side2 = set(w2) if w2 is not None else set(w1)
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
+        _check_n_cap(g.n, n_cap)
         candidates = zip(repeat(None), partition_labels(g.n, cap))
     else:
         candidates = definable_candidates(g, budget.s_max, cap)
@@ -312,7 +326,8 @@ def breakability_search(
         hits = np.flatnonzero(_splits(dists, probes, r, m, side1, side2)[2])
         return int(hits[0]) if hits.size else None
 
-    sets, skipped, specs, hit = first_flip(g, candidates, first_split)
+    sets, skipped, specs, hit = first_flip(g, candidates, first_split, 2 * r,
+                                           raw=budget.raw_partitions)
     result = BreakSearchResult(witness=None, flips_tried=specs, sets_tried=sets,
                                sets_skipped=skipped)
     if hit is None:
@@ -380,13 +395,7 @@ def separability_search(
     if k_max < 1:
         raise DomainError(f"k_max must be positive, got {k_max}")
     check_part_cap(k_max, max_parts, "k_max")
-    if n_cap < 1:
-        raise DomainError(f"n_cap must be a positive integer, got {n_cap}")
-    if g.n > n_cap:
-        raise CapExceeded(
-            f"exhaustive partition search on n={g.n} exceeds the cap {n_cap} "
-            "(raise with --n-cap)"
-        )
+    _check_n_cap(g.n, n_cap)
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
     _check_eps(eps)
@@ -407,7 +416,7 @@ def separability_search(
         return None
 
     tried, _, specs, hit = first_flip(g, zip(repeat(None), partition_labels(g.n, k_max)),
-                                      first_light)
+                                      first_light, r, raw=True)
     if hit is None:
         return SeparabilityResult(None, None, tried, specs)
     _, p, spec, h = hit

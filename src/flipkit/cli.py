@@ -210,7 +210,8 @@ def _cmd_break(args) -> Result:
         s_max=args.s_max, part_cap=args.part_cap, raw_partitions=args.raw_partitions
     )
     w2 = fileio.loads_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
-    result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2)
+    result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2,
+                                 n_cap=args.n_cap)
     report = RunReport(
         command="break",
         parameters={
@@ -372,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=1)
     p.add_argument("--part-cap", type=int)
     p.add_argument("--raw-partitions", action="store_true")
+    p.add_argument("--n-cap", type=int, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_break)
 

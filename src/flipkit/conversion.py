@@ -402,7 +402,7 @@ def search_definable_emulation(
         return int(hits[0]) if hits.size else None
 
     sets, skipped, specs, hit = first_flip(
-        g, definable_candidates(g, s_max, max_parts), first_contained
+        g, definable_candidates(g, s_max, max_parts), first_contained, r_max
     )
     if hit is None:
         return EmulationSearchResult(None, sets, skipped, specs)

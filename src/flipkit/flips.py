@@ -294,15 +294,59 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def flip_packs(g: Graph, partitions, size: int) -> Iterator[tuple[np.ndarray, list]]:
+#: The kept chunks of each whole code stream ``_unmerged`` has filtered, per
+#: (part count, live self pairs): at CHUNK = 4096, 46 keys of at most 5 parts.
+_KEPT: dict[tuple[int, bytes], tuple[np.ndarray, ...]] = {}
+
+
+def _drop_merges(codes: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``codes``, over parts whose self pairs are ``live``, less the merge
+    repeats, read-only: the flips with two parts a < b that have the same
+    bit to every other part and an a-b bit equal to their live self bits,
+    which are also flips of the partition merging a and b."""
+    k = len(live)
+    # with two vertices per part, cell (2a, 2b + 1) has the pair (a, b), a = b too
+    shifts = pair_index(np.arange(k).repeat(2))[::2, 1::2].astype(np.uint64)
+    bits = ((codes >> shifts[..., None]) & np.uint64(1)).astype(bool)
+    repeat = np.zeros(len(codes), dtype=bool)
+    for a, b in combinations(range(k), 2):
+        # bits a-c and b-c agree for each other part c, and for c = a, b where live
+        cols = [c for c in range(k) if live[c] or c not in (a, b)]
+        repeat |= (bits[a, cols] == bits[b, cols]).all(0)
+    kept = codes[~repeat]
+    kept.setflags(write=False)
+    return kept
+
+
+def _unmerged(labels, chunks) -> Iterator[np.ndarray]:
+    """The nonempty chunks of ``chunks``, the distinct flip codes of part
+    labels ``labels``, through ``_drop_merges``; a merged partition has
+    fewer parts and a smaller restricted growth string, so it came earlier
+    in ``partition_labels``.  A whole stream (2^L <= CHUNK codes over L
+    live pairs) is filtered once, and then ``chunks`` is not drawn."""
+    live = np.bincount(labels) > 1
+    k = len(live)
+    kept = (c for codes in chunks if len(c := _drop_merges(codes, live)))
+    if 1 << (k * (k - 1) // 2 + np.count_nonzero(live)) > CHUNK:
+        return kept
+    key = (k, live.tobytes())
+    if key not in _KEPT:
+        _KEPT[key] = tuple(kept)
+    return iter(_KEPT[key])
+
+
+def flip_packs(g: Graph, partitions, size: int, raw=False) -> Iterator[tuple[np.ndarray, list]]:
     """The distinct flips of ``partitions``, ``(info, labels)`` pairs, in
     stream and counter order, as built stacks, each with its ``(info,
     labels, codes)`` pieces.  The first stack holds ``size`` flips, then
     twice the last, at most CHUNK flips and CHUNK * 100 cells (flips times
     n^2) but at least one flip.  A partition is drawn only while the
     current stack still needs flips, and a refusal raised while drawing is
-    raised only after the stack of the flips drawn before it."""
-    runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p))
+    raised only after the stack of the flips drawn before it.  ``raw``
+    says the stream is every partition of ``partition_labels``, in order,
+    and drops the merge repeats of ``_unmerged``."""
+    runs = ((info, p, codes) for info, p in partitions
+            for codes in (_unmerged(p, distinct_flip_codes(p)) if raw else distinct_flip_codes(p)))
     most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
     size, rest, end = min(size, most), None, None
     while end is None:
@@ -323,17 +367,21 @@ def flip_packs(g: Graph, partitions, size: int) -> Iterator[tuple[np.ndarray, li
         raise end
 
 
-def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | None]:
+def first_flip(
+    g: Graph, candidates, first_hit, depth: int | None = None, raw=False
+) -> tuple[int, int, int, tuple | None]:
     """Walk ``candidates``, ``(tag, partition)`` pairs, to the first flip
     that ``first_hit`` accepts: (candidates tried, candidates skipped,
     specs tried, hit).
 
     A partition is given by its part labels (or a Partition); None marks a
     set over the part cap, which is skipped.  The candidates' flips come
-    in ``flip_packs`` of 64 flips first; each is BFS'd and judged by
-    ``first_hit`` (distance stack to first accepted index, or None) as one
-    stack.  Dead self-pair specs repeat earlier graphs, so the hit is a
-    distinct code c, and c + 1 of its partition's specs were tried (all
+    in ``flip_packs`` of 64 flips first; each is BFS'd to ``depth`` levels
+    (the largest radius ``first_hit`` reads through ``within``) and judged
+    by ``first_hit`` (distance stack to first accepted index, or None) as
+    one stack.  Dead self-pair specs repeat earlier graphs, and so do the
+    merge repeats that a ``raw`` stream skips, so the hit is a distinct
+    code c, and c + 1 of its partition's specs were tried (all
     ``num_flips`` of a missed one).  The hit is ``(tag, p, spec,
     apply_flip(g, p, spec))``, the rebuild callers re-verify on.  Drawing
     is pure, so no counter or output moves: the counts stop at the hit.
@@ -350,8 +398,8 @@ def first_flip(g: Graph, candidates, first_hit) -> tuple[int, int, int, tuple | 
             yield (tag, tried, skipped, specs), labels
             tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
 
-    for stack, pieces in flip_packs(g, draw(), 64):
-        hit = first_hit(batched_distance_matrices(stack))
+    for stack, pieces in flip_packs(g, draw(), 64, raw):
+        hit = first_hit(batched_distance_matrices(stack, depth))
         if hit is not None:
             for (tag, before, skips, spec_count), labels, codes in pieces:
                 if hit < len(codes):

@@ -171,10 +171,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return batched_distance_matrices(g.adj[None])[0].astype(np.int64)
 
 
-def batched_distance_matrices(adjs: np.ndarray) -> np.ndarray:
+def batched_distance_matrices(adjs: np.ndarray, depth: int | None = None) -> np.ndarray:
     """All-pairs distances for a stack of adjacency matrices (F, n, n): an
-    int16 array of the same shape, -1 for unreachable pairs, one per flip."""
-    return _bfs(adjs, fold=False)
+    int16 array of the same shape, -1 for unreachable pairs, one per flip.
+    With a ``depth``, the BFS stops after that many levels and every pair
+    farther apart than max(depth, 1) reads -1, so ``within(d, R)`` is
+    exact for R <= depth."""
+    return _bfs(adjs, fold=False, depth=depth)
 
 
 def max_distance_matrix(adjs: np.ndarray) -> np.ndarray:
@@ -189,13 +192,15 @@ def max_distance_matrix(adjs: np.ndarray) -> np.ndarray:
 _COMPACT_MIN = 256
 
 
-def _bfs(adjs, fold: bool) -> np.ndarray:
+def _bfs(adjs, fold: bool, depth: int | None = None) -> np.ndarray:
     """The one level loop.  All sources advance by float32 frontier
     products, ``frontier @ adj > 0`` on the pairs not yet reached; a pair's
     distance is 1 plus the levels at which it was unreached.  Exact at any
     n: a product entry is a sum of nonnegative terms, so it is positive iff
     one term is, however it rounds.  Unreached sets only shrink, so the max
-    over flips adds ``left.any(0)`` per level and may drop finished flips."""
+    over flips adds ``left.any(0)`` per level and may drop finished flips.
+    Distances are below n, so no ``depth`` runs levels 2..n-1; a depth runs
+    levels 2..depth, and the pairs left unreached read UNREACHED."""
     adjs = np.asarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
     if fold and not f:
@@ -204,7 +209,7 @@ def _bfs(adjs, fold: bool) -> np.ndarray:
     left = ~adjs
     left.reshape(f, n * n)[:, :: n + 1] = False  # reached at level 0
     dist = (adjs[0] | left[0] if fold else adjs | left).astype(np.int16)
-    while True:
+    for _ in range(1, n if depth is None else depth):
         pending = left.any(0) if fold else left
         if not np.count_nonzero(pending):
             return dist
@@ -212,8 +217,7 @@ def _bfs(adjs, fold: bool) -> np.ndarray:
         reached = np.matmul(frontier, a) > 0
         reached &= left
         if not np.count_nonzero(reached):
-            dist[pending] = UNREACHED
-            return dist
+            break
         left ^= reached
         if fold and f >= _COMPACT_MIN:
             live = left.any((1, 2))
@@ -221,6 +225,10 @@ def _bfs(adjs, fold: bool) -> np.ndarray:
                 a, reached, left = a[live], reached[live], left[live]
                 f = len(a)
         frontier = reached.astype(np.float32)
+    else:  # cut at the depth: what is left is farther
+        pending = left.any(0) if fold else left
+    dist[pending] = UNREACHED
+    return dist
 
 
 def fold_max_distances(batch: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from math import comb, inf
 import numpy as np
 
 from .conversion import BipartiteCaseTag, classify_bipartite, convert
-from .errors import CapExceeded
+from .errors import CapExceeded, DomainError
 from .flips import Partition, apply_flip, definable_partition
 from .generators import gnp
 from .graphs import (
@@ -231,7 +231,10 @@ def _as_float(dist: np.ndarray) -> np.ndarray:
 
 def _random_sweep(lemma: str, count: int, seed: int, check) -> RunReport:
     """Run ``check(rng)`` on ``count`` instances drawn from one seeded rng;
-    the first failure payload it returns ends the sweep as a failure."""
+    the first failure payload it returns ends the sweep as a failure.  A
+    count below 1 is a DomainError: no instance would pass."""
+    if count < 1:
+        raise DomainError(f"a random sweep needs a positive count, got {count}")
     rng = random.Random(seed)
 
     def items():

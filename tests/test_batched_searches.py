@@ -32,7 +32,7 @@ from flipkit import (
 )
 from flipkit.breaksep import _splits
 from flipkit.conversion import ball_containment_ok
-from flipkit.flips import Partition
+from flipkit.flips import Partition, distinct_flip_codes, partition_labels
 from flipkit.graphs import batched_distance_matrices
 from conftest import random_graph, random_partition_labels
 from oracle import edges_of, greedy_split
@@ -240,3 +240,31 @@ def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
     assert singleton_stacks >= 20
     assert max(len({labels.tobytes() for labels, _ in pieces}) for pieces in built) >= 2
     assert max(sum(len(codes) for _, codes in pieces) for pieces in built) <= flips.CHUNK
+
+
+def test_raw_searches_build_no_flip_twice(chunk, monkeypatch):
+    """Separability and raw breakability skip the merge repeats, so no flip
+    they build equals one they built before: a flip that is also a flip of
+    the partition merging two parts was judged with that coarser partition,
+    earlier in the stream.  Raw breakability with m = n always misses, so
+    it builds the whole stream, less what it skipped."""
+    built = []
+    real = flips.flip_adjacency_pack
+    monkeypatch.setattr(flips, "flip_adjacency_pack",
+                        lambda g, pieces: built.append(real(g, pieces)) or built[-1])
+    skipped = misses = 0
+    for rng, n, g in _instances(6):
+        for raw_break in (True, False):
+            built.clear()
+            if raw_break:
+                budget = SearchBudget(part_cap=3, raw_partitions=True)
+                assert not breakability_search(g, range(n), 1, n, budget)
+            else:
+                # balls of weight at most 1/n: a hit flips g to the empty graph
+                misses += not separability_search(g, WeightFn.uniform(n), 1, Fraction(1, n), 3)
+            flat = np.concatenate(built).reshape(-1, n * n)
+            assert len(np.unique(flat, axis=0)) == len(flat)
+            if raw_break:
+                stream = sum(len(c) for p in partition_labels(n, 3) for c in distinct_flip_codes(p))
+                skipped += stream - len(flat)
+    assert skipped and misses

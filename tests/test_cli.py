@@ -442,6 +442,14 @@ RUNS = {
         ["sep2break", "{path12}", "--W", "{quad}", "-r", "1"], 2,
         "refused: exhaustive partition search on n=12 exceeds the cap 10 (raise with --n-cap)",
     ),
+    "break-raw-n-cap": (
+        ["break", "{path12}", "--W", "{probes12}", "-r", "1", "-m", "2", "--raw-partitions"], 2,
+        "refused: exhaustive partition search on n=12 exceeds the cap 10 (raise with --n-cap)",
+    ),
+    "break-raw": (
+        ["break", "{path6}", "--W", "{quad}", "-r", "1", "-m", "2", "--raw-partitions",
+         "--n-cap", "6"], 0, None,
+    ),
     "sep2break-zero-n-cap": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--n-cap", "0"], 2,
         "error: n_cap must be a positive integer, got 0",

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,36 @@ class TestDistinctFlipCodes:
         assert first.tolist() == want and len(first) == flips.CHUNK
         with pytest.raises(CapExceeded, match="at most 64"):
             next(flips.distinct_flip_codes(Partition.singletons(11)))
+
+
+class TestMergeRepeats:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_kept_codes_are_the_brute_force_filter(self, k):
+        """For every pattern of live self pairs up to 5 parts, the codes
+        kept are the distinct flip codes whose toggles are not a flip of a
+        partition that merges two parts, chunk by chunk; a whole stream of
+        at most CHUNK codes comes from one read-only table."""
+        for live in product((False, True), repeat=k):
+            labels = np.repeat(np.arange(k), [2 if x else 1 for x in live])
+            chunks = list(flips.distinct_flip_codes(labels))
+            codes = np.concatenate(chunks)
+            toggles = flips.flip_adjacency_pack(Graph.empty(len(labels)), [(labels, codes)])
+            toggles = toggles.reshape(len(codes), -1)
+            repeat = np.zeros(len(codes), dtype=bool)
+            for i, j in combinations(range(k), 2):
+                index = pair_index(np.where(labels == j, i, labels)).ravel()
+                merged = np.ones(len(codes), dtype=bool)
+                for t in np.unique(index[index >= 0]):
+                    block = toggles[:, index == t]
+                    merged &= block.all(1) | ~block.any(1)
+                repeat |= merged
+            kept = list(flips._unmerged(labels, iter(chunks)))
+            assert all(len(c) for c in kept), live
+            assert np.concatenate([[], *kept]).tolist() == codes[~repeat].tolist(), live
+            if len(chunks) == 1:
+                table = flips._KEPT[k, np.array(live).tobytes()]
+                assert list(flips._unmerged(labels, iter(()))) == list(table)  # not drawn
+                assert not any(c.flags.writeable for c in table)
 
 
 class TestFlipAdjacencyBatch:

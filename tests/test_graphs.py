@@ -19,7 +19,13 @@ from flipkit import (
 )
 from flipkit.generators import clique, cycle, path, star
 from flipkit import graphs
-from flipkit.graphs import batched_distance_matrices, fold_max_distances, max_distance_matrix
+from flipkit.graphs import (
+    UNREACHED,
+    batched_distance_matrices,
+    fold_max_distances,
+    max_distance_matrix,
+    within,
+)
 from conftest import random_graph
 
 
@@ -97,6 +103,18 @@ class TestBatchedDistanceMatrices:
                 for (u, v), expected in want.items():
                     assert (INF if d[u, v] < 0 else d[u, v]) == expected
         assert unreached  # disconnected graphs were among the inputs
+
+    def test_depth_cut_keeps_every_ball(self, rng):
+        """Cut after ``depth`` levels, the BFS decides ``within(., depth)``
+        as the full one does, and reads -1 beyond max(depth, 1); the stacks
+        hold disconnected flips, and the depth runs from 0 to n."""
+        for n in range(1, 11):
+            _, adjs = _mixed_stack(rng, rng.randint(3, 8), n)
+            full = batched_distance_matrices(adjs)
+            for depth in range(n + 1):
+                cut = batched_distance_matrices(adjs, depth)
+                assert np.array_equal(within(cut, depth), within(full, depth))
+                assert np.array_equal(cut, np.where(within(full, max(depth, 1)), full, UNREACHED))
 
 
 def _mixed_stack(rng, f, n):

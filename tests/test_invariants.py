@@ -114,7 +114,8 @@ def test_one_sweep_loop():
 #: that cap before the enumeration starts (the enumeration itself, or a
 #: caller).
 EXHAUSTIVE_CAPS = [
-    ("flips.py:partition_labels", "n_cap", "breaksep.py:separability_search"),
+    ("flips.py:partition_labels", "_check_n_cap", "breaksep.py:separability_search"),
+    ("flips.py:partition_labels", "_check_n_cap", "breaksep.py:breakability_search"),
     ("flips.py:definable_candidates", "resolve_max_parts", "flips.py:definable_candidates"),
     # the code stream of flip_packs, which the walker and the flip metrics walk
     ("flips.py:distinct_flip_codes", "_pair_count", "flips.py:distinct_flip_codes"),
@@ -128,8 +129,6 @@ EXHAUSTIVE_CAPS = [
 #: Functions that loop without a fixed bound or run an enumeration but are
 #: bounded by their input, or known to be uncapped, and why.
 BOUNDED = {
-    "breaksep.py:breakability_search": "uncapped in n: raw partitions (partition_labels) are "
-    "capped in parts only, and grow like cap^n / cap! (ROADMAP item 4)",
     "graphs.py:_bfs": "one round per BFS level, at most n",
     "flips.py:first_flip": "walks the candidate stream its caller built and capped",
     "flips.py:flip_packs": "packs the codes of a partition stream its callers capped",
@@ -299,7 +298,7 @@ class TestWrongKernelIsCaught:
     def unreachable_kernel(self, monkeypatch):
         monkeypatch.setattr(
             flips, "batched_distance_matrices",
-            lambda adjs: np.full(np.shape(adjs), UNREACHED, dtype=np.int16),
+            lambda adjs, depth=None: np.full(np.shape(adjs), UNREACHED, dtype=np.int16),
         )
 
     def test_breakability(self):

@@ -7,7 +7,7 @@ import pytest
 
 from flipkit import Bipartite, Graph, verify
 from flipkit.cli import main
-from flipkit.errors import CapExceeded
+from flipkit.errors import CapExceeded, DomainError
 from flipkit.verify import (
     RunReport,
     _graph_stack,
@@ -109,6 +109,14 @@ class TestRandomSweeps:
     def test_sauer_shelah(self):
         report = verify_sauer_shelah(25, seed=8)
         assert report.outcome == "pass"
+
+    @pytest.mark.parametrize("sweep", [verify_conversion, verify_metric_axioms,
+                                       verify_aggregation, verify_sauer_shelah])
+    def test_count_below_one_is_a_domain_error(self, sweep):
+        """A sweep over no instance would pass without checking anything."""
+        for count in (0, -3):
+            with pytest.raises(DomainError, match=f"positive count, got {count}"):
+                sweep(count, 0)
 
     def test_determinism(self):
         a = verify_conversion(10, seed=3).serialize()
