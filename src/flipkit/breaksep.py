@@ -49,11 +49,12 @@ DEFAULT_PARTITION_ENUM_CAP = 10
 
 
 class WeightFn:
-    """Finite nonnegative per-vertex weights with a cached total.
+    """Finite nonnegative per-vertex weights with a cached, finite total.
 
     Epsilon comparisons are exact rational arithmetic when all weights are
-    integers (numpy integers are converted to ``int``; bools are refused);
-    otherwise floats are compared with absolute tolerance 1e-9.
+    integers, of any size (numpy integers are converted to ``int``; bools
+    are refused); otherwise floats are compared with absolute tolerance
+    1e-9, and a total beyond the float range is refused.
     """
 
     __slots__ = ("weights", "total", "integral")
@@ -69,7 +70,12 @@ class WeightFn:
                 raise DomainError(f"weight of vertex {v} is negative: {w}")
         self.weights = ws = tuple(int(w) if isinstance(w, numbers.Integral) else w for w in ws)
         self.integral = all(isinstance(w, int) for w in ws)
-        self.total = sum(ws)
+        try:
+            self.total = sum(ws)
+        except OverflowError:  # an int beyond float range met a float
+            self.total = math.inf
+        if self.total == math.inf:
+            raise DomainError("the total weight overflows the float range")
 
     @classmethod
     def uniform(cls, n: int) -> "WeightFn":
@@ -400,12 +406,17 @@ def separability_search(
         raise DomainError(f"radius must be nonnegative, got {r}")
     _check_eps(eps)
     small = w.small_vertices(eps)
-    weights_arr = np.array([float(x) for x in w.weights])
-    # Float screen: a flip is skipped only when a ball weight exceeds the
-    # bound by more than the float64 rounding of either side, which is
-    # relative to the bound, so the exact comparison stays the decider.
-    bound = float(eps) * float(w.total)
-    limit = bound + bound * 1e-9 + _FLOAT_TOL
+    # Screen, then let the exact comparison decide.  Integer ball weights are
+    # summed exactly (int64 while the total fits) against the largest integer
+    # within eps * total, capped at total (no ball weighs more).  Float ball
+    # weights are skipped only beyond the float64 rounding of either side.
+    if w.integral:
+        weights_arr = np.array(w.weights, dtype=np.int64 if w.total < 2**63 else object)
+        limit = min(math.floor(Fraction(eps) * w.total), w.total)
+    else:
+        weights_arr = np.array(w.weights, dtype=float)
+        bound = float(eps) * w.total
+        limit = bound + bound * 1e-9 + _FLOAT_TOL
 
     def first_light(dists: np.ndarray) -> int | None:
         reach = within(dists[:, small], r)

@@ -2,16 +2,17 @@
 
 Every command exits 0 on pass or witness, 1 on a property failure or an
 exhausted search, and 2 on refusals and usage errors.  A ``_cmd_*`` function
-only computes: it returns its stdout text, its exit code and the files it
-wants written (``{path: text}``).  ``main`` is the one runner that turns
-that into I/O.  It times the call, writes the files after the computation
-finishes (so a refusal never leaves a partial file behind), copies stdout
-to ``-o``/``--output`` when the exit code is 0, writes stdout, and prints
-one ``wall_time_s=`` line to stderr, so repeated runs with one seed give
-byte-identical stdout.  ``CapExceeded`` becomes ``refused:`` and a bad
-input or an unreadable or unwritable file becomes ``error:``, both with
-exit 2 and nothing on stdout.  For ``gen`` and ``convert``, ``-o`` names
-the file of the graph instead.
+only computes: it returns a ``RunReport`` or plain stdout text, and the
+files it wants written (``{path: text}``).  ``main`` is the one runner that
+turns that into I/O.  It times the call, serializes a report and takes its
+exit code from the outcome (plain text exits 0), writes the files after the
+computation finishes (so a refusal never leaves a partial file behind),
+copies stdout to ``-o``/``--output`` when the exit code is 0, writes
+stdout, and prints one ``wall_time_s=`` line to stderr, so repeated runs
+with one seed give byte-identical stdout.  ``CapExceeded`` becomes
+``refused:`` and a bad input or an unreadable or unwritable file becomes
+``error:``, both with exit 2 and nothing on stdout.  For ``gen`` and
+``convert``, ``-o`` names the file of the graph instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 
 from . import fileio, generators
 from .breaksep import (
+    DEFAULT_PARTITION_ENUM_CAP,
     SearchBudget,
     WeightFn,
     breakability_search,
@@ -35,15 +37,14 @@ from .conversion import convert
 from .errors import CapExceeded, DomainError
 from .graphs import INF, Graph, diameter
 from .metrics import SetFamily, dist_family_matrix, dist_partition_matrix
-from .vc import vc_dimension
+from .vc import DEFAULT_VCDIM_CAP, vc_dimension
 from .verify import LEMMA_SWEEPS, RunReport
 
 EXIT_PASS = 0
-EXIT_FAIL = 1
 EXIT_REFUSED = 2
 
-# what a command hands the runner: stdout text, exit code, {path: text}
-Result = tuple[str, int, dict[str, str]]
+# what a command hands the runner: a report or stdout text, and {path: text}
+Result = tuple[RunReport | str, dict[str, str]]
 
 
 def _read_graph(path: str) -> Graph:
@@ -65,21 +66,20 @@ def _cmd_gen(args) -> Result:
         params.append(args.seed)
     text = fileio.dumps_graph(generators.generate(args.kind, *params))
     if args.graph_out:
-        return "", EXIT_PASS, {args.graph_out: text}
-    return text, EXIT_PASS, {}
+        return "", {args.graph_out: text}
+    return text, {}
 
 
 def _cmd_diam(args) -> Result:
     g = _read_graph(args.graph)
     value = diameter(g)
-    report = RunReport(
+    return RunReport(
         command="diam",
         parameters={"graph": args.graph},
         outcome="pass",
         counters={"n": g.n, "m": g.num_edges()},
         payload={"diameter": "inf" if value == INF else int(value)},
-    )
-    return report.serialize(), report.exit_code, {}
+    ), {}
 
 
 def _cmd_vcdim(args) -> Result:
@@ -91,7 +91,7 @@ def _cmd_vcdim(args) -> Result:
         "n,traces",
     ]
     lines.extend(f"{n},{rep.traces_by_size[n]}" for n in sorted(rep.traces_by_size))
-    return "\n".join(lines) + "\n", EXIT_PASS, {}
+    return "\n".join(lines) + "\n", {}
 
 
 def _parse_eps(raw: str) -> Fraction:
@@ -124,7 +124,7 @@ def _cmd_dist(args) -> Result:
             sets = fileio.loads_family(Path(args.family).read_text())
         dist = dist_family_matrix(g, SetFamily(sets), max_parts=args.max_parts)
     rows = [{"u": u, "v": v, "dist": _dist_cell(dist[u, v])} for u, v in pairs]
-    return fileio.export_csv(rows, ["u", "v", "dist"]), EXIT_PASS, {}
+    return fileio.export_csv(rows, ["u", "v", "dist"]), {}
 
 
 def _certificate_rows(result) -> list[dict]:
@@ -182,7 +182,7 @@ def _cmd_convert(args) -> Result:
         files[args.emit_dot] = fileio.export_dot(result.flipped, result.refined)
     if args.graph_out:
         files[args.graph_out] = fileio.dumps_graph(result.flipped)
-    return report.serialize(), report.exit_code, files
+    return report, files
 
 
 def _flip_payload(found) -> dict:
@@ -192,7 +192,8 @@ def _flip_payload(found) -> dict:
     }
 
 
-def _witness_payload(w) -> dict:
+def _witness_payload(result) -> dict:
+    w = result.witness
     return {
         **_flip_payload(w),
         "defining_set": list(w.defining_set) if w.defining_set is not None else None,
@@ -201,6 +202,12 @@ def _witness_payload(w) -> dict:
         "radius": w.radius,
         "m": w.m,
     }
+
+
+def _search_report(command: str, parameters: dict, result, counters: dict, payload) -> RunReport:
+    """A search's report: a witness with ``payload(result)``, or a fail."""
+    return RunReport(command, parameters, "witness" if result else "fail", counters,
+                     payload(result) if result else None)
 
 
 def _cmd_break(args) -> Result:
@@ -212,24 +219,11 @@ def _cmd_break(args) -> Result:
     w2 = fileio.loads_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
     result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2,
                                  n_cap=args.n_cap)
-    report = RunReport(
-        command="break",
-        parameters={
-            "graph": args.graph,
-            "r": args.radius,
-            "m": args.m,
-            "s_max": args.s_max,
-            "raw_partitions": args.raw_partitions,
-        },
-        outcome="witness" if result else "fail",
-        counters={
-            "flips_tried": result.flips_tried,
-            "sets_tried": result.sets_tried,
-            "sets_skipped": result.sets_skipped,
-        },
-        payload=_witness_payload(result.witness) if result else None,
-    )
-    return report.serialize(), report.exit_code, {}
+    parameters = {"graph": args.graph, "r": args.radius, "m": args.m, "s_max": args.s_max,
+                  "raw_partitions": args.raw_partitions}
+    counters = {"flips_tried": result.flips_tried, "sets_tried": result.sets_tried,
+                "sets_skipped": result.sets_skipped}
+    return _search_report("break", parameters, result, counters, _witness_payload), {}
 
 
 def _cmd_separate(args) -> Result:
@@ -239,44 +233,20 @@ def _cmd_separate(args) -> Result:
     result = separability_search(
         g, weights, args.radius, eps, args.k_max, n_cap=args.n_cap
     )
-    report = RunReport(
-        command="separate",
-        parameters={
-            "graph": args.graph,
-            "r": args.radius,
-            "eps": str(eps),
-            "k_max": args.k_max,
-        },
-        outcome="witness" if result else "fail",
-        counters={
-            "partitions_tried": result.partitions_tried,
-            "flips_tried": result.flips_tried,
-        },
-        payload=_flip_payload(result) if result else None,
-    )
-    return report.serialize(), report.exit_code, {}
+    parameters = {"graph": args.graph, "r": args.radius, "eps": str(eps), "k_max": args.k_max}
+    counters = {"partitions_tried": result.partitions_tried, "flips_tried": result.flips_tried}
+    return _search_report("separate", parameters, result, counters, _flip_payload), {}
 
 
 def _cmd_sep2break(args) -> Result:
     g = _read_graph(args.graph)
     w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
     result = sep_then_break(g, w_set, args.radius, k_max=args.k_max, n_cap=args.n_cap)
-    report = RunReport(
-        command="sep2break",
-        parameters={
-            "graph": args.graph,
-            "r": args.radius,
-            "k_max": args.k_max,
-            "probes": sorted(set(w_set)),
-        },
-        outcome="witness" if result else "fail",
-        counters={
-            "partitions_tried": result.separability.partitions_tried,
-            "flips_tried": result.separability.flips_tried,
-        },
-        payload=_witness_payload(result.witness) if result else None,
-    )
-    return report.serialize(), report.exit_code, {}
+    parameters = {"graph": args.graph, "r": args.radius, "k_max": args.k_max,
+                  "probes": sorted(set(w_set))}
+    sep = result.separability
+    counters = {"partitions_tried": sep.partitions_tried, "flips_tried": sep.flips_tried}
+    return _search_report("sep2break", parameters, result, counters, _witness_payload), {}
 
 
 def _cmd_verify(args) -> Result:
@@ -287,8 +257,7 @@ def _cmd_verify(args) -> Result:
         raise DomainError(f"{args.lemma} takes --{mode} N and not --{other}")
     if value < 1:
         raise DomainError(f"--{mode} must be a positive integer, got {value}")
-    report = func(value) if mode == "exhaustive" else func(value, args.seed)
-    return report.serialize(), report.exit_code, {}
+    return (func(value) if mode == "exhaustive" else func(value, args.seed)), {}
 
 
 def _cmd_export(args) -> Result:
@@ -306,7 +275,7 @@ def _cmd_export(args) -> Result:
         files[args.csv] = fileio.export_csv(rows, ["u", "v"])
     if not files:
         raise DomainError("pass --dot and/or --csv")
-    return "", EXIT_PASS, files
+    return "", files
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vcdim", help="exact VC-dimension and trace table", parents=[seed_opt])
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=DEFAULT_VCDIM_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_vcdim)
 
@@ -373,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=1)
     p.add_argument("--part-cap", type=int)
     p.add_argument("--raw-partitions", action="store_true")
-    p.add_argument("--n-cap", type=int, default=10)
+    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_break)
 
@@ -383,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--eps", required=True, help="fraction, e.g. 0.4 or 2/5")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--n-cap", type=int, default=10)
+    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_separate)
 
@@ -392,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", dest="probes", required=True, help="probe-set file (size 4m^2)")
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--k-max", type=int, default=1)
-    p.add_argument("--n-cap", type=int, default=10)
+    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sep2break)
 
@@ -416,7 +385,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        out, code, files = args.func(args)
+        out, files = args.func(args)
+        code = EXIT_PASS
+        if isinstance(out, RunReport):
+            out, code = out.serialize(), out.exit_code
         wall_time = time.perf_counter() - started
         if code == EXIT_PASS and getattr(args, "output", None):
             files[args.output] = out

@@ -219,22 +219,63 @@ def _pair_count(k: int) -> int:
     return npairs
 
 
-def distinct_flip_codes(p) -> Iterator[np.ndarray]:
+#: The read-only chunks of every whole code stream (2^L <= CHUNK codes over
+#: L live pairs), per (live self pairs, raw): at CHUNK = 4096, 46 profiles of
+#: at most 5 parts, so at most 92 keys.  A whole stream is one chunk at any
+#: CHUNK that holds it, so a smaller CHUNK never reads a longer entry.
+_WHOLE: dict[tuple[bytes, bool], tuple[np.ndarray, ...]] = {}
+
+
+def distinct_flip_codes(p, raw=False) -> Iterator[np.ndarray]:
     """Counter codes of the distinct flips of ``p`` (part labels or a
-    Partition), ascending, in chunks.
+    Partition), ascending, in nonempty read-only chunks of at most CHUNK.
 
     The self pair (i, i) of a singleton part is a no-op, since flips never
     touch the diagonal.  The 2^L codes over the L remaining "live" canonical
     pairs give every distinct flip once, each the counter value with a zero
     bit inserted at each dead position, in the full canonical pair order.
+    ``raw`` says ``p`` comes from ``partition_labels``, in order, and drops
+    the merge repeats of ``_drop_merges``: a merged partition has fewer
+    parts and a smaller restricted growth string, so it came earlier.  A
+    whole stream is built once, into ``_WHOLE``; longer ones chunk by chunk.
     """
-    sizes = np.bincount(np.asarray(p)).tolist()
-    k = len(sizes)
-    dead = [i * k - i * (i - 1) // 2 for i in range(k) if sizes[i] == 1]
-    for codes in _counter_chunks(1 << (_pair_count(k) - len(dead))):
-        for d in dead:
-            codes = (codes & ((1 << d) - 1)) | (codes >> d << (d + 1))
-        yield codes
+    live = np.bincount(np.asarray(p)) > 1
+    k = len(live)
+    dead = [i * k - i * (i - 1) // 2 for i in range(k) if not live[i]]
+
+    def chunks():
+        for codes in _counter_chunks(1 << (_pair_count(k) - len(dead))):
+            for d in dead:
+                codes = (codes & ((1 << d) - 1)) | (codes >> d << (d + 1))
+            if raw:
+                codes = _drop_merges(codes, live)
+            if len(codes):
+                codes.setflags(write=False)
+                yield codes
+
+    if 1 << (k * (k + 1) // 2 - len(dead)) > CHUNK:
+        return chunks()
+    key = (live.tobytes(), raw)
+    if key not in _WHOLE:
+        _WHOLE[key] = tuple(chunks())
+    return iter(_WHOLE[key])
+
+
+def _drop_merges(codes: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``codes``, over parts whose self pairs are ``live``, less the merge
+    repeats: the flips with two parts a < b that have the same bit to every
+    other part and an a-b bit equal to their live self bits, which are also
+    flips of the partition merging a and b."""
+    k = len(live)
+    # with two vertices per part, cell (2a, 2b + 1) has the pair (a, b), a = b too
+    shifts = pair_index(np.arange(k).repeat(2))[::2, 1::2].astype(np.uint64)
+    bits = ((codes >> shifts[..., None]) & np.uint64(1)).astype(bool)
+    repeat = np.zeros(len(codes), dtype=bool)
+    for a, b in combinations(range(k), 2):
+        # bits a-c and b-c agree for each other part c, and for c = a, b where live
+        cols = [c for c in range(k) if live[c] or c not in (a, b)]
+        repeat |= (bits[a, cols] == bits[b, cols]).all(0)
+    return codes[~repeat]
 
 
 def _check_spec(p: Partition, spec: FlipSpec) -> None:
@@ -294,47 +335,6 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-#: The kept chunks of each whole code stream ``_unmerged`` has filtered, per
-#: (part count, live self pairs): at CHUNK = 4096, 46 keys of at most 5 parts.
-_KEPT: dict[tuple[int, bytes], tuple[np.ndarray, ...]] = {}
-
-
-def _drop_merges(codes: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``codes``, over parts whose self pairs are ``live``, less the merge
-    repeats, read-only: the flips with two parts a < b that have the same
-    bit to every other part and an a-b bit equal to their live self bits,
-    which are also flips of the partition merging a and b."""
-    k = len(live)
-    # with two vertices per part, cell (2a, 2b + 1) has the pair (a, b), a = b too
-    shifts = pair_index(np.arange(k).repeat(2))[::2, 1::2].astype(np.uint64)
-    bits = ((codes >> shifts[..., None]) & np.uint64(1)).astype(bool)
-    repeat = np.zeros(len(codes), dtype=bool)
-    for a, b in combinations(range(k), 2):
-        # bits a-c and b-c agree for each other part c, and for c = a, b where live
-        cols = [c for c in range(k) if live[c] or c not in (a, b)]
-        repeat |= (bits[a, cols] == bits[b, cols]).all(0)
-    kept = codes[~repeat]
-    kept.setflags(write=False)
-    return kept
-
-
-def _unmerged(labels, chunks) -> Iterator[np.ndarray]:
-    """The nonempty chunks of ``chunks``, the distinct flip codes of part
-    labels ``labels``, through ``_drop_merges``; a merged partition has
-    fewer parts and a smaller restricted growth string, so it came earlier
-    in ``partition_labels``.  A whole stream (2^L <= CHUNK codes over L
-    live pairs) is filtered once, and then ``chunks`` is not drawn."""
-    live = np.bincount(labels) > 1
-    k = len(live)
-    kept = (c for codes in chunks if len(c := _drop_merges(codes, live)))
-    if 1 << (k * (k - 1) // 2 + np.count_nonzero(live)) > CHUNK:
-        return kept
-    key = (k, live.tobytes())
-    if key not in _KEPT:
-        _KEPT[key] = tuple(kept)
-    return iter(_KEPT[key])
-
-
 def flip_packs(g: Graph, partitions, size: int, raw=False) -> Iterator[tuple[np.ndarray, list]]:
     """The distinct flips of ``partitions``, ``(info, labels)`` pairs, in
     stream and counter order, as built stacks, each with its ``(info,
@@ -342,11 +342,9 @@ def flip_packs(g: Graph, partitions, size: int, raw=False) -> Iterator[tuple[np.
     twice the last, at most CHUNK flips and CHUNK * 100 cells (flips times
     n^2) but at least one flip.  A partition is drawn only while the
     current stack still needs flips, and a refusal raised while drawing is
-    raised only after the stack of the flips drawn before it.  ``raw``
-    says the stream is every partition of ``partition_labels``, in order,
-    and drops the merge repeats of ``_unmerged``."""
-    runs = ((info, p, codes) for info, p in partitions
-            for codes in (_unmerged(p, distinct_flip_codes(p)) if raw else distinct_flip_codes(p)))
+    raised only after the stack of the flips drawn before it.  ``raw`` is
+    passed to ``distinct_flip_codes``."""
+    runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p, raw))
     most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
     size, rest, end = min(size, most), None, None
     while end is None:

@@ -59,8 +59,6 @@ class Graph:
         adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DomainError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.dtype != bool:
-            adj = adj.astype(bool)
         if not np.array_equal(adj, adj.T):
             raise DomainError("adjacency must be symmetric")
         if adj.diagonal().any():

@@ -114,11 +114,10 @@ def vc_dimension(g: Graph, *, cap: int = DEFAULT_VCDIM_CAP) -> ShatterReport:
     while True:
         value, subset = _shatter_value(g, n)
         traces_by_size[n] = value
+        # the whole vertex set is never shattered (no open neighbourhood
+        # holds its own vertex), so n never passes g.n
         if value == 1 << n:
             witness = subset if subset is not None else ()
-            if n == g.n:
-                vcdim = n
-                break
             n += 1
         else:
             vcdim = n - 1

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestWeightFn:
     def test_accepts_integers_of_any_size(self):
         w = WeightFn([10**400, 2**61])
         assert w.integral and w.total == 10**400 + 2**61
+
+    def test_rejects_a_float_total_beyond_float_range(self):
+        """Four weights of 1e308 sum to inf, and an integer beyond the float
+        range cannot be added to a float; either would pass every ball."""
+        for weights in ([1e308] * 4, [10**400, 0.5]):
+            with pytest.raises(DomainError, match="the total weight overflows the float range"):
+                WeightFn(weights)
 
     def test_rejects_bool_weights(self):
         for weights in ([True, 2], [1, np.bool_(False)]):
@@ -283,6 +291,43 @@ class TestSeparabilitySearch:
         assert result.partition == Partition.trivial(6)
         assert result.spec == FlipSpec()
         assert result.flips_tried == 1
+
+    @pytest.mark.parametrize("weights, eps", [
+        ([10**400, 1, 1, 1, 0, 2], Fraction(1, 2)),
+        ([2**62, 2**62 - 1, 1, 3, 0, 5], Fraction(1, 3)),  # total 2^63 + 8: Python ints
+        ([2**62, 2**62 - 9, 1, 3, 0, 4], Fraction(1, 3)),  # total 2^63 - 1: int64
+        ([2**62, 2**62 - 9, 1, 3, 0, 4], Fraction(7, 2)),  # eps * total above int64
+        ([7, 1, 1, 2, 0, 3], Fraction(1, 4)),
+    ])
+    def test_integral_screen_is_exact_at_any_size(self, rng, weights, eps):
+        """For integer weights small and huge, the search returns the first
+        flip, in partition and counter order, that the oracle finds light,
+        with the same count of specs tried; a miss tries every spec."""
+        for _ in range(6):
+            n = len(weights)
+            g = random_graph(rng, n, rng.random())
+            w, r, k_max = WeightFn(weights), rng.randint(0, 2), rng.randint(1, 2)
+            edges = oracle.edges_of(g)
+            light = [v for v in range(n) if weights[v] <= eps * w.total]
+            tried, want = 0, None
+            for labels in product(range(k_max), repeat=n):
+                if any(x > max(labels[:i], default=-1) + 1 for i, x in enumerate(labels)):
+                    continue
+                parts = [[v for v in range(n) if labels[v] == i] for i in range(max(labels) + 1)]
+                pairs = [(i, j) for i in range(len(parts)) for j in range(i, len(parts))]
+                for code in range(1 << len(pairs)):
+                    tried += 1
+                    spec = [pair for t, pair in enumerate(pairs) if code >> t & 1]
+                    flipped = oracle.flip_edges(n, edges, parts, spec)
+                    if all(sum(weights[u] for u in oracle.ball(n, flipped, v, r)) <= eps * w.total
+                           for v in light):
+                        want = (Partition(n, parts), FlipSpec(spec))
+                        break
+                if want:
+                    break
+            result = separability_search(g, w, r, eps, k_max)
+            assert (result.partition, result.spec) == (want or (None, None))
+            assert result.flips_tried == tried
 
     def test_nonpositive_eps_refused(self):
         for eps in (Fraction(-1), 0, -0.5):

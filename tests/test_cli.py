@@ -301,6 +301,8 @@ def inputs(tmp_path):
         "twice_weight": "0 1\n0 7\n1 1\n2 1\n3 1\n4 1\n5 1\n",
         "nan_weight": "0 1\n1 nan\n2 1\n3 1\n4 1\n5 1\n",
         "inf_weight": "0 1\n1 inf\n2 1\n3 1\n4 1\n5 1\n",
+        "huge_weight": fileio.dumps_weights([10**400] + [1] * 5),
+        "overflow_weight": fileio.dumps_weights([1e308] * 6),
         "probes12": " ".join(map(str, range(12))),
         "leaves": "1 2 3 4",
         "quad": "0 1 2 3",
@@ -393,6 +395,14 @@ RUNS = {
     "separate-inf-weight": (
         ["separate", "{k6}", "--weights", "{inf_weight}", "-r", "1", "--eps", "1/2",
          "--k-max", "2"], 2, "error: weight of vertex 1 is not finite: inf",
+    ),
+    "separate-huge-int-weight": (
+        ["separate", "{k6}", "--weights", "{huge_weight}", "-r", "1", "--eps", "1/2",
+         "--k-max", "2"], 0, None,
+    ),
+    "separate-float-overflow": (
+        ["separate", "{k6}", "--weights", "{overflow_weight}", "-r", "1", "--eps", "1/2",
+         "--k-max", "1"], 2, "error: the total weight overflows the float range",
     ),
     "separate-negative-eps": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "-1",

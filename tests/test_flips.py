@@ -331,11 +331,12 @@ class TestDistinctFlipCodes:
 
 class TestMergeRepeats:
     @pytest.mark.parametrize("k", range(1, 6))
-    def test_kept_codes_are_the_brute_force_filter(self, k):
-        """For every pattern of live self pairs up to 5 parts, the codes
-        kept are the distinct flip codes whose toggles are not a flip of a
+    def test_kept_codes_are_the_brute_force_filter(self, k, monkeypatch):
+        """For every pattern of live self pairs up to 5 parts, the raw codes
+        are the distinct flip codes whose toggles are not a flip of a
         partition that merges two parts, chunk by chunk; a whole stream of
-        at most CHUNK codes comes from one read-only table."""
+        at most CHUNK codes comes from one table of read-only chunks, which
+        a second call returns without filtering again."""
         for live in product((False, True), repeat=k):
             labels = np.repeat(np.arange(k), [2 if x else 1 for x in live])
             chunks = list(flips.distinct_flip_codes(labels))
@@ -350,13 +351,15 @@ class TestMergeRepeats:
                     block = toggles[:, index == t]
                     merged &= block.all(1) | ~block.any(1)
                 repeat |= merged
-            kept = list(flips._unmerged(labels, iter(chunks)))
+            kept = list(flips.distinct_flip_codes(labels, raw=True))
             assert all(len(c) for c in kept), live
             assert np.concatenate([[], *kept]).tolist() == codes[~repeat].tolist(), live
+            assert not any(c.flags.writeable for c in kept)
             if len(chunks) == 1:
-                table = flips._KEPT[k, np.array(live).tobytes()]
-                assert list(flips._unmerged(labels, iter(()))) == list(table)  # not drawn
-                assert not any(c.flags.writeable for c in table)
+                with monkeypatch.context() as m:
+                    m.setattr(flips, "_drop_merges", None)  # a call would fail
+                    again = list(flips.distinct_flip_codes(labels, raw=True))
+                assert len(again) == len(kept) and all(a is b for a, b in zip(again, kept))
 
 
 class TestFlipAdjacencyBatch:

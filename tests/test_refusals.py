@@ -1,0 +1,139 @@
+"""Refusals of bad arguments: one row per DomainError branch that the other
+tests do not reach, with the call and the message it must raise."""
+
+import re
+
+import numpy as np
+import pytest
+
+from flipkit import (
+    Bipartite,
+    BreakWitness,
+    DomainError,
+    FlipSpec,
+    Graph,
+    Partition,
+    SetFamily,
+    WeightFn,
+    apply_flip,
+    ball,
+    ball_partition,
+    breakability_search,
+    convert,
+    dist_partition_matrix,
+    enumerate_flips,
+    reconstruct_flip_spec,
+    search_definable_emulation,
+    separability_search,
+    small_balls_orchestrate,
+    sunflower_extract,
+    verify_break_witness,
+)
+from flipkit.conversion import ball_containment_ok
+from flipkit.generators import path
+
+
+def _redeclared(family: SetFamily, size: int) -> SetFamily:
+    family.uniform_size = size
+    return family
+
+
+P3, TRIVIAL4 = path(3), Partition.trivial(4)
+MISMATCH = "partition is over n=4, graph has n=3"
+
+# id: (call, the message of its DomainError)
+REFUSALS = {
+    "separability-weights-length": (
+        lambda: separability_search(P3, WeightFn.uniform(2), 1, 1, 1),
+        "weights cover 2 vertices, graph has 3",
+    ),
+    "separability-negative-radius": (
+        lambda: separability_search(P3, WeightFn.uniform(3), -1, 1, 1),
+        "radius must be nonnegative, got -1",
+    ),
+    "breakability-negative-radius": (
+        lambda: breakability_search(P3, [0, 2], -1, 1),
+        "radius and target size must be nonnegative",
+    ),
+    "breakability-negative-m": (
+        lambda: breakability_search(P3, [0, 2], 1, -1),
+        "radius and target size must be nonnegative",
+    ),
+    "small-balls-weights-length": (
+        lambda: small_balls_orchestrate(P3, WeightFn.uniform(2), SetFamily([(0,)]), 1, 1),
+        "weights cover 2 vertices, graph has 3",
+    ),
+    "small-balls-0-uniform": (
+        lambda: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([()]), 1, 1),
+        "0-uniform families carry no vertices to separate",
+    ),
+    "small-balls-unpaddable": (
+        lambda: small_balls_orchestrate(
+            Graph.empty(2), WeightFn.uniform(2), SetFamily([(0, 1, 2)]), 1, 1
+        ),
+        "cannot pad () to size 3 with only 2 vertices",
+    ),
+    "sunflower-negative-m": (
+        lambda: sunflower_extract(SetFamily([(0, 1)]), -1),
+        "target size must be nonnegative, got -1",
+    ),
+    "sunflower-declared-size": (
+        lambda: sunflower_extract(_redeclared(SetFamily([(0, 1)], uniform_size=2), 3), 1),
+        "family sizes disagree with the declared uniformity",
+    ),
+    "break-witness-negative-radius": (
+        lambda: verify_break_witness(
+            P3, BreakWitness(Partition.trivial(3), FlipSpec(), None, (0,), (2,), -1, 1)
+        ),
+        "radius must be nonnegative, got -1",
+    ),
+    "emulation-vertex-sets": (
+        lambda: search_definable_emulation(P3, path(4), 1, 1),
+        "graphs must share one vertex set",
+    ),
+    "emulation-negative-r-max": (
+        lambda: search_definable_emulation(P3, P3, -1, 1),
+        "r_max must be nonnegative, got -1",
+    ),
+    "ball-containment-n": (
+        lambda: ball_containment_ok(P3, path(4), 1),
+        "graphs must share one vertex set",
+    ),
+    "convert-n": (lambda: convert(P3, TRIVIAL4), MISMATCH),
+    "apply-flip-n": (lambda: apply_flip(P3, TRIVIAL4, FlipSpec()), MISMATCH),
+    "enumerate-flips-n": (lambda: next(enumerate_flips(P3, TRIVIAL4)), MISMATCH),
+    "reconstruct-flip-spec-n": (
+        lambda: reconstruct_flip_spec(P3, P3, TRIVIAL4),
+        "graphs and partition must share one vertex set",
+    ),
+    "dist-partition-matrix-n": (lambda: dist_partition_matrix(P3, TRIVIAL4), MISMATCH),
+    "graph-non-square": (
+        lambda: Graph(np.zeros((2, 3), dtype=bool)),
+        "adjacency must be square, got shape (2, 3)",
+    ),
+    "graph-self-loop": (lambda: Graph.from_edges(3, [(1, 1)]), "self-loop (1,1) not allowed"),
+    "bipartite-overlap": (
+        lambda: Bipartite(Graph.empty(3), (0, 1), (1, 2)),
+        "bipartition sides overlap",
+    ),
+    "partition-vertex-range": (
+        lambda: Partition(2, [[0, 5]]),
+        "vertex 5 out of range for n=2",
+    ),
+    "partition-trivial-0": (lambda: Partition.trivial(0), "cannot partition an empty vertex set"),
+    "flip-spec-negative": (
+        lambda: FlipSpec([(0, -1)]),
+        "part indices must be nonnegative, got (0,-1)",
+    ),
+    "ball-negative-radius": (lambda: ball(P3, 0, -1), "radius must be nonnegative, got -1"),
+    "ball-partition-negative-radius": (
+        lambda: ball_partition(P3, Partition.trivial(3), 0, -1),
+        "radius must be nonnegative, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refuses_with_its_message(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
