@@ -93,7 +93,8 @@ class WeightFn:
         return sum(self.weights[v] for v in vertices)
 
     def within_eps(self, value, eps) -> bool:
-        """Whether ``value <= eps * total`` under the comparison rules."""
+        """Whether ``value <= min(eps, 1) * total`` under the comparison rules."""
+        eps = min(eps, 1)
         if self.integral:
             return Fraction(value) <= Fraction(eps) * Fraction(self.total)
         return value <= eps * self.total + _FLOAT_TOL
@@ -311,10 +312,8 @@ def breakability_search(
     statistics.  Raw partitions are refused on more than ``n_cap``
     vertices, as in ``separability_search``.
     """
-    w1 = sorted(set(w_set))
-    w2 = sorted(set(w2_set)) if w2_set is not None else None
-    for v in w1 + (w2 or []):
-        g._check_vertex(v)
+    w1 = g._vertices(w_set)
+    w2 = g._vertices(w2_set) if w2_set is not None else None
     if r < 0 or m < 0:
         raise DomainError("radius and target size must be nonnegative")
     probes = sorted(set(w1) | set(w2 or []))
@@ -372,12 +371,14 @@ class SeparabilityResult:
         return self.partition is not None
 
 
-def _check_eps(eps) -> None:
-    """Refuse an eps that is not a positive finite number."""
+def _check_eps(eps) -> Fraction:
+    """Refuse an eps that is not a positive finite number, and return it as
+    a Fraction capped at 1: no ball weighs more than the total."""
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     if eps == math.inf:
         raise DomainError(f"eps must be finite, got {eps}")
+    return min(Fraction(eps), 1)
 
 
 def separability_search(
@@ -404,15 +405,15 @@ def separability_search(
     _check_n_cap(g.n, n_cap)
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    _check_eps(eps)
+    eps = _check_eps(eps)
     small = w.small_vertices(eps)
     # Screen, then let the exact comparison decide.  Integer ball weights are
     # summed exactly (int64 while the total fits) against the largest integer
-    # within eps * total, capped at total (no ball weighs more).  Float ball
+    # within eps * total, at most the total since eps <= 1.  Float ball
     # weights are skipped only beyond the float64 rounding of either side.
     if w.integral:
         weights_arr = np.array(w.weights, dtype=np.int64 if w.total < 2**63 else object)
-        limit = min(math.floor(Fraction(eps) * w.total), w.total)
+        limit = math.floor(eps * w.total)
     else:
         weights_arr = np.array(w.weights, dtype=float)
         bound = float(eps) * w.total
@@ -460,6 +461,16 @@ def _scattered(balls: np.ndarray, probes) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _probe_contract(g: Graph, w_set) -> tuple[list[int], int]:
+    """The probes, through ``Graph._vertices``, and the m >= 1 with |W| = 4m^2."""
+    probes = g._vertices(w_set)
+    m = math.isqrt(len(probes) // 4)
+    if m < 1 or len(probes) != 4 * m * m:
+        raise DomainError(f"probe set size {len(probes)} is not of the form 4m^2 "
+                          "for integer m >= 1")
+    return probes, m
+
+
 def break_from_sep(
     g: Graph, w_set, r: int, h: tuple[Partition, FlipSpec]
 ) -> BreakWitness:
@@ -470,15 +481,7 @@ def break_from_sep(
     the probes outside its 4r-ball split the set), or a greedy 2r-scattered
     subset has at least 2m members and its first and second m-blocks do.
     """
-    probes = tuple(sorted(set(w_set)))
-    for v in probes:
-        g._check_vertex(v)
-    m_sq, rem = divmod(len(probes), 4)
-    m = math.isqrt(m_sq)
-    if rem or m * m != m_sq or m < 1:
-        raise DomainError(
-            f"probe set size {len(probes)} is not of the form 4m^2 for integer m >= 1"
-        )
+    probes, m = _probe_contract(g, w_set)
     partition, spec = h
     flipped = apply_flip(g, partition, spec)
     dist = distance_matrix(flipped)
@@ -544,7 +547,7 @@ def sep_then_break(
     probe-indicator weights, then the witness construction on success."""
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    probes = tuple(sorted(set(w_set)))
+    probes, _ = _probe_contract(g, w_set)
     weights = WeightFn.indicator(g.n, probes)
     sep = separability_search(
         g,
@@ -618,8 +621,8 @@ def small_balls_orchestrate(
     t = sizes.pop()
     if t == 0:
         raise DomainError("0-uniform families carry no vertices to separate")
-    _check_eps(eps)
-    p = math.ceil(1 / Fraction(eps)) if eps < 1 else 1
+    eps = _check_eps(eps)
+    p = math.ceil(1 / eps)
     group_size = budget.group_size if budget.group_size is not None else budget.m_keep
     outcome = SmallBallsOutcome(
         kept=None, defining=None, selected_group=None, failed_step=None

@@ -296,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed from being clobbered by a subparser default
     seed_opt = argparse.ArgumentParser(add_help=False)
     seed_opt.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    # the graph file: the first argument of every command that reads one
+    graph_opt = argparse.ArgumentParser(add_help=False, parents=[seed_opt])
+    graph_opt.add_argument("graph")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph", parents=[seed_opt])
@@ -304,18 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", dest="graph_out", help="write the graph")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("diam", help="diameter of a graph", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("diam", help="diameter of a graph", parents=[graph_opt])
     p.set_defaults(func=_cmd_diam)
 
-    p = sub.add_parser("vcdim", help="exact VC-dimension and trace table", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("vcdim", help="exact VC-dimension and trace table", parents=[graph_opt])
     p.add_argument("--cap", type=int, default=DEFAULT_VCDIM_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_vcdim)
 
-    p = sub.add_parser("dist", help="flip-metric distances as CSV", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("dist", help="flip-metric distances as CSV", parents=[graph_opt])
     p.add_argument("pair", nargs="*", type=int, help="vertex pair u v")
     p.add_argument("--partition")
     p.add_argument("--set")
@@ -325,16 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("convert", help="metric conversion: refine and flip", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("convert", help="metric conversion: refine and flip", parents=[graph_opt])
     p.add_argument("--partition", required=True)
     p.add_argument("--emit-certificates")
     p.add_argument("--emit-dot")
     p.add_argument("-o", "--output", dest="graph_out", help="write the flipped graph")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("break", help="budgeted flip-breakability search", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("break", help="budgeted flip-breakability search", parents=[graph_opt])
     p.add_argument("--W", dest="probes", required=True, help="probe-set file")
     p.add_argument("--W2", dest="probes2", help="second probe-set file")
     p.add_argument("-r", "--radius", type=int, required=True)
@@ -346,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_break)
 
-    p = sub.add_parser("separate", help="brute-force flip-separability search", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("separate", help="brute-force flip-separability search", parents=[graph_opt])
     p.add_argument("--weights", required=True)
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--eps", required=True, help="fraction, e.g. 0.4 or 2/5")
@@ -356,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("sep2break", help="separability then witness construction", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("sep2break", help="separability then witness construction", parents=[graph_opt])
     p.add_argument("--W", dest="probes", required=True, help="probe-set file (size 4m^2)")
     p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--k-max", type=int, default=1)
@@ -371,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("export", help="DOT / CSV export", parents=[seed_opt])
-    p.add_argument("graph")
+    p = sub.add_parser("export", help="DOT / CSV export", parents=[graph_opt])
     p.add_argument("--partition")
     p.add_argument("--dot")
     p.add_argument("--csv")

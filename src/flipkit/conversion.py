@@ -83,8 +83,9 @@ def _components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _is_biclique_component(b: Bipartite, comp: tuple[int, ...]) -> bool:
-    left = [v for v in comp if v in set(b.left)]
-    right = [v for v in comp if v in set(b.right)]
+    left_set = set(b.left)
+    left = [v for v in comp if v in left_set]
+    right = [v for v in comp if v not in left_set]
     if not left or not right:
         return False
     return bool(b.graph.adj[np.ix_(left, right)].all())

@@ -445,9 +445,7 @@ def definable_partition(g: Graph, s) -> Partition:
     The result has at most |s| + 2^|s| parts; empty neighborhood classes
     simply never materialize.
     """
-    s_sorted = sorted(set(s))
-    for v in s_sorted:
-        g._check_vertex(v)
+    s_sorted = g._vertices(s)
     if g.n == 0:
         raise DomainError("definable partition of an empty graph is undefined")
     rows = g.adj[:, s_sorted]

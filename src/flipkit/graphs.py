@@ -105,6 +105,13 @@ class Graph:
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} out of range for n={self.n}")
 
+    def _vertices(self, vs) -> list[int]:
+        """The distinct vertices of ``vs``, ascending, each checked in that order."""
+        order = sorted(set(vs))
+        for v in order:
+            self._check_vertex(v)
+        return order
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -284,21 +291,18 @@ def bipartite_complement(b: Bipartite) -> Bipartite:
 
 def induced(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``s`` plus the new-index -> old-vertex table."""
-    order = sorted(set(s))
-    for v in order:
-        g._check_vertex(v)
+    order = g._vertices(s)
     sub = g.adj[np.ix_(order, order)]
     return Graph(sub), tuple(order)
 
 
 def bipartite_induced(g: Graph, a, b) -> tuple[Bipartite, tuple[int, ...]]:
     """Bipartite subgraph on (a, b): only crossing edges are kept."""
-    a_sorted, b_sorted = sorted(set(a)), sorted(set(b))
-    if set(a_sorted) & set(b_sorted):
+    a, b = set(a), set(b)
+    if a & b:
         raise DomainError("bipartite sides must be disjoint")
-    order = a_sorted + b_sorted
-    for v in order:
-        g._check_vertex(v)
+    a_sorted = g._vertices(a)
+    order = a_sorted + g._vertices(b)
     sub = g.adj[np.ix_(order, order)].copy()
     k = len(a_sorted)
     sub[:k, :k] = False

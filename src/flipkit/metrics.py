@@ -140,9 +140,7 @@ def _metric_ball(g: Graph, vertices, r: int, metric) -> frozenset[int]:
         raise DomainError(f"radius must be nonnegative, got {r}")
     if isinstance(vertices, (int, np.integer)):
         vertices = [int(vertices)]
-    vertices = sorted(set(int(v) for v in vertices))
-    for v in vertices:
-        g._check_vertex(v)
+    vertices = g._vertices(int(v) for v in vertices)
     return frozenset(np.flatnonzero(within(metric()[vertices], r).any(axis=0)).tolist())
 
 

@@ -32,8 +32,7 @@ class ShatterReport:
     witness: tuple[int, ...]
 
 
-def _trace_count(g: Graph, subset: tuple[int, ...]) -> int:
-    cols = list(subset)
+def _trace_count(g: Graph, cols: list[int]) -> int:
     if not cols:
         return 1
     codes = g.adj[:, cols] @ (1 << np.arange(len(cols), dtype=np.int64))
@@ -84,9 +83,7 @@ def shatter_function(g: Graph, n: int, *, cap: int = DEFAULT_SHATTER_CAP) -> int
 
 def is_shattered(g: Graph, subset) -> bool:
     """Whether every subset of ``subset`` occurs as a neighborhood trace."""
-    subset = tuple(sorted(set(subset)))
-    for v in subset:
-        g._check_vertex(v)
+    subset = g._vertices(subset)
     return _trace_count(g, subset) == 1 << len(subset)
 
 

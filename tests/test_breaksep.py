@@ -59,6 +59,13 @@ class TestWeightFn:
         assert w.within_eps(bound + 5e-10, 0.5)
         assert not w.within_eps(bound + 1e-6, 0.5)
 
+    def test_eps_above_one_decides_as_one(self):
+        # eps * total for a float total would overflow at this eps
+        huge = Fraction(10**400)
+        floats, ints = WeightFn([0.5] * 3), WeightFn([1, 2])
+        assert floats.within_eps(1.5, huge) and not floats.within_eps(1.5 + 1e-6, huge)
+        assert ints.within_eps(3, huge) and not ints.within_eps(4, huge)
+
     def test_numpy_integers_take_the_exact_path(self):
         w = WeightFn([np.int64(1), np.uint8(1), np.int32(1)])
         assert w.integral and all(type(x) is int for x in w.weights)
@@ -284,7 +291,7 @@ class TestSeparabilitySearch:
                 bw = w.of(oracle.ball(n, oracle.edges_of(flipped), v, 1))
                 assert Fraction(bw) <= eps * Fraction(w.total)
 
-    def test_float_screen_keeps_witness_with_huge_weights(self):
+    def test_integral_screen_accepts_a_ball_at_the_bound_far_above_2_53(self):
         # every ball is one vertex holding exactly total/6, far above 2^53
         w = WeightFn([1885443494880068069] * 6)
         result = separability_search(Graph.empty(6), w, 1, Fraction(1, 6), 1)
@@ -300,15 +307,35 @@ class TestSeparabilitySearch:
         ([7, 1, 1, 2, 0, 3], Fraction(1, 4)),
     ])
     def test_integral_screen_is_exact_at_any_size(self, rng, weights, eps):
-        """For integer weights small and huge, the search returns the first
-        flip, in partition and counter order, that the oracle finds light,
-        with the same count of specs tried; a miss tries every spec."""
+        """For integer weights small and huge, the search matches the oracle
+        under exact comparison."""
+        self._matches_the_oracle(rng, weights, eps, lambda x: x <= eps * sum(weights))
+
+    @pytest.mark.parametrize("weights, eps", [
+        ([0.1, 0.2, 0.3, 0.15, 0.05, 0.2], Fraction(2, 5)),
+        ([1.0, 1.0, 1.0 + 1.6e-9, 1.0, 0.0, 0.0], Fraction(1, 2)),  # 0.8e-9 above the bound
+        ([1.0, 1.0, 1.0 + 2.4e-9, 1.0, 0.0, 0.0], Fraction(1, 2)),  # 1.2e-9 above the bound
+        ([3e19, 1e19, 2.5e19, 7.0, 0.0, 4e19], Fraction(1, 3)),
+    ])
+    def test_float_screen_keeps_the_float_rule(self, rng, weights, eps):
+        """For float weights, the search matches the oracle under WeightFn's
+        float rule: a ball summed in vertex order is at most eps * total
+        plus 1e-9."""
+        self._matches_the_oracle(
+            rng, weights, eps, lambda x: x <= float(eps) * sum(weights) + 1e-9)
+
+    @staticmethod
+    def _matches_the_oracle(rng, weights, eps, light_enough):
+        """On random graphs, the search returns the first flip, in partition
+        and counter order, after which the r-ball of every light-enough vertex
+        is light enough, with the same count of specs tried; a miss tries
+        every spec."""
         for _ in range(6):
             n = len(weights)
             g = random_graph(rng, n, rng.random())
             w, r, k_max = WeightFn(weights), rng.randint(0, 2), rng.randint(1, 2)
             edges = oracle.edges_of(g)
-            light = [v for v in range(n) if weights[v] <= eps * w.total]
+            light = [v for v in range(n) if light_enough(weights[v])]
             tried, want = 0, None
             for labels in product(range(k_max), repeat=n):
                 if any(x > max(labels[:i], default=-1) + 1 for i, x in enumerate(labels)):
@@ -319,8 +346,8 @@ class TestSeparabilitySearch:
                     tried += 1
                     spec = [pair for t, pair in enumerate(pairs) if code >> t & 1]
                     flipped = oracle.flip_edges(n, edges, parts, spec)
-                    if all(sum(weights[u] for u in oracle.ball(n, flipped, v, r)) <= eps * w.total
-                           for v in light):
+                    balls = (sorted(oracle.ball(n, flipped, v, r)) for v in light)
+                    if all(light_enough(sum(weights[u] for u in b)) for b in balls):
                         want = (Partition(n, parts), FlipSpec(spec))
                         break
                 if want:
@@ -447,6 +474,13 @@ class TestBreakFromSep:
         h = (Partition.trivial(6), FlipSpec())
         with pytest.raises(DomainError):
             break_from_sep(g, range(6), 1, h)
+
+    def test_pipeline_refuses_a_bad_probe_set_before_its_search(self, monkeypatch):
+        monkeypatch.setattr(breaksep, "separability_search", None)  # a call would be a TypeError
+        for probes, message in (([0, 1, 2], r"probe set size 3 is not of the form 4m\^2"),
+                                ([0, 1, 2, 99], "vertex 99 out of range for n=4")):
+            with pytest.raises(DomainError, match=message):
+                sep_then_break(path(4), probes, 1)
 
     def test_pipeline_on_random_sparse_graphs(self, rng):
         successes = 0

@@ -303,9 +303,12 @@ def inputs(tmp_path):
         "inf_weight": "0 1\n1 inf\n2 1\n3 1\n4 1\n5 1\n",
         "huge_weight": fileio.dumps_weights([10**400] + [1] * 5),
         "overflow_weight": fileio.dumps_weights([1e308] * 6),
+        "half_weights": fileio.dumps_weights([0.5] * 6),
         "probes12": " ".join(map(str, range(12))),
         "leaves": "1 2 3 4",
         "quad": "0 1 2 3",
+        "triple": "0 1 2",
+        "quad_out_of_range": "0 1 2 99",
         "bad_probes": "0 x\n",
         "huge": "200000 0\n",
     }
@@ -404,6 +407,10 @@ RUNS = {
         ["separate", "{k6}", "--weights", "{overflow_weight}", "-r", "1", "--eps", "1/2",
          "--k-max", "1"], 2, "error: the total weight overflows the float range",
     ),
+    "separate-float-eps-beyond-float-range": (
+        ["separate", "{path6}", "--weights", "{half_weights}", "-r", "1", "--eps", "1e400",
+         "--k-max", "1"], 0, None,
+    ),
     "separate-negative-eps": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "-1",
          "--k-max", "2"], 2, "error: eps must be positive, got -1",
@@ -463,6 +470,14 @@ RUNS = {
     "sep2break-zero-n-cap": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--n-cap", "0"], 2,
         "error: n_cap must be a positive integer, got 0",
+    ),
+    "sep2break-probe-count": (
+        ["sep2break", "{path6}", "--W", "{triple}", "-r", "1"], 2,
+        "error: probe set size 3 is not of the form 4m^2 for integer m >= 1",
+    ),
+    "sep2break-probe-out-of-range": (
+        ["sep2break", "{path6}", "--W", "{quad_out_of_range}", "-r", "1"], 2,
+        "error: vertex 99 out of range for n=6",
     ),
     "sep2break-negative-k-max": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,
