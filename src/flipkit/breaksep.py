@@ -36,7 +36,7 @@ from .flips import (
     resolve_max_parts,
 )
 from .graphs import UNREACHED, Graph, batched_distance_matrices, distance_matrix, within
-from .metrics import SetFamily, dist_family_matrix
+from .metrics import SetFamily, _family_partitions, _flip_metric
 
 _FLOAT_TOL = 1e-9
 
@@ -84,6 +84,9 @@ class WeightFn:
     @classmethod
     def indicator(cls, n: int, support) -> "WeightFn":
         inside = set(support)
+        outside = sorted(inside - set(range(n)))
+        if outside:
+            raise DomainError(f"support vertex {outside[0]} out of range for n={n}")
         return cls([1 if v in inside else 0 for v in range(n)])
 
     def __len__(self) -> int:
@@ -666,12 +669,14 @@ def small_balls_orchestrate(
     uniform = t if all(len(s) == t for s in padded) else None
     defining = SetFamily(padded, uniform_size=uniform)
 
-    dist = dist_family_matrix(g, defining, max_parts=budget.part_cap)
+    # The rows read, to depth r: each residue vertex below is a petal vertex.
+    rows = sorted({v for group in groups for petal in group for v in petal})
+    dist = _flip_metric(g, _family_partitions(g, defining, budget.part_cap), rows, max(r, 1))
     union_defining = defining.union()
     group_weights = []
     for q in range(p):
         vertices = sorted({v for petal in groups[q] for v in petal})
-        reach = within(dist[vertices], r).any(axis=0)
+        reach = within(dist[np.searchsorted(rows, vertices)], r).any(axis=0)
         group_weights.append(w.of(np.flatnonzero(reach).tolist()))
     selected = min(range(p), key=lambda q: (group_weights[q], q))
 
@@ -679,7 +684,7 @@ def small_balls_orchestrate(
     kept = SetFamily(kept_sets, uniform_size=t)
     for s in kept:
         residue = [v for v in s if v not in union_defining]
-        reach = within(dist[residue], r).any(axis=0)
+        reach = within(dist[np.searchsorted(rows, residue)], r).any(axis=0)
         weight = w.of(np.flatnonzero(reach).tolist())
         if not w.within_eps(weight, eps):
             raise RuntimeError(

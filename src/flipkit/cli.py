@@ -35,8 +35,8 @@ from .breaksep import (
 )
 from .conversion import convert
 from .errors import CapExceeded, DomainError
-from .graphs import INF, Graph, diameter
-from .metrics import SetFamily, dist_family_matrix, dist_partition_matrix
+from .graphs import INF, UNREACHED, Graph, diameter
+from .metrics import SetFamily, dist_family, dist_family_matrix, dist_partition, dist_partition_matrix
 from .vc import DEFAULT_VCDIM_CAP, vc_dimension
 from .verify import LEMMA_SWEEPS, RunReport
 
@@ -51,8 +51,8 @@ def _read_graph(path: str) -> Graph:
     return fileio.loads_graph(Path(path).read_text())
 
 
-def _dist_cell(value: int) -> str:
-    return "inf" if value < 0 else str(int(value))
+def _dist_cell(value) -> str:
+    return "inf" if value in (INF, UNREACHED) else str(int(value))
 
 
 # ---------------------------------------------------------------------------
@@ -106,24 +106,26 @@ def _cmd_dist(args) -> Result:
     modes = [m for m in (args.partition, args.set, args.family) if m is not None]
     if len(modes) != 1:
         raise DomainError("pass exactly one of --partition, --set, --family")
-    if args.all_pairs:
-        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
-    elif len(args.pair) == 2:
+    if not args.all_pairs:
+        if len(args.pair) != 2:
+            raise DomainError("pass a vertex pair `u v`, or --all-pairs")
         for v in args.pair:
             g._check_vertex(v)
-        pairs = [tuple(args.pair)]
-    else:
-        raise DomainError("pass a vertex pair `u v`, or --all-pairs")
     if args.partition:
-        p = fileio.loads_partition(Path(args.partition).read_text(), g.n)
-        dist = dist_partition_matrix(g, p, max_parts=args.max_parts)
+        metric = fileio.loads_partition(Path(args.partition).read_text(), g.n)
+        matrix, pair = dist_partition_matrix, dist_partition
     else:
         if args.set is not None:
             sets = [fileio.loads_vertex_set(args.set)]
         else:
             sets = fileio.loads_family(Path(args.family).read_text())
-        dist = dist_family_matrix(g, SetFamily(sets), max_parts=args.max_parts)
-    rows = [{"u": u, "v": v, "dist": _dist_cell(dist[u, v])} for u, v in pairs]
+        metric, matrix, pair = SetFamily(sets), dist_family_matrix, dist_family
+    if args.all_pairs:  # the whole matrix; a pair reads one BFS row
+        dist = matrix(g, metric, max_parts=args.max_parts)
+        cells = [(u, v, dist[u, v]) for u in range(g.n) for v in range(g.n)]
+    else:
+        cells = [(*args.pair, pair(g, metric, *args.pair, max_parts=args.max_parts))]
+    rows = [{"u": u, "v": v, "dist": _dist_cell(d)} for u, v, d in cells]
     return fileio.export_csv(rows, ["u", "v", "dist"]), {}
 
 

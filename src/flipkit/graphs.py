@@ -185,11 +185,12 @@ def batched_distance_matrices(adjs: np.ndarray, depth: int | None = None) -> np.
     return _bfs(adjs, fold=False, depth=depth)
 
 
-def max_distance_matrix(adjs: np.ndarray) -> np.ndarray:
-    """``fold_max_distances(batched_distance_matrices(adjs))`` as one (n, n)
-    int16 matrix, without the per-flip stack; the flip metric's kernel.
+def max_distance_matrix(adjs: np.ndarray, sources=None, depth: int | None = None) -> np.ndarray:
+    """``fold_max_distances(batched_distance_matrices(adjs, depth))`` as one
+    (n, n) int16 matrix, without the per-flip stack; the flip metric's
+    kernel.  With ``sources`` only their rows are run: an (s, n) matrix.
     An empty stack (F = 0) has no max and is a DomainError."""
-    return _bfs(adjs, fold=True)
+    return _bfs(adjs, fold=True, depth=depth, sources=sources)
 
 
 #: Stacks of at least this many flips drop their finished flips in the
@@ -197,7 +198,7 @@ def max_distance_matrix(adjs: np.ndarray) -> np.ndarray:
 _COMPACT_MIN = 256
 
 
-def _bfs(adjs, fold: bool, depth: int | None = None) -> np.ndarray:
+def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray:
     """The one level loop.  All sources advance by float32 frontier
     products, ``frontier @ adj > 0`` on the pairs not yet reached; a pair's
     distance is 1 plus the levels at which it was unreached.  Exact at any
@@ -205,7 +206,8 @@ def _bfs(adjs, fold: bool, depth: int | None = None) -> np.ndarray:
     one term is, however it rounds.  Unreached sets only shrink, so the max
     over flips adds ``left.any(0)`` per level and may drop finished flips.
     Distances are below n, so no ``depth`` runs levels 2..n-1; a depth runs
-    levels 2..depth, and the pairs left unreached read UNREACHED."""
+    levels 2..depth, and the pairs left unreached read UNREACHED.  With
+    ``sources`` the frontier holds only their rows, (F, s, n)."""
     adjs = np.asarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
     if fold and not f:
@@ -213,6 +215,8 @@ def _bfs(adjs, fold: bool, depth: int | None = None) -> np.ndarray:
     a = frontier = adjs.astype(np.float32)
     left = ~adjs
     left.reshape(f, n * n)[:, :: n + 1] = False  # reached at level 0
+    if sources is not None:
+        adjs, frontier, left = adjs[:, sources], a[:, sources], left[:, sources]
     dist = (adjs[0] | left[0] if fold else adjs | left).astype(np.int16)
     for _ in range(1, n if depth is None else depth):
         pending = left.any(0) if fold else left

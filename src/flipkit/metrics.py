@@ -60,38 +60,43 @@ class SetFamily:
         return f"SetFamily({list(self.sets)!r})"
 
 
-def _flip_metric(g: Graph, partitions) -> np.ndarray:
+def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -> np.ndarray:
     """The absorbing max of the distances over every distinct flip of each
     of ``partitions``, folded inside the BFS pack by pack; the max ignores
-    duplicate flips, so skipping them keeps the result exact."""
+    duplicate flips, so skipping them keeps the result exact.  ``sources``
+    and ``depth`` cut each pack's BFS as in ``max_distance_matrix``."""
     packs = flips.flip_packs(g, ((None, p) for p in partitions), flips.CHUNK)
-    return fold_max_distances(np.stack([max_distance_matrix(stack) for stack, _ in packs]))
+    return fold_max_distances(np.stack([max_distance_matrix(s, sources, depth) for s, _ in packs]))
 
 
-def _pair_distance(g: Graph, u: int, v: int, metric) -> ExtDist:
-    """Entry (u, v) of the all-pairs matrix that ``metric()`` computes, the
-    pair checked first; INF if any flip separates it."""
+def _pair_distance(g: Graph, u: int, v: int, partitions) -> ExtDist:
+    """The (u, v) distance over ``partitions()``, the pair checked first,
+    from u's row alone; INF if any flip separates it."""
     g._check_vertex(u)
     g._check_vertex(v)
-    value = metric()[u, v]
+    value = _flip_metric(g, partitions(), [u])[0, v]
     return INF if value == UNREACHED else int(value)
+
+
+def _partition_list(g: Graph, p: Partition, max_parts: int | None) -> list[Partition]:
+    if p.n != g.n:
+        raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
+    check_part_cap(len(p.parts), max_parts)
+    return [p]
 
 
 def dist_partition_matrix(
     g: Graph, p: Partition, *, max_parts: int | None = None
 ) -> np.ndarray:
     """All-pairs partition distance, sentinel-coded (-1 = INF)."""
-    if p.n != g.n:
-        raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
-    check_part_cap(len(p.parts), max_parts)
-    return _flip_metric(g, [p])
+    return _flip_metric(g, _partition_list(g, p, max_parts))
 
 
 def dist_partition(
     g: Graph, p: Partition, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
     """Maximum over all flips of the u-v distance; INF if any flip separates."""
-    return _pair_distance(g, u, v, lambda: dist_partition_matrix(g, p, max_parts=max_parts))
+    return _pair_distance(g, u, v, lambda: _partition_list(g, p, max_parts))
 
 
 def _defining_partition(g: Graph, s, max_parts: int | None) -> Partition:
@@ -110,38 +115,41 @@ def dist_definable_matrix(
 def dist_definable(
     g: Graph, s, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
-    return _pair_distance(g, u, v, lambda: dist_definable_matrix(g, s, max_parts=max_parts))
+    return _pair_distance(g, u, v, lambda: [_defining_partition(g, s, max_parts)])
+
+
+def _family_partitions(g: Graph, fam: SetFamily, max_parts: int | None) -> list[Partition]:
+    """The members' partitions.  The empty family is the metric of the
+    trivial partition, matching the defining-set metric with an empty set;
+    this keeps family operations total for the orchestration code."""
+    members = [_defining_partition(g, s, max_parts) for s in fam]
+    return members or _partition_list(g, Partition.trivial(g.n), max_parts)
 
 
 def dist_family_matrix(
     g: Graph, fam: SetFamily, *, max_parts: int | None = None
 ) -> np.ndarray:
-    """Pointwise max over the members' metrics, folded once over all their flips.
-
-    The empty family is the metric of the trivial partition, matching the
-    defining-set metric with an empty set; this keeps family operations
-    total for the orchestration code.
-    """
-    if len(fam) == 0:
-        return dist_partition_matrix(g, Partition.trivial(g.n), max_parts=max_parts)
-    return _flip_metric(g, [_defining_partition(g, s, max_parts) for s in fam])
+    """Pointwise max over the members' metrics, folded once over all their flips."""
+    return _flip_metric(g, _family_partitions(g, fam, max_parts))
 
 
 def dist_family(
     g: Graph, fam: SetFamily, u: int, v: int, *, max_parts: int | None = None
 ) -> ExtDist:
-    return _pair_distance(g, u, v, lambda: dist_family_matrix(g, fam, max_parts=max_parts))
+    return _pair_distance(g, u, v, lambda: _family_partitions(g, fam, max_parts))
 
 
-def _metric_ball(g: Graph, vertices, r: int, metric) -> frozenset[int]:
+def _metric_ball(g: Graph, vertices, r: int, partitions) -> frozenset[int]:
     """Union of the radius-r balls around ``vertices`` (one vertex or a
-    collection) in the all-pairs matrix that ``metric()`` computes."""
+    collection) in the flip metric over ``partitions()``: their rows only,
+    BFS'd to depth r, which decides ``within(., r)`` exactly."""
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
     if isinstance(vertices, (int, np.integer)):
         vertices = [int(vertices)]
     vertices = g._vertices(int(v) for v in vertices)
-    return frozenset(np.flatnonzero(within(metric()[vertices], r).any(axis=0)).tolist())
+    rows = _flip_metric(g, partitions(), vertices, max(r, 1))
+    return frozenset(np.flatnonzero(within(rows, r).any(axis=0)).tolist())
 
 
 def ball_family(
@@ -152,11 +160,11 @@ def ball_family(
     For a single vertex this is the intersection of the members' balls; a
     collection of vertices gives the union of their balls.
     """
-    return _metric_ball(g, vertices, r, lambda: dist_family_matrix(g, fam, max_parts=max_parts))
+    return _metric_ball(g, vertices, r, lambda: _family_partitions(g, fam, max_parts))
 
 
 def ball_partition(
     g: Graph, p: Partition, vertices, r: int, *, max_parts: int | None = None
 ) -> frozenset[int]:
     """Partition-metric ball around a vertex or the union over a vertex set."""
-    return _metric_ball(g, vertices, r, lambda: dist_partition_matrix(g, p, max_parts=max_parts))
+    return _metric_ball(g, vertices, r, lambda: _partition_list(g, p, max_parts))

@@ -93,6 +93,12 @@ class TestWeightFn:
             with pytest.raises(DomainError, match="bool"):
                 WeightFn(weights)
 
+    def test_indicator_refuses_vertices_outside_the_graph(self):
+        assert WeightFn.indicator(4, [2, 0, 2]).weights == (1, 0, 1, 0)
+        for support, bad in (([0, 99, -1], -1), ([4], 4), ([1, 7, 5], 5)):
+            with pytest.raises(DomainError, match=f"support vertex {bad} out of range for n=4"):
+                WeightFn.indicator(4, support)
+
     def test_eps_balanced(self):
         assert WeightFn([1, 1, 1, 1]).is_eps_balanced(Fraction(1, 4))
         assert not WeightFn([3, 1]).is_eps_balanced(Fraction(1, 2))

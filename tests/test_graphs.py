@@ -164,6 +164,29 @@ class TestMaxDistanceMatrix:
         assert unreached
         assert bool(shrunk) == (graphs._COMPACT_MIN <= 16)
 
+    def test_source_rows_match_the_cut_fold(self, rng, sizes):
+        """With ``sources`` the fold runs only their rows, an (s, n) frontier
+        per flip, and reads the source rows of the per-flip fold, cut as in
+        ``test_depth_cut_keeps_every_ball``; one source, several and every
+        vertex, at no depth and at depths 0..n."""
+        shrunk = 0
+        for n in (1, 2, 5, 9):
+            for f in (3, 7, 16):
+                _, adjs = _mixed_stack(rng, f, n)
+                full = fold_max_distances(batched_distance_matrices(adjs))
+                several = sorted(rng.sample(range(n), min(3, n)))
+                for sources in ([rng.randrange(n)], several, list(range(n))):
+                    for depth in (None, *range(n + 1)):
+                        del sizes[:]
+                        got = max_distance_matrix(adjs, sources, depth)
+                        want = full[sources]
+                        if depth is not None:
+                            want = np.where(within(want, max(depth, 1)), want, UNREACHED)
+                        assert got.shape == (len(sources), n) and got.dtype == np.int16
+                        assert np.array_equal(got, want)
+                        shrunk += any(size < f for size in sizes)
+        assert bool(shrunk) == (graphs._COMPACT_MIN <= 16)
+
     def test_empty_stack_is_a_domain_error(self):
         with pytest.raises(DomainError, match="empty flip stack"):
             max_distance_matrix(np.zeros((0, 3, 3), dtype=bool))

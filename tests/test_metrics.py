@@ -18,9 +18,9 @@ from flipkit import (
     dist_partition,
     dist_partition_matrix,
 )
-from flipkit import flips, metrics
+from flipkit import flips, graphs, metrics
 from flipkit.flips import canonical_pairs
-from flipkit.graphs import UNREACHED, fold_max_distances
+from flipkit.graphs import UNREACHED, fold_max_distances, within
 from flipkit.generators import gnp, path
 from conftest import random_graph, random_partition_labels
 
@@ -258,6 +258,29 @@ class TestDistFamily:
         for u, v in [(0, 3), (1, 4), (2, 2)]:
             assert dist_family(g, fam, u, v) == as_ext(d[u, v])
 
+    def test_pair_queries_match_their_matrices(self, rng):
+        """Each pair query reads u's row alone; it is entry (u, v) of its
+        matrix for every pair, the empty family included."""
+        from flipkit import dist_family
+
+        for _ in range(5):
+            n = rng.randint(2, 7)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 3))
+            s = rng.sample(range(n), 1)
+            queries = [
+                (lambda u, v: dist_partition(g, p, u, v), dist_partition_matrix(g, p)),
+                (lambda u, v: dist_definable(g, s, u, v), dist_definable_matrix(g, s)),
+            ]
+            for fam in (SetFamily([]), SetFamily([s, [rng.randrange(n)]])):
+                queries.append(
+                    (lambda u, v, fam=fam: dist_family(g, fam, u, v), dist_family_matrix(g, fam))
+                )
+            for pair, d in queries:
+                for u in range(n):
+                    for v in range(n):
+                        assert pair(u, v) == as_ext(d[u, v])
+
 
 class TestBalls:
     def test_ball_duality(self, rng):
@@ -288,6 +311,50 @@ class TestBalls:
             b = ball_partition(g, p, v, 2)
             want = {u for u in range(6) if d[u, v] != UNREACHED and d[u, v] <= 2}
             assert b == want
+
+    def test_rows_only_balls_match_the_full_matrix(self, rng):
+        """A ball BFS's only its vertices' rows, to depth max(r, 1), and is
+        the ball that the full matrix gives at every radius, for a
+        partition, a family and the empty family."""
+        for _ in range(6):
+            n = rng.randint(2, 7)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 3))
+            cases = [(lambda vs, r: ball_partition(g, p, vs, r), dist_partition_matrix(g, p))]
+            for fam in (SetFamily([]), SetFamily([rng.sample(range(n), 1), [rng.randrange(n)]])):
+                cases.append(
+                    (lambda vs, r, fam=fam: ball_family(g, fam, vs, r), dist_family_matrix(g, fam))
+                )
+            for ball_of, d in cases:
+                for vs in (rng.randrange(n), rng.sample(range(n), rng.randint(0, n)), range(n)):
+                    rows = [vs] if isinstance(vs, int) else sorted(vs)
+                    for r in (*range(n + 2), 10**30):
+                        want = set(np.flatnonzero(within(d[rows], r).any(axis=0)).tolist())
+                        assert ball_of(vs, r) == want
+
+    def test_ball_bfs_runs_its_rows_to_depth_r(self, rng, monkeypatch):
+        """Spy on the kernel: every pack of a ball query runs one row per
+        vertex to depth max(r, 1); a pair query runs u's row to the end."""
+        calls = []
+        real = graphs._bfs
+
+        def spy(adjs, fold, depth=None, sources=None):
+            calls.append((None if sources is None else len(sources), depth))
+            return real(adjs, fold, depth, sources)
+
+        monkeypatch.setattr(graphs, "_bfs", spy)
+        g = random_graph(rng, 9, 0.4)
+        p = Partition.from_labels(random_partition_labels(rng, 9, 3))
+        fam = SetFamily([[0], [4]])
+        for vertices, r in ((4, 0), ([1, 5, 7], 1), ([0, 8], 2), (range(9), 5)):
+            for query, metric in ((ball_partition, p), (ball_family, fam)):
+                del calls[:]
+                query(g, metric, vertices, r)
+                size = 1 if isinstance(vertices, int) else len(vertices)
+                assert calls and set(calls) == {(size, max(r, 1))}
+        del calls[:]
+        dist_partition(g, p, 3, 8)
+        assert calls and set(calls) == {(1, None)}
 
 
 class TestMetricAxioms:
