@@ -35,7 +35,7 @@ from .flips import (
     partition_labels,
     resolve_max_parts,
 )
-from .graphs import UNREACHED, Graph, batched_distance_matrices, distance_matrix, within
+from .graphs import Graph, component_labels, distance_matrix, within
 from .metrics import SetFamily, _family_partitions, _flip_metric
 
 _FLOAT_TOL = 1e-9
@@ -266,8 +266,7 @@ def _splits(
     in1 = np.isin(idx, list(w1))
     in2 = np.isin(idx, list(w2))
     meets = within(dists[:, idx[:, None], idx], 2 * r)
-    # a probe's first reachable probe is the minimum of its component
-    labels = (batched_distance_matrices(meets) != UNREACHED).argmax(-1)
+    labels = component_labels(meets)
     a1 = np.zeros((f, k), dtype=bool)
     a2 = np.zeros((f, k), dtype=bool)
     for c in range(k):

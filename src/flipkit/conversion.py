@@ -36,6 +36,7 @@ from .graphs import (
     bipartite_complement,
     bipartite_induced,
     complement,
+    component_labels,
     diameter,
     distance_matrix,
     induced,
@@ -76,21 +77,6 @@ class BipartiteCase:
     chosen_u: int | None = None
 
 
-def _components(g: Graph) -> list[tuple[int, ...]]:
-    """Components by minimum member, read off the reachability of one BFS."""
-    labels = (distance_matrix(g) != UNREACHED).argmax(-1)
-    return [tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels).tolist()]
-
-
-def _is_biclique_component(b: Bipartite, comp: tuple[int, ...]) -> bool:
-    left_set = set(b.left)
-    left = [v for v in comp if v in left_set]
-    right = [v for v in comp if v not in left_set]
-    if not left or not right:
-        return False
-    return bool(b.graph.adj[np.ix_(left, right)].all())
-
-
 def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> BipartiteCase:
     """Classify a bipartite graph both of whose complements are disconnected.
 
@@ -111,38 +97,33 @@ def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> Bip
         isolated = [v for v in side if b.graph.degree(v) == 0]
         if not isolated:
             continue
-        dominating = [
-            v for v in side if all(b.graph.adj[v, u] for u in other)
-        ]
+        dominating = [v for v in side if all(b.graph.adj[v, u] for u in other)]
         if not dominating:
-            raise DomainError(
-                "no dominating partner for an isolated vertex; "
-                "input violates the disconnected-complement precondition"
+            raise RuntimeError(
+                "an isolated vertex has no dominating partner although both "
+                "complements are disconnected; the bipartite classification is broken"
             )
-        chosen = min(other) if other else None
         return BipartiteCase(
             tag=BipartiteCaseTag.ISOLATED_AND_DOMINATING,
             side=side_name,
             v_minus=min(isolated),
             v_plus=min(dominating),
-            chosen_u=chosen,
+            chosen_u=min(other) if other else None,
         )
 
-    comps = _components(b.graph)
-    if len(comps) != 2 or not all(_is_biclique_component(b, c) for c in comps):
-        raise DomainError(
-            "expected exactly two biclique components; "
-            "input violates the disconnected-complement precondition"
-        )
-    comps.sort(key=min)
+    # components ascend by minimum member, each split into its left and right
+    labels = component_labels(b.graph.adj[None])[0]
     left_set = set(b.left)
     blocks = tuple(
-        (
-            tuple(v for v in comp if v in left_set),
-            tuple(v for v in comp if v not in left_set),
-        )
-        for comp in comps
+        (tuple(v for v in comp if v in left_set), tuple(v for v in comp if v not in left_set))
+        for comp in (np.flatnonzero(labels == c).tolist() for c in np.unique(labels).tolist())
     )
+    if len(blocks) != 2 or not all(u and v and b.graph.adj[np.ix_(u, v)].all()
+                                   for u, v in blocks):
+        raise RuntimeError(
+            "no vertex is isolated, yet the components are not exactly two bicliques; "
+            "the bipartite classification is broken"
+        )
     return BipartiteCase(tag=BipartiteCaseTag.TWO_BICLIQUES, blocks=blocks)
 
 
@@ -193,13 +174,11 @@ def bipartite_flip(b: Bipartite) -> BipartiteFlipResult:
                 adj[np.ix_(list(ui), list(vj))] ^= True
                 adj[np.ix_(list(vj), list(ui))] ^= True
                 flipped_blocks.add((i, j))
-            else:
-                compl_diam = diameter(bipartite_complement(block).graph)
-                if compl_diam > _PAIR_DIAMETER_BOUND:
-                    raise RuntimeError(
-                        "bipartite block has large diameter on both sides; "
-                        "the case split above is broken"
-                    )
+            elif diameter(bipartite_complement(block).graph) > _PAIR_DIAMETER_BOUND:
+                raise RuntimeError(
+                    "bipartite block has large diameter on both sides; "
+                    "the case split above is broken"
+                )
     flipped = Bipartite(Graph(adj), b.left, b.right)
     return BipartiteFlipResult(
         u_split=u_split,
@@ -309,11 +288,9 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
 # ---------------------------------------------------------------------------
 
 
-def ball_containment_ok(
-    inner: Graph, outer: Graph, r_max: int, factor: int = _EMULATION_BLOWUP
-) -> bool:
+def ball_containment_ok(inner: Graph, outer: Graph, r_max: int) -> bool:
     """Whether every r-ball of ``inner`` (r <= r_max) sits inside the
-    (factor*r)-ball of ``outer`` around the same vertex."""
+    5r-ball of ``outer`` around the same vertex."""
     if inner.n != outer.n:
         raise DomainError("graphs must share one vertex set")
     d_in = distance_matrix(inner)
@@ -321,7 +298,7 @@ def ball_containment_ok(
     relevant = within(d_in, r_max)
     if (d_out[relevant] == UNREACHED).any():
         return False
-    return bool((d_out[relevant] <= factor * d_in[relevant]).all())
+    return bool((d_out[relevant] <= _EMULATION_BLOWUP * d_in[relevant]).all())
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,16 @@ def within(dist: np.ndarray, r: int) -> np.ndarray:
     return (dist != UNREACHED) & (dist <= r)
 
 
+def component_labels(adjs: np.ndarray) -> np.ndarray:
+    """(F, n) component labels of a stack of adjacency matrices (n >= 1): a
+    vertex's label is the minimum member of its component, the first vertex
+    it reaches."""
+    return (batched_distance_matrices(adjs) != UNREACHED).argmax(-1)
+
+
 def is_connected(g: Graph) -> bool:
     """A graph on at most one vertex counts as connected."""
-    return g.n <= 1 or not (distance_matrix(g)[0] == UNREACHED).any()
+    return g.n <= 1 or not component_labels(g.adj[None]).any()
 
 
 def diameter(g: Graph) -> ExtDist:

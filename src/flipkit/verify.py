@@ -121,8 +121,10 @@ def _first_failure(adjs: np.ndarray, ok: np.ndarray, **payload) -> dict | None:
 def verify_diam_complement(n: int) -> RunReport:
     """Every labeled n-vertex graph has diameter <= 3 or a complement with
     diameter <= 3; exhaustive for n up to 6."""
-    if not 1 <= n <= _EXHAUSTIVE_N_CAP:
-        raise CapExceeded(f"exhaustive diameter sweep capped at n <= {_EXHAUSTIVE_N_CAP}")
+    if n < 1:
+        raise DomainError(f"the diameter sweep needs n >= 1, got {n}")
+    if n > _EXHAUSTIVE_N_CAP:
+        raise CapExceeded(f"the diameter sweep is capped at n <= {_EXHAUSTIVE_N_CAP}, got {n}")
     adjs = _graph_stack(n, combinations(range(n), 2))
     ok = _diam_at_most(batched_distance_matrices(adjs), 3)
     ok |= ok[::-1]  # the complement stack is adjs[::-1]
@@ -134,8 +136,12 @@ def _bipartite_stacks(max_side: int):
     """((a, b), the stack of every bipartite graph between sides 0..a-1 and
     a..a+b-1) for all sides up to ``max_side``; the cap is checked at the
     call, before any stack is built."""
-    if not 1 <= max_side <= _BIPARTITE_SIDE_CAP:
-        raise CapExceeded(f"bipartite sweep capped at sides <= {_BIPARTITE_SIDE_CAP}")
+    if max_side < 1:
+        raise DomainError(f"the bipartite sweep needs sides >= 1, got {max_side}")
+    if max_side > _BIPARTITE_SIDE_CAP:
+        raise CapExceeded(
+            f"the bipartite sweep is capped at sides <= {_BIPARTITE_SIDE_CAP}, got {max_side}"
+        )
     return (
         ((a, b), _graph_stack(a + b, product(range(a), range(a, a + b))))
         for a, b in product(range(1, max_side + 1), repeat=2)
@@ -214,10 +220,10 @@ def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunR
 # ---------------------------------------------------------------------------
 
 
-def _random_instance(rng: random.Random, *, n_max: int = 10, parts_max: int = 3):
-    n = rng.randint(2, n_max)
+def _random_instance(rng: random.Random):
+    n = rng.randint(2, 10)
     g = gnp(n, rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]), seed=rng.randrange(1 << 30))
-    k = rng.randint(1, min(parts_max, n))
+    k = rng.randint(1, min(3, n))
     labels = [rng.randrange(k) for _ in range(n)]
     labels[: k] = list(range(k))  # every part nonempty
     return g, Partition.from_labels(labels)

@@ -132,6 +132,18 @@ class TestSunflower:
         with pytest.raises(DomainError):
             sunflower_extract(SetFamily([(0,), (1, 2)]), 2)
 
+    def test_zero_petals_is_the_empty_sunflower(self):
+        fam = SetFamily([(0, 1), (0, 2)], uniform_size=2)
+        result = sunflower_extract(fam, 0)
+        assert result.subfamily.sets == () and result.subfamily.uniform_size == 2
+        assert result.core == ()
+
+    def test_empty_family(self):
+        assert sunflower_extract(SetFamily([], uniform_size=3), 1) is None
+        result = sunflower_extract(SetFamily([]), 0)
+        assert result.subfamily.sets == () and result.core == ()
+        assert result.subfamily.uniform_size == 0
+
     def test_guarantee_bound(self, rng):
         for _ in range(40):
             t = rng.randint(1, 3)

@@ -368,6 +368,8 @@ RUNS = {
     ),
     "gen-non-integer": (["gen", "path", "abc"], 2, "error: path parameter n "),
     "gen-non-number": (["gen", "gnp", "5", "x"], 2, "error: gnp parameter p "),
+    "gen-empty-path": (["gen", "path", "0"], 2, "error: path needs n >= 1, got 0"),
+    "gen-p-above-one": (["gen", "gnp", "5", "1.5"], 2, "error: gnp needs p in [0,1], got 1.5"),
     "verify-negative-count": (
         ["verify", "conversion", "--random", "-5"], 2, "error: --random must be a positive",
     ),

@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from flipkit import FlipSpec, Graph, Partition, WeightFn, break_from_sep, bipartite_flip, convert
-from flipkit import breakability_search, breaksep, conversion, flips
-from flipkit import search_definable_emulation, separability_search
+from flipkit import SearchBudget, SetFamily, breakability_search, breaksep, classify_bipartite
+from flipkit import conversion, flips, search_definable_emulation, separability_search
+from flipkit import small_balls_orchestrate, sunflower_extract, vc, vc_dimension
 from flipkit.generators import clique, path
 from flipkit.graphs import INF, UNREACHED, Bipartite
 from flipkit.verify import LEMMA_SWEEPS
@@ -233,6 +234,28 @@ def test_one_breakability_split():
     assert not defined, f"breaksep._splits is the one split; the oracle keeps the reference: {defined}"
 
 
+def test_one_component_labelling():
+    """graphs.component_labels is the one reader of component labels: no
+    other function takes ``(... != UNREACHED).argmax(...)``, and the old
+    component helpers of the classification are gone."""
+    offenders = set()
+    for module in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if func.name in ("_components", "_is_biclique_component"):
+                offenders.add(f"{module.name}:{func.name}")
+            labels = any(
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "argmax"
+                and isinstance(node.func.value, ast.Compare)
+                and "UNREACHED" in _names(node.func.value)
+                for node in ast.walk(func)
+            )
+            if labels and f"{module.name}:{func.name}" != "graphs.py:component_labels":
+                offenders.add(f"{module.name}:{func.name}")
+    assert not offenders, f"read components through graphs.component_labels: {sorted(offenders)}"
+
+
 def test_partitions_through_their_labels():
     """Partition.from_labels is the one grouping of vertices by a key and
     flips.pair_index the one cell-to-pair map; apply_flip, the reference
@@ -287,6 +310,55 @@ class TestBrokenTheoryRaises:
         h = (Partition.trivial(4), FlipSpec())
         with pytest.raises(RuntimeError, match="scattered set too small"):
             break_from_sep(Graph.empty(4), range(4), 1, h)
+
+    def test_inconsistent_sunflower(self, monkeypatch):
+        # 01 and 02 meet in {0}, not in the claimed empty core
+        monkeypatch.setattr(breaksep, "_greedy_sunflower",
+                            lambda sets, m: ([(0, 1), (0, 2)], frozenset()))
+        with pytest.raises(RuntimeError, match="greedy sunflower is inconsistent"):
+            sunflower_extract(SetFamily([(0, 1), (0, 2)], uniform_size=2), 2)
+
+    def test_greedy_split_witness_rejected(self, monkeypatch):
+        monkeypatch.setattr(breaksep, "verify_break_witness", lambda g, w: False)
+        with pytest.raises(RuntimeError, match="greedy split produced an invalid witness"):
+            breakability_search(Graph.empty(4), range(4), 1, 2)
+
+    def test_constructed_witness_rejected(self, monkeypatch):
+        monkeypatch.setattr(breaksep, "verify_break_witness", lambda g, w: False)
+        h = (Partition.trivial(4), FlipSpec())
+        with pytest.raises(RuntimeError, match="constructed witness failed re-verification"):
+            break_from_sep(Graph.empty(4), range(4), 1, h)
+
+    def test_kept_set_above_the_bound(self, monkeypatch):
+        monkeypatch.setattr(WeightFn, "within_eps", lambda self, value, eps: False)
+        fam = SetFamily([(v,) for v in range(6)], uniform_size=1)
+        with pytest.raises(RuntimeError, match="group separation must be broken"):
+            small_balls_orchestrate(Graph.empty(6), WeightFn.uniform(6), fam, 1,
+                                    Fraction(1, 2), SearchBudget(group_size=2))
+
+    def test_vc_witness_not_shattered(self, monkeypatch):
+        monkeypatch.setattr(vc, "is_shattered", lambda g, subset: False)
+        with pytest.raises(RuntimeError, match="fails shatter validation"):
+            vc_dimension(path(4))
+
+    def test_vc_trace_count_above_the_binomial_sum(self, monkeypatch):
+        monkeypatch.setattr(vc, "comb", lambda n, k: 0)
+        with pytest.raises(RuntimeError, match="violates the binomial-sum bound"):
+            vc_dimension(path(4))
+
+    def test_isolated_vertex_without_a_dominating_partner(self, monkeypatch):
+        # 3 is isolated on the right, and 2 misses 1: no right vertex dominates
+        monkeypatch.setattr(conversion, "is_connected", lambda g: False)
+        b = Bipartite(Graph.from_edges(4, [(0, 2)]), (0, 1), (2, 3))
+        with pytest.raises(RuntimeError, match="no dominating partner.*classification is broken"):
+            classify_bipartite(b)
+
+    def test_components_that_are_not_two_bicliques(self, monkeypatch):
+        # a path 0-2-1-3: no isolated vertex, and one component
+        monkeypatch.setattr(conversion, "is_connected", lambda g: False)
+        b = Bipartite(Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]), (0, 1), (2, 3))
+        with pytest.raises(RuntimeError, match="not exactly two bicliques.*is broken"):
+            classify_bipartite(b)
 
 
 class TestWrongKernelIsCaught:

@@ -7,6 +7,7 @@ import pytest
 
 from flipkit import Bipartite, Graph, verify
 from flipkit.cli import main
+from flipkit.conversion import BipartiteCase, BipartiteCaseTag
 from flipkit.errors import CapExceeded, DomainError
 from flipkit.verify import (
     RunReport,
@@ -69,15 +70,26 @@ class TestExhaustiveSweeps:
         assert report.counters["graphs_checked"] == 1024
 
     def test_diam_complement_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"capped at n <= 6, got 7$"):
             verify_diam_complement(7)
 
     def test_bipartite_caps_refuse_before_any_stack(self, monkeypatch):
         monkeypatch.setattr(verify, "_graph_stack", lambda n, cells: pytest.fail("stack built"))
         for sweep in (verify_bipartite_trichotomy, verify_bipartite_classification):
-            for max_side in (0, 4):
-                with pytest.raises(CapExceeded):
+            for max_side, error in ((0, DomainError), (4, CapExceeded)):
+                with pytest.raises(error, match=f"got {max_side}$"):
                     sweep(max_side)
+
+    @pytest.mark.parametrize("sweep, size, message", [
+        (verify_diam_complement, 0, "the diameter sweep needs n >= 1, got 0"),
+        (verify_diam_complement, -3, "the diameter sweep needs n >= 1, got -3"),
+        (verify_bipartite_trichotomy, 0, "the bipartite sweep needs sides >= 1, got 0"),
+        (verify_bipartite_classification, -1, "the bipartite sweep needs sides >= 1, got -1"),
+    ])
+    def test_size_below_one_is_a_domain_error_not_a_cap(self, sweep, size, message):
+        with pytest.raises(DomainError) as info:
+            sweep(size)
+        assert str(info.value) == message
 
     def test_bipartite_trichotomy_small(self):
         report = verify_bipartite_trichotomy(2)
@@ -89,6 +101,30 @@ class TestExhaustiveSweeps:
         report = verify_bipartite_classification(2)
         assert report.outcome == "pass"
         assert report.counters["degenerate_cases"] > 0
+
+
+class TestTwoBicliquesCaseCheck:
+    """verify._case_matches refuses a TWO_BICLIQUES record whose blocks do
+    not describe the graph: two disjoint edges 0-2 and 1-3."""
+
+    B = Bipartite(Graph.from_edges(4, [(0, 2), (1, 3)]), (0, 1), (2, 3))
+
+    @staticmethod
+    def case(*blocks):
+        return BipartiteCase(tag=BipartiteCaseTag.TWO_BICLIQUES, blocks=blocks)
+
+    def test_the_true_blocks_match(self):
+        assert verify._case_matches(self.B, self.case(((0,), (2,)), ((1,), (3,))))
+
+    def test_blocks_that_miss_a_vertex(self):
+        assert not verify._case_matches(self.B, self.case(((0,), (2,)), ((0,), (3,))))
+
+    def test_an_empty_block(self):
+        assert not verify._case_matches(self.B, self.case(((), (2,)), ((0, 1), (3,))))
+
+    def test_a_block_that_is_not_complete(self):
+        # 1-2 is not an edge, so (0, 1) x (2,) is no biclique
+        assert not verify._case_matches(self.B, self.case(((0, 1), (2,)), ((1,), (3,))))
 
 
 class TestRandomSweeps:
