@@ -20,7 +20,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .flips import (
     FlipSpec,
     Partition,
     apply_flip,
+    candidate_packs,
     check_part_cap,
     definable_candidates,
     first_flip,
-    partition_labels,
+    raw_packs,
     resolve_max_parts,
 )
 from .graphs import Graph, component_labels, distance_matrix, within
@@ -105,9 +106,6 @@ class WeightFn:
     def small_vertices(self, eps) -> list[int]:
         """Vertices whose own weight is at most eps * total."""
         return [v for v, w in enumerate(self.weights) if self.within_eps(w, eps)]
-
-    def is_eps_balanced(self, eps) -> bool:
-        return len(self.small_vertices(eps)) == len(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +323,15 @@ def breakability_search(
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
         _check_n_cap(g.n, n_cap)
-        candidates = zip(repeat(None), partition_labels(g.n, cap))
+        packs = raw_packs(g.n, cap)
     else:
-        candidates = definable_candidates(g, budget.s_max, cap)
+        packs = candidate_packs(g.n, definable_candidates(g, budget.s_max, cap))
 
     def first_split(dists: np.ndarray) -> int | None:
         hits = np.flatnonzero(_splits(dists, probes, r, m, side1, side2)[2])
         return int(hits[0]) if hits.size else None
 
-    sets, skipped, specs, hit = first_flip(g, candidates, first_split, 2 * r,
-                                           raw=budget.raw_partitions)
+    sets, skipped, specs, hit = first_flip(g, packs, first_split, 2 * r)
     result = BreakSearchResult(witness=None, flips_tried=specs, sets_tried=sets,
                                sets_skipped=skipped)
     if hit is None:
@@ -429,8 +426,7 @@ def separability_search(
                 return i
         return None
 
-    tried, _, specs, hit = first_flip(g, zip(repeat(None), partition_labels(g.n, k_max)),
-                                      first_light, r, raw=True)
+    tried, _, specs, hit = first_flip(g, raw_packs(g.n, k_max), first_light, r)
     if hit is None:
         return SeparabilityResult(None, None, tried, specs)
     _, p, spec, h = hit

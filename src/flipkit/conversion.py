@@ -25,6 +25,7 @@ from .errors import DomainError
 from .flips import (
     FlipSpec,
     Partition,
+    candidate_packs,
     definable_candidates,
     first_flip,
     reconstruct_flip_spec,
@@ -380,7 +381,7 @@ def search_definable_emulation(
         return int(hits[0]) if hits.size else None
 
     sets, skipped, specs, hit = first_flip(
-        g, definable_candidates(g, s_max, max_parts), first_contained, r_max
+        g, candidate_packs(g.n, definable_candidates(g, s_max, max_parts)), first_contained, r_max
     )
     if hit is None:
         return EmulationSearchResult(None, sets, skipped, specs)

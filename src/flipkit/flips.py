@@ -8,16 +8,21 @@ index pairs, so they compare, dedupe, and compose by symmetric difference.
 
 Every search and every flip metric walks one stream: ``flip_packs``
 packs the distinct flips of consecutive partitions, given as part labels,
-into cell-bounded stacks; ``flip_adjacency_pack`` builds every stack
-through ``pair_index``.  ``first_flip`` judges the packs of a search.
+into cell-bounded stacks; ``flip_adjacency_pack`` builds the masks of
+every stack through ``pair_index``, from n alone, and a flip of a graph
+is its adjacency XOR its mask.  ``first_flip`` judges the packs of a
+search: ``candidate_packs`` of a candidate stream, or ``raw_packs``, the
+packs of every partition into at most k parts, which depend on no graph
+and are stored once per (n, k, CHUNK) under a byte budget.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import threading
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, islice, repeat
 from typing import Iterator
 
 import numpy as np
@@ -168,13 +173,6 @@ class FlipSpec:
         """Decode a binary counter value over the canonical pair order."""
         order = canonical_pairs(num_parts)
         return cls(p for t, p in enumerate(order) if (bits >> t) & 1)
-
-    def to_bits(self, num_parts: int) -> int:
-        index = {p: t for t, p in enumerate(canonical_pairs(num_parts))}
-        bits = 0
-        for p in self.pairs:
-            bits |= 1 << index[p]
-        return bits
 
     def compose(self, other: "FlipSpec") -> "FlipSpec":
         """Composition of two flips over the same partition."""
@@ -335,17 +333,17 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def flip_packs(g: Graph, partitions, size: int, raw=False) -> Iterator[tuple[np.ndarray, list]]:
-    """The distinct flips of ``partitions``, ``(info, labels)`` pairs, in
-    stream and counter order, as built stacks, each with its ``(info,
-    labels, codes)`` pieces.  The first stack holds ``size`` flips, then
-    twice the last, at most CHUNK flips and CHUNK * 100 cells (flips times
-    n^2) but at least one flip.  A partition is drawn only while the
-    current stack still needs flips, and a refusal raised while drawing is
-    raised only after the stack of the flips drawn before it.  ``raw`` is
-    passed to ``distinct_flip_codes``."""
+def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[tuple[np.ndarray, list]]:
+    """The distinct flips of ``partitions``, ``(info, labels)`` pairs over
+    ``0..n-1``, in stream and counter order, as packs of masks, each with
+    its ``(info, labels, codes)`` pieces.  The first pack holds ``size``
+    flips, then twice the last, at most CHUNK flips and CHUNK * 100 cells
+    (flips times n^2) but at least one flip.  A partition is drawn only
+    while the current pack still needs flips, and a refusal raised while
+    drawing is raised only after the pack of the flips drawn before it.
+    ``raw`` is passed to ``distinct_flip_codes``."""
     runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p, raw))
-    most = min(CHUNK, max(1, CHUNK * 100 // max(g.n, 1) ** 2))
+    most = min(CHUNK, max(1, CHUNK * 100 // max(n, 1) ** 2))
     size, rest, end = min(size, most), None, None
     while end is None:
         pieces, room = [], size
@@ -359,31 +357,19 @@ def flip_packs(g: Graph, partitions, size: int, raw=False) -> Iterator[tuple[np.
             rest = (info, labels, codes[room:]) if len(codes) > room else None
             room -= len(pieces[-1][2])
         if pieces:
-            yield flip_adjacency_pack(g, [(labels, codes) for _, labels, codes in pieces]), pieces
+            yield flip_adjacency_pack(n, [(labels, codes) for _, labels, codes in pieces]), pieces
         size = min(2 * size, most)
     if isinstance(end, CapExceeded):
         raise end
 
 
-def first_flip(
-    g: Graph, candidates, first_hit, depth: int | None = None, raw=False
-) -> tuple[int, int, int, tuple | None]:
-    """Walk ``candidates``, ``(tag, partition)`` pairs, to the first flip
-    that ``first_hit`` accepts: (candidates tried, candidates skipped,
-    specs tried, hit).
-
-    A partition is given by its part labels (or a Partition); None marks a
-    set over the part cap, which is skipped.  The candidates' flips come
-    in ``flip_packs`` of 64 flips first; each is BFS'd to ``depth`` levels
-    (the largest radius ``first_hit`` reads through ``within``) and judged
-    by ``first_hit`` (distance stack to first accepted index, or None) as
-    one stack.  Dead self-pair specs repeat earlier graphs, and so do the
-    merge repeats that a ``raw`` stream skips, so the hit is a distinct
-    code c, and c + 1 of its partition's specs were tried (all
-    ``num_flips`` of a missed one).  The hit is ``(tag, p, spec,
-    apply_flip(g, p, spec))``, the rebuild callers re-verify on.  Drawing
-    is pure, so no counter or output moves: the counts stop at the hit.
-    """
+def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
+    """The packs that ``first_flip`` judges: the ``flip_packs`` of
+    ``candidates``, ``(tag, partition)`` pairs, from 64 flips, ended by
+    ``(None, totals)``.  A partition is given by its part labels (or a
+    Partition); None marks a set over the part cap, which is skipped.  A
+    piece's info is ``(tag, tried, skipped, specs)``, the counts before its
+    candidate, and the totals are those counts after the last one."""
     tried = skipped = specs = 0
 
     def draw():
@@ -396,7 +382,87 @@ def first_flip(
             yield (tag, tried, skipped, specs), labels
             tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
 
-    for stack, pieces in flip_packs(g, draw(), 64, raw):
+    yield from flip_packs(n, draw(), 64, raw)
+    yield None, (tried, skipped, specs)
+
+
+#: The raw streams of ``raw_packs`` per (n, max_parts, CHUNK): the packs
+#: stored from the start of the stream, as bit-packed masks and pieces, a
+#: one-item list of their bytes, and at most one spare stream, the one that
+#: yielded the last stored pack, by the index of the pack it yields next.
+_RAW: dict[tuple[int, int, int], tuple[list, list, dict]] = {}
+
+#: The bytes of packed masks, labels and codes that _RAW may hold; a pack
+#: that does not fit is built and judged, but not stored.
+_RAW_BUDGET = 4 << 20
+
+_RAW_LOCK = threading.Lock()
+
+
+def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
+    """The ``candidate_packs`` of every partition of ``0..n-1`` into at most
+    ``max_parts`` parts, merge repeats dropped.  No mask depends on a graph,
+    so the stream is stored in _RAW as it is first read, pack by pack while
+    _RAW holds at most _RAW_BUDGET bytes, and later reads take the stored
+    packs.  A reader past them continues the spare stream, or a new one
+    that skips the packs before, and keeps it while its packs go unstored.
+    A refusal is stored at its place and raised again for every reader
+    that reaches it.  Its callers cap n."""
+    key = (n, max_parts, CHUNK)
+    with _RAW_LOCK:
+        packs, size, spare = _RAW[key] = _RAW.get(key) or ([], [0], {})
+    stream = None  # this reader's own stream, past the stored packs
+    for i in count():
+        if i < len(packs):
+            (bits, pieces), stream = packs[i], None
+        else:
+            stream = stream or spare.pop(i, None)
+            if stream is None:
+                stream = candidate_packs(n, zip(repeat(None), partition_labels(n, max_parts)), True)
+                next(islice(stream, i, i), None)  # skips packs 0..i-1
+            try:
+                masks, pieces = next(stream)
+            except CapExceeded as refusal:
+                masks, pieces = None, refusal
+            bits = None if masks is None else np.packbits(masks.reshape(len(masks), -1), axis=1)
+            nbytes = 0 if bits is None else bits.nbytes + sum(
+                labels.nbytes + codes.nbytes for _, labels, codes in pieces)
+            with _RAW_LOCK:
+                if i == len(packs) and sum(s[1][0] for s in _RAW.values()) + nbytes <= _RAW_BUDGET:
+                    packs.append((bits, pieces))
+                    size[0] += nbytes
+                    spare.clear()
+                    spare[i + 1], stream = stream, None
+        if isinstance(pieces, CapExceeded):
+            raise CapExceeded(*pieces.args)
+        if bits is None:
+            yield None, pieces
+            return
+        yield np.unpackbits(bits, axis=1, count=n * n).view(bool).reshape(-1, n, n), pieces
+
+
+def first_flip(
+    g: Graph, packs, first_hit, depth: int | None = None
+) -> tuple[int, int, int, tuple | None]:
+    """Judge ``packs``, of ``candidate_packs`` or ``raw_packs``, to the
+    first flip that ``first_hit`` accepts: (candidates tried, candidates
+    skipped, specs tried, hit).
+
+    Each pack's flips ``g.adj ^ masks`` are BFS'd to ``depth`` levels (the
+    largest radius ``first_hit`` reads through ``within``) and judged by
+    ``first_hit`` (distance stack to first accepted index, or None) as one
+    stack.  Dead self-pair specs repeat earlier graphs, and so do the merge
+    repeats that a raw stream skips, so the hit is a distinct code c, and
+    c + 1 of its partition's specs were tried (all ``num_flips`` of a
+    missed one).  The hit is ``(tag, p, spec, apply_flip(g, p, spec))``,
+    the rebuild callers re-verify on.  Drawing is pure, so no counter or
+    output moves: the counts stop at the hit.
+    """
+    for masks, pieces in packs:
+        if masks is None:
+            return (*pieces, None)
+        stack = np.bitwise_xor(g.adj, masks, order="C")
+        del masks  # frees the mask buffer before the BFS allocates its own
         hit = first_hit(batched_distance_matrices(stack, depth))
         if hit is not None:
             for (tag, before, skips, spec_count), labels, codes in pieces:
@@ -407,26 +473,28 @@ def first_flip(
             p = Partition.from_labels(labels.tolist())
             spec = FlipSpec.from_bits(len(p.parts), code)
             return before + 1, skips, spec_count + code + 1, (tag, p, spec, apply_flip(g, p, spec))
-    return tried, skipped, specs, None
+    raise RuntimeError("a pack stream ended without its totals")
 
 
-def flip_adjacency_pack(g: Graph, pieces) -> np.ndarray:
-    """Boolean (flips, n, n) adjacency matrices of a stack of flips, given
-    as (partition, codes) pieces in stack order.  Each cell reads the bit
-    of its flip's code at its ``pair_index``: with one row of flips per
-    bit position, each piece takes its cells' rows in one gather, and no
-    index the size of the stack is built."""
+def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
+    """Boolean (flips, n, n) masks of a stack of flips over
+    ``0..n-1``, given as (partition, codes) pieces in stack order: a flip
+    of a graph is its adjacency XOR its mask, taken in C order, since the
+    masks are a transposed view.  Each cell reads the bit of its flip's
+    code at its ``pair_index``: with one row of flips per bit position,
+    each piece takes its cells' rows in one gather, and no index the size
+    of the stack is built."""
     codes = np.concatenate([c for _, c in pieces]).astype(np.uint64)
     index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
     shifts = np.arange(index.max(initial=0) + 1, dtype=np.uint64)[:, None]
     rows = ((codes >> shifts) & np.uint64(1)).astype(bool)
-    cells = np.empty((g.n * g.n, len(codes)), dtype=bool)
+    cells = np.empty((n * n, len(codes)), dtype=bool)
     start = 0
     for piece, (_, c) in zip(index, pieces):
         cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
         start += len(c)
-    cells[:: g.n + 1] = False
-    return np.bitwise_xor(g.adj, cells.T.reshape(len(codes), g.n, g.n), order="C")
+    cells[:: n + 1] = False
+    return cells.T.reshape(len(codes), n, n)
 
 
 def flip_adjacency_batch(
@@ -436,7 +504,8 @@ def flip_adjacency_batch(
     ``flip_adjacency_pack``; codes are uint64, so partitions with more than
     64 canonical pairs (11 or more parts) are refused whatever the cap."""
     _pair_count(len(p.parts))
-    return flip_adjacency_pack(g, [(p, np.asarray(spec_indices, dtype=np.uint64))])
+    masks = flip_adjacency_pack(g.n, [(p, np.asarray(spec_indices, dtype=np.uint64))])
+    return np.bitwise_xor(g.adj, masks, order="C")
 
 
 def definable_partition(g: Graph, s) -> Partition:

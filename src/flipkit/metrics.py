@@ -65,8 +65,12 @@ def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -
     of ``partitions``, folded inside the BFS pack by pack; the max ignores
     duplicate flips, so skipping them keeps the result exact.  ``sources``
     and ``depth`` cut each pack's BFS as in ``max_distance_matrix``."""
-    packs = flips.flip_packs(g, ((None, p) for p in partitions), flips.CHUNK)
-    return fold_max_distances(np.stack([max_distance_matrix(s, sources, depth) for s, _ in packs]))
+    folded = []
+    for masks, _ in flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK):
+        flipped = np.bitwise_xor(g.adj, masks, order="C")
+        del masks  # frees the mask buffer before the BFS allocates its own
+        folded.append(max_distance_matrix(flipped, sources, depth))
+    return fold_max_distances(np.stack(folded))
 
 
 def _pair_distance(g: Graph, u: int, v: int, partitions) -> ExtDist:

@@ -9,9 +9,11 @@ that a witness or a miss falls across chunk boundaries.
 """
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from flipkit import (
 )
 from flipkit.breaksep import _splits
 from flipkit.conversion import ball_containment_ok
+from flipkit.errors import CapExceeded
 from flipkit.flips import Partition, distinct_flip_codes, partition_labels
+from flipkit.generators import clique, cycle, path
 from flipkit.graphs import batched_distance_matrices
 from conftest import random_graph, random_partition_labels
 from oracle import edges_of, greedy_split
@@ -210,7 +214,8 @@ def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
     """No search builds a spec that sets the self pair of a singleton part,
     which builds the same graph as the spec without it.  The searches build
     their stacks as packs, which hold flips of several partitions and never
-    more than CHUNK flips."""
+    more than CHUNK flips.  The raw-stream cache starts empty, so every raw
+    profile is built here at least once."""
     built = []
     real = flips.flip_adjacency_pack
 
@@ -219,6 +224,7 @@ def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
         return real(g, pieces)
 
     monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+    monkeypatch.setattr(flips, "_RAW", {})
     for rng, n, g in _instances(8):
         w1 = sorted(rng.sample(range(n), rng.randint(2, n)))
         for raw in (False, True):
@@ -247,15 +253,18 @@ def test_raw_searches_build_no_flip_twice(chunk, monkeypatch):
     they build equals one they built before: a flip that is also a flip of
     the partition merging two parts was judged with that coarser partition,
     earlier in the stream.  Raw breakability with m = n always misses, so
-    it builds the whole stream, less what it skipped."""
+    it builds the whole stream, less what it skipped.  Each search starts
+    from an empty raw-stream cache, so it builds every flip it judges."""
     built = []
     real = flips.flip_adjacency_pack
     monkeypatch.setattr(flips, "flip_adjacency_pack",
-                        lambda g, pieces: built.append(real(g, pieces)) or built[-1])
+                        lambda n, pieces: built.append(real(n, pieces)) or built[-1])
+    monkeypatch.setattr(flips, "_RAW", {})
     skipped = misses = 0
     for rng, n, g in _instances(6):
         for raw_break in (True, False):
             built.clear()
+            flips._RAW.clear()
             if raw_break:
                 budget = SearchBudget(part_cap=3, raw_partitions=True)
                 assert not breakability_search(g, range(n), 1, n, budget)
@@ -268,3 +277,183 @@ def test_raw_searches_build_no_flip_twice(chunk, monkeypatch):
                 stream = sum(len(c) for p in partition_labels(n, 3) for c in distinct_flip_codes(p))
                 skipped += stream - len(flat)
     assert skipped and misses
+
+
+def _raw_searches(n):
+    """Separability and raw breakability searches of the one profile (n, 3)
+    on different graphs: hits, misses, and a breakability search with
+    m = n, which misses on the whole stream."""
+    rng = random.Random(n)
+    budget = SearchBudget(part_cap=3, raw_partitions=True)
+    searches = []
+    for _ in range(3):
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        w = WeightFn([rng.randint(1, 3) for _ in range(n)])
+        eps = Fraction(rng.randint(1, 3), 2 * n)
+        w1 = sorted(rng.sample(range(n), rng.randint(2, n)))
+        searches += [lambda g=g, w=w, eps=eps: separability_search(g, w, 1, eps, 3),
+                     lambda g=g, w1=w1: breakability_search(g, w1, 1, 2, budget),
+                     lambda g=g: breakability_search(g, range(n), 1, n, budget)]
+    return searches
+
+
+def _fresh(searches):
+    """The result of each search from an empty raw-stream cache."""
+    results = []
+    for search in searches:
+        flips._RAW.clear()
+        results.append(search())
+    return results
+
+
+def test_raw_cache_keeps_no_graph_state(chunk, monkeypatch):
+    """Searches of one (n, parts) profile on different graphs, in either
+    order, return what each returns from an empty raw-stream cache; each
+    search continues the stream where the last one stopped, so every flip
+    is built once, and once a miss has read the whole stream, no search of
+    the profile builds a mask."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    searches = _raw_searches(6)
+    fresh = _fresh(searches)
+    assert 0 < sum(map(bool, fresh)) < len(fresh) - 3
+    for order in (slice(None), slice(None, None, -1)):
+        flips._RAW.clear()
+        assert [search() for search in searches[order]] == fresh[order]
+    built = []
+    real = flips.flip_adjacency_pack
+    monkeypatch.setattr(flips, "flip_adjacency_pack",
+                        lambda n, pieces: built.append(pieces) or real(n, pieces))
+    flips._RAW.clear()
+    hits_first = sorted(range(len(searches)), key=lambda i: not fresh[i])
+    assert [searches[i]() for i in hits_first] == [fresh[i] for i in hits_first]
+    stream = sum(len(c) for p in partition_labels(6, 3) for c in distinct_flip_codes(p, raw=True))
+    assert sum(len(codes) for pieces in built for _, codes in pieces) == stream
+    built.clear()
+    assert [search() for search in searches] == fresh
+    assert not built
+
+
+def test_raw_cache_replays_a_refusal(monkeypatch):
+    """A refusal met while drawing a raw stream, here ``_pair_count``
+    refusing two parts, is stored at its place: every later search of the
+    profile that reads that far raises it again, from the stored packs,
+    where a spent stream would end it as a miss; a search that hits before
+    it still returns its hit."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    monkeypatch.setattr(flips, "_WHOLE", {})
+    real_count = flips._pair_count
+
+    def capped(k):
+        if k > 1:
+            raise CapExceeded(f"{k} parts refused")
+        return real_count(k)
+
+    built = []
+    real_pack = flips.flip_adjacency_pack
+    monkeypatch.setattr(flips, "_pair_count", capped)
+    monkeypatch.setattr(flips, "flip_adjacency_pack",
+                        lambda n, pieces: built.append(pieces) or real_pack(n, pieces))
+    budget = SearchBudget(part_cap=2, raw_partitions=True)
+    for search in (lambda: separability_search(path(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2),
+                   lambda: separability_search(cycle(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2),
+                   lambda: breakability_search(path(4), range(4), 1, 4, budget)):
+        with pytest.raises(CapExceeded, match="2 parts refused"):
+            search()
+        assert len(built) == 1
+    # the complement of K4, the trivial partition's second flip, is edgeless
+    hit = separability_search(clique(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2)
+    assert (hit.partitions_tried, hit.flips_tried, len(hit.partition)) == (1, 2, 1)
+
+
+def _stored_bytes() -> int:
+    return sum(bits.nbytes + sum(labels.nbytes + codes.nbytes for _, labels, codes in pieces)
+               for packs, _, _ in flips._RAW.values() for bits, pieces in packs
+               if bits is not None)
+
+
+def test_raw_cache_stays_within_its_budget(monkeypatch):
+    """Under a byte budget that holds only the first packs of the stream,
+    every search returns what it returns from an empty cache, the stored
+    packs never exceed the budget, and a search that misses on the whole
+    stream judges each of its flips once, past the stored packs too."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    searches = _raw_searches(6)
+    fresh = _fresh(searches)
+    flips._RAW.clear()
+    monkeypatch.setattr(flips, "_RAW_BUDGET", 3000)
+    judged = []
+    real = flips.batched_distance_matrices
+    monkeypatch.setattr(flips, "batched_distance_matrices",
+                        lambda adjs, depth=None: judged.append(len(adjs)) or real(adjs, depth))
+    stream = sum(len(c) for p in partition_labels(6, 3) for c in distinct_flip_codes(p, raw=True))
+    for i, (search, want) in enumerate(zip(searches, fresh)):
+        judged.clear()
+        assert search() == want
+        assert 0 < _stored_bytes() <= 3000
+        assert i % 3 != 2 or sum(judged) == stream
+    (packs, _, _), = flips._RAW.values()
+    assert packs[-1][0] is not None, "the budget held the whole stream"
+
+
+@pytest.mark.parametrize("chunks", [(None, 3), (3, None)], ids=["default-then-3", "3-then-default"])
+def test_raw_cache_is_per_chunk(monkeypatch, chunks):
+    """A search under one CHUNK never reads the packs stored under another,
+    in either order: its stacks start at min(64, CHUNK) flips and never
+    exceed CHUNK."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    sizes = []
+    real = flips.batched_distance_matrices
+    monkeypatch.setattr(flips, "batched_distance_matrices",
+                        lambda adjs, depth=None: sizes.append(len(adjs)) or real(adjs, depth))
+    default = flips.CHUNK
+    search = _raw_searches(6)[2]
+    results = []
+    for chunk in chunks:
+        monkeypatch.setattr(flips, "CHUNK", chunk or default)
+        sizes.clear()
+        results.append(search())
+        assert sizes[0] == min(64, flips.CHUNK) and max(sizes) <= flips.CHUNK
+    assert results[0] == results[1] and not results[0]
+
+
+def test_raw_cache_under_threads(monkeypatch):
+    """Threads that search one profile at once, each in its own order, with
+    a short switch interval and a budget that holds only part of the
+    stream, all get the results of an empty cache, and the stored packs
+    are the first packs of the stream, in order."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    searches = _raw_searches(6)
+    fresh = _fresh(searches)
+    flips._RAW.clear()
+    monkeypatch.setattr(flips, "_RAW_BUDGET", 6000)
+    got, errors = {}, []
+
+    def work(seed):
+        order = random.Random(seed).sample(range(len(searches)), len(searches))
+        try:
+            for i in order * 2:
+                got.setdefault(seed, []).append((i, searches[i]()))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert all(result == fresh[i] for runs in got.values() for i, result in runs)
+    assert sum(map(len, got.values())) == 4 * 2 * len(searches)
+    (packs, size, _), = flips._RAW.values()
+    assert 0 < _stored_bytes() == size[0] <= 6000 and packs[-1][0] is not None
+    stream = flips.candidate_packs(6, ((None, p) for p in partition_labels(6, 3)), True)
+    def plain(packs):
+        return [[(info, labels.tolist(), codes.tolist()) for info, labels, codes in pieces]
+                for _, pieces in packs]
+
+    assert plain(packs) == plain(islice(stream, len(packs)))

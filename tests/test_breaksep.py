@@ -100,8 +100,11 @@ class TestWeightFn:
                 WeightFn.indicator(4, support)
 
     def test_eps_balanced(self):
-        assert WeightFn([1, 1, 1, 1]).is_eps_balanced(Fraction(1, 4))
-        assert not WeightFn([3, 1]).is_eps_balanced(Fraction(1, 2))
+        """Every radius-0 ball of a balanced weighting is light."""
+        w, eps = WeightFn([1, 1, 1, 1]), Fraction(1, 4)
+        assert all(w.within_eps(w.of([v]), eps) for v in range(len(w)))
+        w, eps = WeightFn([3, 1]), Fraction(1, 2)
+        assert not all(w.within_eps(w.of([v]), eps) for v in range(len(w)))
 
 
 class TestSunflower:

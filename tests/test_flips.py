@@ -30,7 +30,7 @@ from flipkit import (
     separability_search,
 )
 from flipkit import flips
-from flipkit.flips import first_flip, flip_adjacency_batch, pair_index
+from flipkit.flips import candidate_packs, first_flip, flip_adjacency_batch, pair_index
 from flipkit.graphs import UNREACHED, distance_matrix
 from flipkit.generators import clique, cycle, gnp, path, star
 from conftest import random_graph, random_partition_labels
@@ -195,8 +195,9 @@ class TestEnumerateFlips:
     def test_spec_order_is_binary_counter(self, rng):
         g = random_graph(rng, 5, 0.5)
         p = Partition(5, [[0, 1], [2, 3], [4]])
+        order = flips.canonical_pairs(3)
         for bits, (spec, _) in enumerate(enumerate_flips(g, p)):
-            assert spec.to_bits(3) == bits
+            assert sum(1 << order.index(pair) for pair in spec.pairs) == bits
 
     def test_graphs_match_specs(self, rng):
         g = random_graph(rng, 6, 0.4)
@@ -341,7 +342,7 @@ class TestMergeRepeats:
             labels = np.repeat(np.arange(k), [2 if x else 1 for x in live])
             chunks = list(flips.distinct_flip_codes(labels))
             codes = np.concatenate(chunks)
-            toggles = flips.flip_adjacency_pack(Graph.empty(len(labels)), [(labels, codes)])
+            toggles = flips.flip_adjacency_pack(len(labels), [(labels, codes)])
             toggles = toggles.reshape(len(codes), -1)
             repeat = np.zeros(len(codes), dtype=bool)
             for i, j in combinations(range(k), 2):
@@ -436,7 +437,7 @@ class TestFirstFlip:
             hits = np.flatnonzero((dists[:, 0, 4] == UNREACHED) & (dists[:, 0] == 1).any(-1))
             return int(hits[0]) if hits.size else None
 
-        tried, skipped, specs, hit = first_flip(g, candidates(), first_hit)
+        tried, skipped, specs, hit = first_flip(g, candidate_packs(5, candidates()), first_hit)
         # b's 2 specs, then d's codes 0..8
         assert (tried, skipped, specs) == (2, 2, 2 + 9)
         tag, p, spec, h = hit
@@ -446,7 +447,8 @@ class TestFirstFlip:
 
     def test_a_miss_counts_every_spec(self):
         stream = [(None, Partition.trivial(3)), (None, None), (None, Partition.singletons(3))]
-        assert first_flip(path(3), iter(stream), lambda dists: None) == (2, 1, 2 + 64, None)
+        packs = candidate_packs(3, stream)
+        assert first_flip(path(3), packs, lambda dists: None) == (2, 1, 2 + 64, None)
 
     # A stream over path(4) with its flips in stack order: 2x2 partitions
     # have 8 distinct flips (codes 0..7), [[0], [1, 2, 3]] has 4 (codes 0,
@@ -498,7 +500,7 @@ class TestFirstFlip:
                 return flip - start
             return None
 
-        tried, skipped, specs, got = first_flip(g, candidates(), first_hit)
+        tried, skipped, specs, got = first_flip(g, candidate_packs(4, candidates()), first_hit)
         assert (tried, skipped, specs) == counts
         assert "".join(seen) == drawn[chunk]
         assert all(size == chunk for size in stacks[:-1]) and 0 < stacks[-1] <= chunk
@@ -521,7 +523,7 @@ class TestFirstFlip:
             sizes.append(len(dists))
 
         stream = [(None, Partition.trivial(4))] * 350
-        assert first_flip(path(4), iter(stream), miss) == (350, 0, 700, None)
+        assert first_flip(path(4), candidate_packs(4, stream), miss) == (350, 0, 700, None)
         assert sizes == [64, 128, 256, 252]
 
     def test_packs_are_bounded_by_cells(self, monkeypatch):
@@ -548,9 +550,9 @@ class TestFirstFlip:
         def complement(dists):
             return 1 if len(dists) > 1 else None
 
-        assert first_flip(Graph.empty(11), iter(stream), complement)[:3] == (1, 0, 2)
+        assert first_flip(Graph.empty(11), candidate_packs(11, stream), complement)[:3] == (1, 0, 2)
         with pytest.raises(CapExceeded, match="at most 64"):
-            first_flip(Graph.empty(11), iter(stream), lambda dists: None)
+            first_flip(Graph.empty(11), candidate_packs(11, stream), lambda dists: None)
 
 
 class TestRefine:

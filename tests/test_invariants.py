@@ -115,8 +115,8 @@ def test_one_sweep_loop():
 #: that cap before the enumeration starts (the enumeration itself, or a
 #: caller).
 EXHAUSTIVE_CAPS = [
-    ("flips.py:partition_labels", "_check_n_cap", "breaksep.py:separability_search"),
-    ("flips.py:partition_labels", "_check_n_cap", "breaksep.py:breakability_search"),
+    ("flips.py:raw_packs", "_check_n_cap", "breaksep.py:separability_search"),
+    ("flips.py:raw_packs", "_check_n_cap", "breaksep.py:breakability_search"),
     ("flips.py:definable_candidates", "resolve_max_parts", "flips.py:definable_candidates"),
     # the code stream of flip_packs, which the walker and the flip metrics walk
     ("flips.py:distinct_flip_codes", "_pair_count", "flips.py:distinct_flip_codes"),
@@ -131,8 +131,9 @@ EXHAUSTIVE_CAPS = [
 #: bounded by their input, or known to be uncapped, and why.
 BOUNDED = {
     "graphs.py:_bfs": "one round per BFS level, at most n",
-    "flips.py:first_flip": "walks the candidate stream its caller built and capped",
+    "flips.py:first_flip": "judges the packs of a stream its caller built and capped",
     "flips.py:flip_packs": "packs the codes of a partition stream its callers capped",
+    "flips.py:partition_labels": "drawn by raw_packs and enumerate_partitions, capped at the call",
     "flips.py:enumerate_partitions": "a lazy map over partition_labels; its consumer stops it",
     "metrics.py:_flip_metric": "the codes of a partition its callers checked against the part cap",
     "conversion.py:search_definable_emulation": "definable_candidates checks its own cap",
