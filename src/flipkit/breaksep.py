@@ -119,11 +119,6 @@ class SunflowerResult:
     core: tuple[int, ...]
 
 
-def sunflower_guarantee(t: int, m: int) -> int:
-    """Family size from which greedy extraction is guaranteed to succeed."""
-    return math.factorial(t) * (m - 1) ** t + 1 if m >= 1 else 0
-
-
 def _greedy_sunflower(sets: list[tuple[int, ...]], m: int):
     if m == 0:
         return [], frozenset()

@@ -479,8 +479,9 @@ def first_flip(
 def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
     """Boolean (flips, n, n) masks of a stack of flips over
     ``0..n-1``, given as (partition, codes) pieces in stack order: a flip
-    of a graph is its adjacency XOR its mask, taken in C order, since the
-    masks are a transposed view.  Each cell reads the bit of its flip's
+    of a graph is its adjacency XOR its mask.  The masks are a transposed
+    view, flips fastest, so the float32 BFS takes the XOR in C order and
+    the bit-sliced fold in this layout.  Each cell reads the bit of its flip's
     code at its ``pair_index``: with one row of flips per bit position,
     each piece takes its cells' rows in one gather, and no index the size
     of the stack is built."""

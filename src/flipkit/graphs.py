@@ -189,17 +189,84 @@ def max_distance_matrix(adjs: np.ndarray, sources=None, depth: int | None = None
     """``fold_max_distances(batched_distance_matrices(adjs, depth))`` as one
     (n, n) int16 matrix, without the per-flip stack; the flip metric's
     kernel.  With ``sources`` only their rows are run: an (s, n) matrix.
-    An empty stack (F = 0) has no max and is a DomainError."""
+    An empty stack (F = 0) has no max and is a DomainError.  A stack of at
+    least ``_WORD`` flips is folded bit-sliced by ``_word_fold``, fastest
+    when laid out flips fastest; a smaller one, which would fill less than
+    a word, by the float32 loop of ``_bfs``."""
+    adjs = np.asarray(adjs, dtype=bool)
+    if len(adjs) >= _WORD:
+        return _word_fold(adjs, sources, depth)
     return _bfs(adjs, fold=True, depth=depth, sources=sources)
 
 
-#: Stacks of at least this many flips drop their finished flips in the
-#: folded BFS once fewer than 3/4 of them are still live.
+#: Stacks of at least this many flips drop their finished flips (or words
+#: of flips) in the folded BFS once fewer than 3/4 of them are still live.
 _COMPACT_MIN = 256
+
+#: Flips per word of the bit-sliced fold.
+_WORD = 64
+
+#: Words (32 KiB, an L1 data cache) of the product of one block of columns
+#: in a level of the word fold: a small frontier steps in a few calls, and
+#: one of this size or more column by column, each temporary in cache.
+_STEP_WORDS = 1 << 12
+
+
+def _word_fold(adjs: np.ndarray, sources=None, depth: int | None = None) -> np.ndarray:
+    """The folded level loop of ``_bfs``, bit-sliced along the flips: a
+    cell is W = ceil(F / 64) uint64 words, bit i of word w being flip
+    64w + i, so one word operation steps 64 flips.  The bits past F start
+    reached, so padding is never pending.  A level ORs ``frontier[:, :, j]
+    & a[:, j]`` over the columns j, in blocks of ``_STEP_WORDS`` // (W s n)
+    columns reduced at once, or one column at a time when a block would
+    hold one, so no temporary outgrows the larger of ``_STEP_WORDS`` and
+    the (W, s, n) frontier; finished words are dropped as ``_bfs`` drops
+    flips.  Packing reads the stack along its flips, contiguously in the
+    flips-fastest layout of the flip metrics."""
+    f, n, _ = adjs.shape
+    w = -(-f // _WORD)
+    packed = np.zeros((n * n, 8 * w), dtype=np.uint8)
+    packed[:, : -(-f // 8)] = np.packbits(adjs.reshape(f, n * n).T, axis=1, bitorder="little")
+    a = frontier = np.ascontiguousarray(packed.view("<u8").T).reshape(w, n, n)
+    left = ~a
+    left[-1] &= np.uint64((1 << (f - _WORD * (w - 1))) - 1)  # clears the bits past F
+    left.reshape(w, n * n)[:, :: n + 1] = 0  # reached at level 0
+    if sources is not None:
+        frontier, left = a[:, sources], left[:, sources]
+    dist = ((frontier[0] | left[0]) != 0).astype(np.int16)
+    for _ in range(1, n if depth is None else depth):
+        pending = left.any(0)
+        if not np.count_nonzero(pending):
+            return dist
+        dist += pending
+        ft, at = frontier.transpose(2, 0, 1)[..., None], a.transpose(1, 0, 2)[:, :, None]
+        block = _STEP_WORDS // left.size
+        if block > 1:
+            reached = np.bitwise_or.reduce(ft[:block] & at[:block], axis=0)
+            for j in range(block, n, block):
+                reached |= np.bitwise_or.reduce(ft[j:j + block] & at[j:j + block], axis=0)
+        else:
+            reached = ft[0] & at[0]
+            step = np.empty_like(reached)
+            for j in range(1, n):
+                reached |= np.bitwise_and(ft[j], at[j], out=step)
+        reached &= left
+        if not np.count_nonzero(reached):
+            break
+        left ^= reached
+        if _WORD * len(a) >= _COMPACT_MIN:
+            live = left.any((1, 2))
+            if 4 * np.count_nonzero(live) < 3 * len(a):
+                a, reached, left = a[live], reached[live], left[live]
+        frontier = reached
+    else:  # cut at the depth: what is left is farther
+        pending = left.any(0)
+    dist[pending] = UNREACHED
+    return dist
 
 
 def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray:
-    """The one level loop.  All sources advance by float32 frontier
+    """The float32 level loop.  All sources advance by float32 frontier
     products, ``frontier @ adj > 0`` on the pairs not yet reached; a pair's
     distance is 1 plus the levels at which it was unreached.  Exact at any
     n: a product entry is a sum of nonnegative terms, so it is positive iff
@@ -207,8 +274,9 @@ def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray
     over flips adds ``left.any(0)`` per level and may drop finished flips.
     Distances are below n, so no ``depth`` runs levels 2..n-1; a depth runs
     levels 2..depth, and the pairs left unreached read UNREACHED.  With
-    ``sources`` the frontier holds only their rows, (F, s, n)."""
-    adjs = np.asarray(adjs, dtype=bool)
+    ``sources`` the frontier holds only their rows, (F, s, n).  The stack
+    is taken in C order, so that the products run on contiguous matrices."""
+    adjs = np.ascontiguousarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
     if fold and not f:
         raise DomainError("the max over an empty flip stack has no value")

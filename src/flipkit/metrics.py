@@ -7,6 +7,9 @@ defining sets takes the pointwise maximum over its members.  Everything here
 is one exact max over the stacks of ``flips.flip_packs``, each distinct flip
 once and every member of a family in the one stream; the BFS folds the max
 over each stack as it goes, so no per-flip distance matrix is ever stored.
+A stack that fills a word is its masks XOR the adjacency in the masks' own
+layout, flips fastest, which ``graphs.max_distance_matrix`` packs 64 flips
+to a word; a smaller one is taken in C order for the float32 loop.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import flips
 from .errors import DomainError
 from .flips import Partition, check_part_cap, definable_partition
 from .graphs import (
+    _WORD,
     INF,
     UNREACHED,
     ExtDist,
@@ -67,7 +71,8 @@ def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -
     and ``depth`` cut each pack's BFS as in ``max_distance_matrix``."""
     folded = []
     for masks, _ in flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK):
-        flipped = np.bitwise_xor(g.adj, masks, order="C")
+        # the word fold reads a stack along its flips, the float32 loop in C order
+        flipped = np.bitwise_xor(g.adj, masks, order="K" if len(masks) >= _WORD else "C")
         del masks  # frees the mask buffer before the BFS allocates its own
         folded.append(max_distance_matrix(flipped, sources, depth))
     return fold_max_distances(np.stack(folded))

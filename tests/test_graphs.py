@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,18 @@ def _mixed_stack(rng, f, n):
     return members, np.array([g.adj for g in members], dtype=bool).reshape(f, n, n)
 
 
+def _connected_stack(rng, f, n):
+    """``f`` connected graphs on ``n`` vertices, each a path through the
+    vertices in a random order plus random chords, so that the max over
+    the stack is finite; an edgeless member makes it INF off the diagonal."""
+    members = []
+    for _ in range(f):
+        order = rng.sample(range(n), n)
+        chords = random_graph(rng, n, rng.choice((0.0, 0.1, 0.3))).edges()
+        members.append(Graph.from_edges(n, chords + list(zip(order, order[1:]))))
+    return members, np.array([g.adj for g in members], dtype=bool).reshape(f, n, n)
+
+
 class TestMaxDistanceMatrix:
     """The folded entry against the oracle and the per-flip kernel, with
     the compaction threshold lowered so that small stacks drop finished
@@ -191,6 +205,81 @@ class TestMaxDistanceMatrix:
         with pytest.raises(DomainError, match="empty flip stack"):
             max_distance_matrix(np.zeros((0, 3, 3), dtype=bool))
         assert batched_distance_matrices(np.zeros((0, 3, 3), dtype=bool)).shape == (0, 3, 3)
+
+
+class TestWordFold:
+    """Stacks of at least 64 flips fold bit-sliced, 64 flips to a uint64
+    word: at and around the word boundaries, in C order and read fastest
+    along the flips, against the per-flip fold and, on a subset, the
+    oracle; finished words are dropped as finished flips are."""
+
+    @pytest.fixture(params=[None, 200], ids=["step-default", "step-200"])
+    def step_words(self, request, monkeypatch):
+        """The word fold's step at its default budget, which runs these
+        stacks in blocks of many columns, and at 200 words, which runs the
+        smaller ones in blocks of 2 to 8 columns and the larger ones a
+        column at a time."""
+        if request.param is not None:
+            monkeypatch.setattr(graphs, "_STEP_WORDS", request.param)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_word_boundaries_match_the_per_flip_fold(self, rng, n, step_words):
+        stacks = [stack(rng, f, n) for f in (63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
+                  for stack in (_mixed_stack, _connected_stack)]
+        for _, adjs in stacks:
+            f = len(adjs)
+            flip_fastest = np.ascontiguousarray(adjs.reshape(f, n * n).T).T.reshape(f, n, n)
+            assert flip_fastest.strides[0] == 1 and np.array_equal(flip_fastest, adjs)
+            three = sorted(rng.sample(range(n), min(3, n)))
+            for depth in (None, *range(n + 1)):
+                want = fold_max_distances(batched_distance_matrices(adjs, depth))
+                for sources in (None, [], [rng.randrange(n)], three, list(range(n))):
+                    rows = want if sources is None else want[sources]
+                    for stack in (adjs, flip_fastest):
+                        got = max_distance_matrix(stack, sources, depth)
+                        assert got.dtype == np.int16 and np.array_equal(got, rows)
+
+    def test_matches_oracle(self, rng):
+        for f, n in ((64, 5), (129, 6), (257, 4)):
+            stack, adjs = _connected_stack(rng, f, n)
+            got = max_distance_matrix(adjs)
+            want = [oracle.all_pairs(n, oracle.edges_of(g)) for g in stack]
+            for u in range(n):
+                for v in range(n):
+                    assert (INF if got[u, v] < 0 else got[u, v]) == max(d[u, v] for d in want)
+
+    def test_finished_words_are_dropped(self, monkeypatch):
+        """Five words whose flips all finish at once but for eight paths in
+        the first word step one word after the first level; three words,
+        fewer than ``_COMPACT_MIN`` flips, keep all three.  A step of one
+        column at a time calls ``np.bitwise_and`` on the live words."""
+        monkeypatch.setattr(graphs, "_STEP_WORDS", 1)
+        steps = []
+        real = np.bitwise_and
+        monkeypatch.setattr(
+            np, "bitwise_and", lambda x, y, **kw: steps.append(len(x)) or real(x, y, **kw))
+        n = 12
+        for f, last in ((300, 1), (192, 3)):
+            adjs = np.array([path(n).adj] * 8 + [clique(n).adj] * (f - 8))
+            del steps[:]
+            got = max_distance_matrix(adjs)
+            assert steps[0] == -(-f // 64) and steps[-1] == last
+            assert np.array_equal(got, fold_max_distances(batched_distance_matrices(adjs)))
+
+    def test_neighbour_step_memory_is_bounded(self, rng):
+        """At n = 80, the largest n at which a pack's cell bound still
+        allows a word of flips, the fold peaks under twice the bytes of the
+        bool stack itself; one product over every column at once would
+        take (W, n, n, n) words, ten times them."""
+        f, n = 64, 80
+        _, adjs = _connected_stack(rng, f, n)
+        tracemalloc.start()
+        try:
+            max_distance_matrix(adjs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * f * n * n
 
 
 class TestDiameter:

@@ -208,18 +208,35 @@ def test_one_bfs():
         if isinstance(node, ast.FunctionDef) and node.name == "bfs_array"
     ]
     assert not defined, f"graphs._bfs is the one BFS: {defined}"
-    loops = sorted(
-        f"{module.name}:{func.name}"
+    functions = [
+        (f"{module.name}:{func.name}", func)
         for module in sorted(SRC.glob("*.py"))
         for func in ast.walk(ast.parse(module.read_text()))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(
+    ]
+    products = sorted(
+        name for name, func in functions
+        if any(
             isinstance(node, ast.Call)
             and "matmul" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
             for node in ast.walk(func)
         )
     )
-    assert loops == ["graphs.py:_bfs"], f"one level loop calls np.matmul: {loops}"
+    assert products == ["graphs.py:_bfs"], f"one level loop calls np.matmul: {products}"
+    # a level loop adds each level's pending cells to the distances
+    levels = sorted(
+        name for name, func in functions
+        if any(
+            isinstance(loop, (ast.For, ast.While))
+            and any(
+                isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "dist"
+                for node in ast.walk(loop)
+            )
+            for loop in ast.walk(func)
+        )
+    )
+    assert levels == ["graphs.py:_bfs", "graphs.py:_word_fold"], (
+        f"two level loops, the float32 one and the bit-sliced fold: {levels}")
     named = _names(ast.parse((SRC / "metrics.py").read_text()))
     assert "batched_distance_matrices" not in named, "the flip metric folds inside the BFS"
 

@@ -18,7 +18,7 @@ from flipkit import (
     dist_partition,
     dist_partition_matrix,
 )
-from flipkit import flips, graphs, metrics
+from flipkit import flips, metrics
 from flipkit.flips import canonical_pairs
 from flipkit.graphs import UNREACHED, fold_max_distances, within
 from flipkit.generators import gnp, path
@@ -333,16 +333,16 @@ class TestBalls:
                         assert ball_of(vs, r) == want
 
     def test_ball_bfs_runs_its_rows_to_depth_r(self, rng, monkeypatch):
-        """Spy on the kernel: every pack of a ball query runs one row per
+        """Spy on the fold: every pack of a ball query runs one row per
         vertex to depth max(r, 1); a pair query runs u's row to the end."""
         calls = []
-        real = graphs._bfs
+        real = metrics.max_distance_matrix
 
-        def spy(adjs, fold, depth=None, sources=None):
+        def spy(adjs, sources=None, depth=None):
             calls.append((None if sources is None else len(sources), depth))
-            return real(adjs, fold, depth, sources)
+            return real(adjs, sources, depth)
 
-        monkeypatch.setattr(graphs, "_bfs", spy)
+        monkeypatch.setattr(metrics, "max_distance_matrix", spy)
         g = random_graph(rng, 9, 0.4)
         p = Partition.from_labels(random_partition_labels(rng, 9, 3))
         fam = SetFamily([[0], [4]])
