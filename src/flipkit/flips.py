@@ -8,12 +8,14 @@ index pairs, so they compare, dedupe, and compose by symmetric difference.
 
 Every search and every flip metric walks one stream: ``flip_packs``
 packs the distinct flips of consecutive partitions, given as part labels,
-into cell-bounded stacks; ``flip_adjacency_pack`` builds the masks of
-every stack through ``pair_index``, from n alone, and a flip of a graph
-is its adjacency XOR its mask.  ``first_flip`` judges the packs of a
-search: ``candidate_packs`` of a candidate stream, or ``raw_packs``, the
-packs of every partition into at most k parts, which depend on no graph
-and are stored once per (n, k, CHUNK) under a byte budget.
+into cell-bounded stacks of pieces, and each caller builds the layout its
+BFS reads.  ``flip_adjacency_pack`` builds masks through ``pair_index``,
+from n alone, and a flip of a graph is its adjacency XOR its mask;
+``flip_words`` builds a flip-metric pack of 64 or more flips straight from
+its codes, bit-sliced 64 flips to a word.  ``first_flip`` judges the packs
+of a search: ``candidate_packs`` of a candidate stream, or ``raw_packs``,
+the packs of every partition into at most k parts, which depend on no
+graph and are stored once per (n, k, CHUNK) under a byte budget.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph, batched_distance_matrices
+from .graphs import _WORD, Graph, _pack_words, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -333,15 +335,15 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[tuple[np.ndarray, list]]:
+def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[list]:
     """The distinct flips of ``partitions``, ``(info, labels)`` pairs over
-    ``0..n-1``, in stream and counter order, as packs of masks, each with
-    its ``(info, labels, codes)`` pieces.  The first pack holds ``size``
-    flips, then twice the last, at most CHUNK flips and CHUNK * 100 cells
-    (flips times n^2) but at least one flip.  A partition is drawn only
-    while the current pack still needs flips, and a refusal raised while
-    drawing is raised only after the pack of the flips drawn before it.
-    ``raw`` is passed to ``distinct_flip_codes``."""
+    ``0..n-1``, in stream and counter order, as packs of ``(info, labels,
+    codes)`` pieces, which each caller builds in the layout its BFS reads.
+    The first pack holds ``size`` flips, then twice the last, at most CHUNK
+    flips and CHUNK * 100 cells (flips times n^2) but at least one flip.  A
+    partition is drawn only while the current pack still needs flips, and a
+    refusal raised while drawing is raised only after the pack of the flips
+    drawn before it.  ``raw`` is passed to ``distinct_flip_codes``."""
     runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p, raw))
     most = min(CHUNK, max(1, CHUNK * 100 // max(n, 1) ** 2))
     size, rest, end = min(size, most), None, None
@@ -357,7 +359,7 @@ def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[tuple[np.nd
             rest = (info, labels, codes[room:]) if len(codes) > room else None
             room -= len(pieces[-1][2])
         if pieces:
-            yield flip_adjacency_pack(n, [(labels, codes) for _, labels, codes in pieces]), pieces
+            yield pieces
         size = min(2 * size, most)
     if isinstance(end, CapExceeded):
         raise end
@@ -365,11 +367,11 @@ def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[tuple[np.nd
 
 def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
     """The packs that ``first_flip`` judges: the ``flip_packs`` of
-    ``candidates``, ``(tag, partition)`` pairs, from 64 flips, ended by
-    ``(None, totals)``.  A partition is given by its part labels (or a
-    Partition); None marks a set over the part cap, which is skipped.  A
-    piece's info is ``(tag, tried, skipped, specs)``, the counts before its
-    candidate, and the totals are those counts after the last one."""
+    ``candidates``, ``(tag, partition)`` pairs, from 64 flips, as masks and
+    pieces, ended by ``(None, totals)``.  A partition is given by its part
+    labels (or a Partition); None marks a set over the part cap, which is
+    skipped.  A piece's info is ``(tag, tried, skipped, specs)``, the counts
+    before its candidate, and the totals are those counts after the last."""
     tried = skipped = specs = 0
 
     def draw():
@@ -382,7 +384,8 @@ def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
             yield (tag, tried, skipped, specs), labels
             tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
 
-    yield from flip_packs(n, draw(), 64, raw)
+    for pieces in flip_packs(n, draw(), 64, raw):
+        yield flip_adjacency_pack(n, [(labels, codes) for _, labels, codes in pieces]), pieces
     yield None, (tried, skipped, specs)
 
 
@@ -476,26 +479,56 @@ def first_flip(
     raise RuntimeError("a pack stream ended without its totals")
 
 
+def _bit_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The (pieces, n^2) ``pair_index`` of each piece's cells, and the
+    (pairs + 1, flips) bool rows of the code bits, shifted in the narrowest
+    unsigned dtype that holds the pairs; the diagonal's last row is False."""
+    codes = np.concatenate([c for _, c in pieces])
+    index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
+    pairs = int(index.max(initial=0)) + 1
+    dtype = np.min_scalar_type((1 << pairs) - 1)
+    rows = np.zeros((pairs + 1, len(codes)), dtype=bool)
+    rows[:-1] = (codes.astype(dtype) >> np.arange(pairs, dtype=dtype)[:, None]) & dtype.type(1)
+    return index, rows
+
+
 def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
     """Boolean (flips, n, n) masks of a stack of flips over
     ``0..n-1``, given as (partition, codes) pieces in stack order: a flip
     of a graph is its adjacency XOR its mask.  The masks are a transposed
-    view, flips fastest, so the float32 BFS takes the XOR in C order and
-    the bit-sliced fold in this layout.  Each cell reads the bit of its flip's
-    code at its ``pair_index``: with one row of flips per bit position,
+    view, flips fastest; the float32 BFS takes the XOR in C order.  Each
+    cell reads its flip's row of ``_bit_rows`` at its ``pair_index``, so
     each piece takes its cells' rows in one gather, and no index the size
     of the stack is built."""
-    codes = np.concatenate([c for _, c in pieces]).astype(np.uint64)
-    index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
-    shifts = np.arange(index.max(initial=0) + 1, dtype=np.uint64)[:, None]
-    rows = ((codes >> shifts) & np.uint64(1)).astype(bool)
-    cells = np.empty((n * n, len(codes)), dtype=bool)
+    index, rows = _bit_rows(pieces)
+    cells = np.empty((n * n, rows.shape[1]), dtype=bool)
     start = 0
     for piece, (_, c) in zip(index, pieces):
         cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
         start += len(c)
-    cells[:: n + 1] = False
-    return cells.T.reshape(len(codes), n, n)
+    return cells.T.reshape(rows.shape[1], n, n)
+
+
+def flip_words(adj: np.ndarray, pieces) -> np.ndarray:
+    """The flips ``adj ^ flip_adjacency_pack(n, pieces)`` as the (W, n, n)
+    uint64 words of ``graphs._word_fold``, bit i of word w being flip
+    64w + i, without a bool stack: the ``_bit_rows`` are packed into words
+    once, each piece gathers its cells' words, masked in a word it shares
+    with the piece before or after it, and the cells of edges are inverted."""
+    (index, rows), n, ones = _bit_rows(pieces), len(adj), ~np.uint64(0)
+    words = _pack_words(rows)
+    out = np.zeros((len(words), n * n), dtype=np.uint64)
+    start = 0
+    for piece, (_, c) in zip(index, pieces):
+        end = start + len(c)
+        span = slice(start // _WORD, -(-end // _WORD))
+        block = words[span, piece]
+        block[0] &= ones << np.uint64(start % _WORD)
+        block[-1] &= ones >> np.uint64(-end % _WORD)
+        out[span] |= block
+        start = end
+    out ^= adj.reshape(-1) * ones
+    return out.reshape(len(words), n, n)
 
 
 def flip_adjacency_batch(

@@ -58,9 +58,9 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi graph; identical (n, p, seed) gives identical output."""
     _require(n >= 1, f"gnp needs n >= 1, got {n}")
     _require(0.0 <= p <= 1.0, f"gnp needs p in [0,1], got {p}")
+    check_dense_n(n)
     rng = random.Random(seed)
-    edges = ((u, v) for u, v in combinations(range(n), 2) if rng.random() < p)
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
 
 
 def halfgraph(n: int) -> Graph:

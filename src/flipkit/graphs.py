@@ -190,17 +190,18 @@ def max_distance_matrix(adjs: np.ndarray, sources=None, depth: int | None = None
     (n, n) int16 matrix, without the per-flip stack; the flip metric's
     kernel.  With ``sources`` only their rows are run: an (s, n) matrix.
     An empty stack (F = 0) has no max and is a DomainError.  A stack of at
-    least ``_WORD`` flips is folded bit-sliced by ``_word_fold``, fastest
-    when laid out flips fastest; a smaller one, which would fill less than
-    a word, by the float32 loop of ``_bfs``."""
+    least ``_WORD`` flips is packed along its flips for ``_word_fold``; a
+    smaller one, which would fill less than a word, runs ``_bfs``."""
     adjs = np.asarray(adjs, dtype=bool)
-    if len(adjs) >= _WORD:
-        return _word_fold(adjs, sources, depth)
-    return _bfs(adjs, fold=True, depth=depth, sources=sources)
+    f, n, _ = adjs.shape
+    if f < _WORD:
+        return _bfs(adjs, fold=True, depth=depth, sources=sources)
+    words = _pack_words(adjs.reshape(f, n * n).T)
+    return _word_fold(words.reshape(len(words), n, n), f, sources, depth)
 
 
-#: Stacks of at least this many flips drop their finished flips (or words
-#: of flips) in the folded BFS once fewer than 3/4 of them are still live.
+#: Stacks of at least this many flips drop their words of finished flips in
+#: the word fold once fewer than 3/4 of the words are still live.
 _COMPACT_MIN = 256
 
 #: Flips per word of the bit-sliced fold.
@@ -212,23 +213,26 @@ _WORD = 64
 _STEP_WORDS = 1 << 12
 
 
-def _word_fold(adjs: np.ndarray, sources=None, depth: int | None = None) -> np.ndarray:
-    """The folded level loop of ``_bfs``, bit-sliced along the flips: a
-    cell is W = ceil(F / 64) uint64 words, bit i of word w being flip
-    64w + i, so one word operation steps 64 flips.  The bits past F start
-    reached, so padding is never pending.  A level ORs ``frontier[:, :, j]
-    & a[:, j]`` over the columns j, in blocks of ``_STEP_WORDS`` // (W s n)
-    columns reduced at once, or one column at a time when a block would
-    hold one, so no temporary outgrows the larger of ``_STEP_WORDS`` and
-    the (W, s, n) frontier; finished words are dropped as ``_bfs`` drops
-    flips.  Packing reads the stack along its flips, contiguously in the
-    flips-fastest layout of the flip metrics."""
-    f, n, _ = adjs.shape
-    w = -(-f // _WORD)
-    packed = np.zeros((n * n, 8 * w), dtype=np.uint8)
-    packed[:, : -(-f // 8)] = np.packbits(adjs.reshape(f, n * n).T, axis=1, bitorder="little")
-    a = frontier = np.ascontiguousarray(packed.view("<u8").T).reshape(w, n, n)
-    left = ~a
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """The (W, r) uint64 words of an (r, F) bool array packed along its F
+    columns: bit i of word w is column 64w + i, and the bits past F are 0."""
+    packed = np.zeros((len(bits), 8 * -(-bits.shape[1] // _WORD)), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").T.copy()
+
+
+def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) -> np.ndarray:
+    """The folded level loop of ``_bfs``, bit-sliced along the ``f`` flips
+    of ``a``, (W, n, n) uint64 words from ``flips.flip_words`` or
+    ``_pack_words``: bit i of word w is flip 64w + i, so one word operation
+    steps 64 flips.  The bits past f start reached, so padding is never
+    pending.  A level ORs ``frontier[:, :, j] & a[:, j]`` over the columns
+    j, in blocks of ``_STEP_WORDS`` // (W s n) columns reduced at once, or
+    one column at a time when a block would hold one, so no temporary
+    outgrows the larger of ``_STEP_WORDS`` and the (W, s, n) frontier; a
+    stack of ``_COMPACT_MIN`` flips or more drops its finished words."""
+    w, n, _ = a.shape
+    frontier, left = a, ~a
     left[-1] &= np.uint64((1 << (f - _WORD * (w - 1))) - 1)  # clears the bits past F
     left.reshape(w, n * n)[:, :: n + 1] = 0  # reached at level 0
     if sources is not None:
@@ -271,7 +275,7 @@ def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray
     distance is 1 plus the levels at which it was unreached.  Exact at any
     n: a product entry is a sum of nonnegative terms, so it is positive iff
     one term is, however it rounds.  Unreached sets only shrink, so the max
-    over flips adds ``left.any(0)`` per level and may drop finished flips.
+    over flips adds ``left.any(0)`` per level.
     Distances are below n, so no ``depth`` runs levels 2..n-1; a depth runs
     levels 2..depth, and the pairs left unreached read UNREACHED.  With
     ``sources`` the frontier holds only their rows, (F, s, n).  The stack
@@ -296,11 +300,6 @@ def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray
         if not np.count_nonzero(reached):
             break
         left ^= reached
-        if fold and f >= _COMPACT_MIN:
-            live = left.any((1, 2))
-            if 4 * np.count_nonzero(live) < 3 * f:
-                a, reached, left = a[live], reached[live], left[live]
-                f = len(a)
         frontier = reached.astype(np.float32)
     else:  # cut at the depth: what is left is farther
         pending = left.any(0) if fold else left

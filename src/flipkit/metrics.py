@@ -7,9 +7,9 @@ defining sets takes the pointwise maximum over its members.  Everything here
 is one exact max over the stacks of ``flips.flip_packs``, each distinct flip
 once and every member of a family in the one stream; the BFS folds the max
 over each stack as it goes, so no per-flip distance matrix is ever stored.
-A stack that fills a word is its masks XOR the adjacency in the masks' own
-layout, flips fastest, which ``graphs.max_distance_matrix`` packs 64 flips
-to a word; a smaller one is taken in C order for the float32 loop.
+A stack that fills a word is built as words straight from its codes
+(``flips.flip_words``) for the bit-sliced fold; a smaller one as its masks
+XOR the adjacency, in C order, for the float32 loop.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .graphs import (
     UNREACHED,
     ExtDist,
     Graph,
+    _word_fold,
     fold_max_distances,
     max_distance_matrix,
     within,
@@ -69,13 +70,20 @@ def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -
     of ``partitions``, folded inside the BFS pack by pack; the max ignores
     duplicate flips, so skipping them keeps the result exact.  ``sources``
     and ``depth`` cut each pack's BFS as in ``max_distance_matrix``."""
-    folded = []
-    for masks, _ in flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK):
-        # the word fold reads a stack along its flips, the float32 loop in C order
-        flipped = np.bitwise_xor(g.adj, masks, order="K" if len(masks) >= _WORD else "C")
-        del masks  # frees the mask buffer before the BFS allocates its own
-        folded.append(max_distance_matrix(flipped, sources, depth))
-    return fold_max_distances(np.stack(folded))
+    packs = flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK)
+    return fold_max_distances(np.stack([_pack_max(g, pieces, sources, depth) for pieces in packs]))
+
+
+def _pack_max(g: Graph, pieces, sources, depth) -> np.ndarray:
+    """The folded max over one pack of ``flips.flip_packs``, built in the
+    layout its BFS reads: ``flips.flip_words`` for at least ``_WORD`` flips,
+    else the masks XOR the adjacency, in C order, for the float32 loop."""
+    pieces = [(labels, codes) for _, labels, codes in pieces]
+    f = sum(len(codes) for _, codes in pieces)
+    if f >= _WORD:
+        return _word_fold(flips.flip_words(g.adj, pieces), f, sources, depth)
+    flipped = np.bitwise_xor(g.adj, flips.flip_adjacency_pack(g.n, pieces), order="C")
+    return max_distance_matrix(flipped, sources, depth)
 
 
 def _pair_distance(g: Graph, u: int, v: int, partitions) -> ExtDist:

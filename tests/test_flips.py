@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import numpy as np
 import pytest
@@ -412,6 +412,51 @@ class TestFlipAdjacencyBatch:
             flip_adjacency_batch(g, p, np.zeros(1, dtype=np.uint64))
         with pytest.raises(CapExceeded, match="at most 64"):
             dist_partition_matrix(g, p)
+
+
+def _packed_words(stack):
+    """A bool (F, n, n) stack packed along its flips: (W, n, n) uint64, bit
+    i of word w being flip 64w + i, zero past F."""
+    f, n, _ = stack.shape
+    packed = np.zeros((n * n, 8 * -(-f // 64)), dtype=np.uint8)
+    packed[:, : -(-f // 8)] = np.packbits(stack.reshape(f, -1).T, axis=1, bitorder="little")
+    return packed.view("<u8").T.reshape(-1, n, n)
+
+
+class TestFlipWords:
+    @pytest.mark.parametrize("n", [1, 2, 9, 80])
+    def test_words_are_the_packed_masks(self, rng, n):
+        """On every bit below F, the words built from the codes are the
+        ``flip_adjacency_pack`` masks XOR the adjacency, packed along the
+        flips: one, two and five pieces cut anywhere, inside a word too,
+        over partitions of 1 to 10 parts, whose codes are shifted in 8,
+        16, 32 and 64 bits."""
+        parts = (1 + i % min(10, n) for i in count())
+        widths = set()
+        for f in (64, 65, 127, 129, 300):
+            g = random_graph(rng, n, rng.random())
+            for npieces in (1, 2, 5):
+                cuts = sorted(rng.sample(range(1, f), npieces - 1))
+                pieces = []
+                for start, end in zip([0, *cuts], [*cuts, f]):
+                    labels = np.array(rng.sample(range(n), n)) % next(parts)
+                    pairs = int(pair_index(labels).max(initial=0)) + 1
+                    widths.add(np.min_scalar_type((1 << pairs) - 1).itemsize)
+                    codes = [rng.getrandbits(pairs) for _ in range(end - start)]
+                    pieces.append((labels, np.array(codes, dtype=np.uint64)))
+                got = flips.flip_words(g.adj, pieces)
+                want = _packed_words(g.adj ^ flips.flip_adjacency_pack(n, pieces))
+                below = np.full((len(want), 1, 1), (1 << 64) - 1, dtype=np.uint64)
+                below[-1] >>= -f % 64
+                assert got.dtype == np.uint64 and got.shape == want.shape == (-(-f // 64), n, n)
+                assert np.array_equal(got & below, want)
+        assert widths == ({1, 2, 4, 8} if n >= 9 else {1})
+
+    def test_no_vertices(self):
+        """On no vertices a pack is F empty masks and W words of no cells."""
+        pieces = [(np.zeros(0, dtype=np.int64), np.zeros(65, dtype=np.uint64))]
+        assert flips.flip_adjacency_pack(0, pieces).shape == (65, 0, 0)
+        assert flips.flip_words(np.zeros((0, 0), dtype=bool), pieces).shape == (2, 0, 0)
 
 
 class TestFirstFlip:

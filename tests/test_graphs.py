@@ -142,32 +142,36 @@ def _connected_stack(rng, f, n):
 
 
 class TestMaxDistanceMatrix:
-    """The folded entry against the oracle and the per-flip kernel, with
-    the compaction threshold lowered so that small stacks drop finished
-    flips; only the folded path may shrink the stack it multiplies."""
+    """The folded entry on stacks under a word, the float32 loop, against
+    the oracle and the per-flip kernel: mixed stacks, whose maxima are
+    UNREACHED off the diagonal, and connected ones, whose maxima are
+    finite.  The float32 fold drops no flip, so every product it takes
+    runs on the full stack."""
 
-    @pytest.fixture(params=[None, 1, 2, 3], ids=lambda t: f"compact-{t or 'default'}")
-    def sizes(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(graphs, "_COMPACT_MIN", request.param)
+    @pytest.fixture
+    def sizes(self, monkeypatch):
         sizes = []
         real = np.matmul
         monkeypatch.setattr(np, "matmul", lambda x, y: sizes.append(len(x)) or real(x, y))
         return sizes
 
+    STACKS = [(_mixed_stack, f) for f in (1, 2, 3, 7, 16)] + [
+        (_connected_stack, f) for f in (1, 2, 3, 7, 16, 63)]
+
     def test_matches_oracle_and_per_flip_fold(self, rng, sizes):
-        unreached = shrunk = 0
+        unreached = products = 0
         for n in (1, 2, 5, 10):
-            for f in (1, 2, 3, 7, 16):
-                stack, adjs = _mixed_stack(rng, f, n)
-                per_flip = batched_distance_matrices(adjs)
-                assert set(sizes) <= {f}
+            for build, f in self.STACKS:
+                stack, adjs = build(rng, f, n)
                 del sizes[:]
+                per_flip = batched_distance_matrices(adjs)
                 got = max_distance_matrix(adjs)
                 assert got.shape == (n, n) and got.dtype == np.int16
                 assert np.array_equal(got, fold_max_distances(per_flip))
-                shrunk += any(size < f for size in sizes)
-                del sizes[:]
+                assert set(sizes) <= {f}
+                products += len(sizes)
+                if build is _connected_stack:
+                    assert (got != UNREACHED).all()
                 want = [oracle.all_pairs(n, oracle.edges_of(g)) for g in stack]
                 for u in range(n):
                     for v in range(n):
@@ -175,18 +179,17 @@ class TestMaxDistanceMatrix:
                         for d, h in zip(want, per_flip):
                             assert (INF if h[u, v] < 0 else h[u, v]) == d[u, v]
                 unreached += int((got == -1).sum())
-        assert unreached
-        assert bool(shrunk) == (graphs._COMPACT_MIN <= 16)
+        assert unreached and products
 
     def test_source_rows_match_the_cut_fold(self, rng, sizes):
         """With ``sources`` the fold runs only their rows, an (s, n) frontier
         per flip, and reads the source rows of the per-flip fold, cut as in
         ``test_depth_cut_keeps_every_ball``; one source, several and every
         vertex, at no depth and at depths 0..n."""
-        shrunk = 0
+        products = 0
         for n in (1, 2, 5, 9):
-            for f in (3, 7, 16):
-                _, adjs = _mixed_stack(rng, f, n)
+            for build, f in self.STACKS[2:]:
+                _, adjs = build(rng, f, n)
                 full = fold_max_distances(batched_distance_matrices(adjs))
                 several = sorted(rng.sample(range(n), min(3, n)))
                 for sources in ([rng.randrange(n)], several, list(range(n))):
@@ -198,8 +201,9 @@ class TestMaxDistanceMatrix:
                             want = np.where(within(want, max(depth, 1)), want, UNREACHED)
                         assert got.shape == (len(sources), n) and got.dtype == np.int16
                         assert np.array_equal(got, want)
-                        shrunk += any(size < f for size in sizes)
-        assert bool(shrunk) == (graphs._COMPACT_MIN <= 16)
+                        assert set(sizes) <= {f}
+                        products += len(sizes)
+        assert products
 
     def test_empty_stack_is_a_domain_error(self):
         with pytest.raises(DomainError, match="empty flip stack"):
@@ -238,6 +242,12 @@ class TestWordFold:
                     for stack in (adjs, flip_fastest):
                         got = max_distance_matrix(stack, sources, depth)
                         assert got.dtype == np.int16 and np.array_equal(got, rows)
+
+    def test_no_vertices(self):
+        """Stacks on no vertices fold to the empty matrix on both sides of
+        the 64-flip dispatch."""
+        for f in (1, 63, 64, 65):
+            assert max_distance_matrix(np.zeros((f, 0, 0), dtype=bool)).shape == (0, 0)
 
     def test_matches_oracle(self, rng):
         for f, n in ((64, 5), (129, 6), (257, 4)):

@@ -14,13 +14,14 @@ from flipkit import (
     definable_partition,
     dist_definable,
     dist_definable_matrix,
+    dist_family,
     dist_family_matrix,
     dist_partition,
     dist_partition_matrix,
 )
 from flipkit import flips, metrics
 from flipkit.flips import canonical_pairs
-from flipkit.graphs import UNREACHED, fold_max_distances, within
+from flipkit.graphs import UNREACHED, batched_distance_matrices, fold_max_distances, within
 from flipkit.generators import gnp, path
 from conftest import random_graph, random_partition_labels
 
@@ -111,13 +112,13 @@ class TestDistPartition:
         """On 40 vertices a metric stack holds at most CHUNK * 100 cells
         (flips times n^2), 256 flips, and every distinct flip once."""
         sizes = []
-        real = flips.flip_adjacency_pack
+        real = metrics._pack_max
 
-        def spy(g, pieces):
-            sizes.append(sum(len(codes) for _, codes in pieces))
-            return real(g, pieces)
+        def spy(g, pieces, sources, depth):
+            sizes.append(sum(len(codes) for _, _, codes in pieces))
+            return real(g, pieces, sources, depth)
 
-        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+        monkeypatch.setattr(metrics, "_pack_max", spy)
         p = Partition.from_labels([v % 5 for v in range(40)])
         dist_partition_matrix(gnp(40, 0.5, seed=7), p, max_parts=5)
         assert max(sizes) <= flips.CHUNK and max(sizes) * 40**2 <= flips.CHUNK * 100
@@ -213,13 +214,13 @@ class TestDistFamily:
         if chunk is not None:
             monkeypatch.setattr(flips, "CHUNK", chunk)
         packs = []
-        real = flips.flip_adjacency_pack
+        real = metrics._pack_max
 
-        def spy(g, pieces):
+        def spy(g, pieces, sources, depth):
             packs.append(len(pieces))
-            return real(g, pieces)
+            return real(g, pieces, sources, depth)
 
-        monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
+        monkeypatch.setattr(metrics, "_pack_max", spy)
         families = 0
         while families < 20:
             n = rng.randint(3, 7)
@@ -238,7 +239,7 @@ class TestDistFamily:
         """Every member is checked, its vertices and the part cap, before
         the first stack of the family is built."""
         built = []
-        monkeypatch.setattr(flips, "flip_adjacency_pack", lambda g, pieces: built.append(pieces))
+        monkeypatch.setattr(metrics, "_pack_max", lambda *pack: built.append(pack))
         with pytest.raises(CapExceeded, match=r"defining set \[0, 1, 2, 3\]: 6 parts"):
             dist_family_matrix(path(6), SetFamily([[0], [0, 1, 2, 3]]))
         with pytest.raises(DomainError, match="vertex 9 out of range"):
@@ -333,16 +334,16 @@ class TestBalls:
                         assert ball_of(vs, r) == want
 
     def test_ball_bfs_runs_its_rows_to_depth_r(self, rng, monkeypatch):
-        """Spy on the fold: every pack of a ball query runs one row per
-        vertex to depth max(r, 1); a pair query runs u's row to the end."""
+        """Spy on each pack's fold: every pack of a ball query runs one row
+        per vertex to depth max(r, 1); a pair query runs u's row to the end."""
         calls = []
-        real = metrics.max_distance_matrix
+        real = metrics._pack_max
 
-        def spy(adjs, sources=None, depth=None):
+        def spy(g, pieces, sources, depth):
             calls.append((None if sources is None else len(sources), depth))
-            return real(adjs, sources, depth)
+            return real(g, pieces, sources, depth)
 
-        monkeypatch.setattr(metrics, "max_distance_matrix", spy)
+        monkeypatch.setattr(metrics, "_pack_max", spy)
         g = random_graph(rng, 9, 0.4)
         p = Partition.from_labels(random_partition_labels(rng, 9, 3))
         fam = SetFamily([[0], [4]])
@@ -355,6 +356,53 @@ class TestBalls:
         del calls[:]
         dist_partition(g, p, 3, 8)
         assert calls and set(calls) == {(1, None)}
+
+
+class TestPackLayouts:
+    @pytest.mark.parametrize("chunk", [48, 64, 65, 100])
+    def test_metrics_match_the_per_flip_fold(self, rng, monkeypatch, chunk):
+        """A metric pack of at least 64 flips folds as the words of its
+        codes, a smaller one as masks; at these CHUNK sizes the packs fall
+        on both sides of that dispatch, and every matrix, pair distance and
+        ball equals the fold of the per-flip distances of all the flips."""
+        monkeypatch.setattr(flips, "CHUNK", chunk)
+        worded = []
+        real = flips.flip_words
+
+        def spy(adj, pieces):
+            worded.append(len(pieces))
+            return real(adj, pieces)
+
+        monkeypatch.setattr(flips, "flip_words", spy)
+        cases = 0
+        while cases < 12:
+            n = rng.randint(5, 9)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 4))
+            sets = [rng.sample(range(n), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            fam = SetFamily(s for s in sets if len(definable_partition(g, s)) <= 4)
+            if not len(fam):
+                continue
+            s = fam.sets[0]
+            metrics_of = (
+                ([p], p, dist_partition_matrix, dist_partition, ball_partition),
+                ([s], s, dist_definable_matrix, dist_definable, None),
+                (fam.sets, fam, dist_family_matrix, dist_family, ball_family),
+            )
+            for members, metric, matrix, pair, ball in metrics_of:
+                parts = [q if q is p else definable_partition(g, q) for q in members]
+                every = [(q, np.concatenate(list(flips.distinct_flip_codes(q)))) for q in parts]
+                masks = flips.flip_adjacency_pack(n, every)
+                want = fold_max_distances(batched_distance_matrices(g.adj ^ masks))
+                assert np.array_equal(matrix(g, metric, max_parts=5), want)
+                u, v = rng.randrange(n), rng.randrange(n)
+                assert pair(g, metric, u, v, max_parts=5) == as_ext(want[u, v])
+                for vertices, r in ((u, rng.randint(0, 3)), (sorted({u, v}), rng.randint(0, 3))):
+                    rows = [vertices] if isinstance(vertices, int) else vertices
+                    balls = set(np.flatnonzero(within(want[rows], r).any(axis=0)).tolist())
+                    assert ball is None or ball(g, metric, vertices, r, max_parts=5) == balls
+            cases += 1
+        assert bool(worded) == (chunk >= 64) and (chunk < 64 or max(worded) >= 2)
 
 
 class TestMetricAxioms:
