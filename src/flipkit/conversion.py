@@ -8,6 +8,14 @@ is a refinement of the input partition together with a flip over it whose
 edges all certify a partition-metric distance of at most 6, so balls in the
 flipped graph sit inside 6x-radius balls of the partition metric.
 
+Every diameter and connectivity the conversion decides on is read off
+padded BFS stacks (``graphs._piece_diameters``), in two phases.  The first
+holds every part and its complement and every pair block and its bipartite
+complement; it decides the parts and classifies the pairs.  The second
+holds the split blocks of the degenerate pairs and their complements, and
+runs only when some pair is degenerate.  ``classify_bipartite`` and
+``bipartite_flip`` run the same code on one block.
+
 Also here: the exhaustive witness search for emulating an arbitrary flip by
 a neighborhood-definable one with a 5x radius blowup, exposed as a budgeted
 search plus an independent containment checker.
@@ -31,17 +39,17 @@ from .flips import (
     reconstruct_flip_spec,
 )
 from .graphs import (
+    INF,
     UNREACHED,
     Bipartite,
+    ExtDist,
     Graph,
-    bipartite_complement,
-    bipartite_induced,
+    _induced_adj,
+    _piece_diameters,
     complement,
     component_labels,
-    diameter,
     distance_matrix,
     induced,
-    is_connected,
     within,
 )
 
@@ -78,27 +86,43 @@ class BipartiteCase:
     chosen_u: int | None = None
 
 
-def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> BipartiteCase:
-    """Classify a bipartite graph both of whose complements are disconnected.
+#: The one record of the trivial case, shared by every trivial pair.
+_TRIVIAL = BipartiteCase(tag=BipartiteCaseTag.CONNECTED_OR_COMPLEMENT)
 
-    When ``b`` or its bipartite complement is connected, the trivial tag is
-    returned, unless ``require_degenerate`` asks for a hard error instead.
-    """
-    if is_connected(b.graph) or is_connected(bipartite_complement(b).graph):
-        if require_degenerate:
-            raise DomainError(
-                "graph or its bipartite complement is connected; "
-                "no degenerate classification exists"
-            )
-        return BipartiteCase(tag=BipartiteCaseTag.CONNECTED_OR_COMPLEMENT)
+
+def diameter(reading: int) -> ExtDist:
+    """A piece's diameter from its sentinel-coded reading (see
+    ``graphs.diameters``).  This and ``is_connected`` are the two readings
+    every decision of the conversion makes of its pieces."""
+    return INF if reading == UNREACHED else reading
+
+
+def is_connected(reading: int) -> bool:
+    """Whether a piece with this sentinel-coded diameter is connected."""
+    return reading != UNREACHED
+
+
+def _block(b: Bipartite) -> tuple:
+    """``b`` as a block (vs, left, right, diam, diam_c) of its own adjacency."""
+    vs = tuple(range(b.n))
+    return (vs, b.left, b.right, *_piece_diameters(b.graph.adj, [(vs, b.left)])[0])
+
+
+def _classify(adj, vs, left, right, diam, diam_c) -> BipartiteCase:
+    """The case of the bipartite block of ``adj`` between the positions
+    ``left`` and ``right`` of the vertex list ``vs``, in positions, given
+    the readings of it and of its bipartite complement."""
+    if is_connected(diam) or is_connected(diam_c):
+        return _TRIVIAL
+    block = _induced_adj(adj, vs, left)
 
     # Isolated vertex first, scanning the right side then the left, lowest
     # index first.  The dominating partner lives on the same side.
-    for side_name, side, other in (("right", b.right, b.left), ("left", b.left, b.right)):
-        isolated = [v for v in side if b.graph.degree(v) == 0]
+    for side_name, side, other in (("right", right, left), ("left", left, right)):
+        isolated = [v for v in side if not block[v].any()]
         if not isolated:
             continue
-        dominating = [v for v in side if all(b.graph.adj[v, u] for u in other)]
+        dominating = [v for v in side if block[v, list(other)].all()]
         if not dominating:
             raise RuntimeError(
                 "an isolated vertex has no dominating partner although both "
@@ -113,19 +137,33 @@ def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> Bip
         )
 
     # components ascend by minimum member, each split into its left and right
-    labels = component_labels(b.graph.adj[None])[0]
-    left_set = set(b.left)
+    labels = component_labels(block[None])[0]
+    left_set = set(left)
     blocks = tuple(
         (tuple(v for v in comp if v in left_set), tuple(v for v in comp if v not in left_set))
         for comp in (np.flatnonzero(labels == c).tolist() for c in np.unique(labels).tolist())
     )
-    if len(blocks) != 2 or not all(u and v and b.graph.adj[np.ix_(u, v)].all()
-                                   for u, v in blocks):
+    if len(blocks) != 2 or not all(u and v and block[np.ix_(u, v)].all() for u, v in blocks):
         raise RuntimeError(
             "no vertex is isolated, yet the components are not exactly two bicliques; "
             "the bipartite classification is broken"
         )
     return BipartiteCase(tag=BipartiteCaseTag.TWO_BICLIQUES, blocks=blocks)
+
+
+def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> BipartiteCase:
+    """Classify a bipartite graph both of whose complements are disconnected.
+
+    When ``b`` or its bipartite complement is connected, the trivial tag is
+    returned, unless ``require_degenerate`` asks for a hard error instead.
+    """
+    case = _classify(b.graph.adj, *_block(b))
+    if require_degenerate and case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
+        raise DomainError(
+            "graph or its bipartite complement is connected; "
+            "no degenerate classification exists"
+        )
+    return case
 
 
 @dataclass(frozen=True)
@@ -152,42 +190,71 @@ def bipartite_flip(b: Bipartite) -> BipartiteFlipResult:
     exactly when its diameter is at most 6, which leaves every nonempty
     block of the result with a complement of diameter at most 6.
     """
-    case = classify_bipartite(b)
-    u_split, v_split = (b.left, ()), (b.right, ())
-    if case.tag is BipartiteCaseTag.TWO_BICLIQUES:
-        (u1, v1), (u2, v2) = case.blocks
-        u_split, v_split = (u1, u2), (v1, v2)
-    elif case.chosen_u is not None:
-        # the pivot's neighborhood splits the side opposite the pivot
-        n1 = tuple(sorted(b.graph.neighbors(case.chosen_u)))
-        side = b.right if case.side == "right" else b.left
-        split = (n1, tuple(x for x in side if x not in n1))
-        u_split, v_split = (u_split, split) if case.side == "right" else (split, v_split)
-
     adj = b.graph.adj.copy()
-    flipped_blocks = set()
-    for i, ui in enumerate(u_split, start=1):
-        for j, vj in enumerate(v_split, start=1):
-            if not ui or not vj:
-                continue
-            block, _ = bipartite_induced(b.graph, ui, vj)
-            if diameter(block.graph) <= _PAIR_DIAMETER_BOUND:
-                adj[np.ix_(list(ui), list(vj))] ^= True
-                adj[np.ix_(list(vj), list(ui))] ^= True
-                flipped_blocks.add((i, j))
-            elif diameter(bipartite_complement(block).graph) > _PAIR_DIAMETER_BOUND:
+    ((case, u_split, v_split, flipped_blocks),) = _flip_blocks(b.graph.adj, [_block(b)], adj)
+    return BipartiteFlipResult(
+        u_split=u_split,
+        v_split=v_split,
+        flipped=Bipartite(Graph(adj), b.left, b.right),
+        case=case,
+        flipped_blocks=flipped_blocks,
+    )
+
+
+def _flip_blocks(adj: np.ndarray, blocks: list[tuple], out: np.ndarray) -> list[tuple]:
+    """``bipartite_flip`` of each block (vs, left, right, diam, diam_c) of
+    ``adj`` - see ``_classify`` - as (case, u_split, v_split, flipped
+    blocks), in positions; the flipped blocks are complemented in ``out``.
+    A block of the trivial case is its one split block and reads diam and
+    diam_c; the split blocks of the other cases and their bipartite
+    complements share one more ``_piece_diameters``."""
+    splits, pieces = [], []
+    for vs, left, right, diam, diam_c in blocks:
+        case = _classify(adj, vs, left, right, diam, diam_c)
+        u_split, v_split = (left, ()), (right, ())
+        if case.tag is BipartiteCaseTag.TWO_BICLIQUES:
+            (u1, v1), (u2, v2) = case.blocks
+            u_split, v_split = (u1, u2), (v1, v2)
+        elif case.chosen_u is not None:
+            # the pivot's neighborhood splits the side opposite the pivot
+            side = right if case.side == "right" else left
+            n1 = tuple(v for v in side if adj[vs[case.chosen_u], vs[v]])
+            split = (n1, tuple(v for v in side if v not in n1))
+            u_split, v_split = (u_split, split) if case.side == "right" else (split, v_split)
+        splits.append((case, u_split, v_split))
+        if case.tag is not BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
+            for _, ui, vj in _cells(u_split, v_split):
+                pieces.append(([vs[v] for v in ui + vj], range(len(ui))))
+
+    readings = iter(_piece_diameters(adj, pieces))
+    results = []
+    for (vs, _, _, diam, diam_c), (case, u_split, v_split) in zip(blocks, splits):
+        whole = case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT
+        flipped_blocks = set()
+        for ij, ui, vj in _cells(u_split, v_split):
+            cell_d, cell_dc = (diam, diam_c) if whole else next(readings)
+            if diameter(cell_d) <= _PAIR_DIAMETER_BOUND:
+                rows, cols = [vs[v] for v in ui], [vs[v] for v in vj]
+                out[np.ix_(rows, cols)] ^= True
+                out[np.ix_(cols, rows)] ^= True
+                flipped_blocks.add(ij)
+            elif diameter(cell_dc) > _PAIR_DIAMETER_BOUND:
                 raise RuntimeError(
                     "bipartite block has large diameter on both sides; "
                     "the case split above is broken"
                 )
-    flipped = Bipartite(Graph(adj), b.left, b.right)
-    return BipartiteFlipResult(
-        u_split=u_split,
-        v_split=v_split,
-        flipped=flipped,
-        case=case,
-        flipped_blocks=frozenset(flipped_blocks),
-    )
+        results.append((case, u_split, v_split, frozenset(flipped_blocks)))
+    return results
+
+
+def _cells(u_split, v_split) -> list[tuple]:
+    """The nonempty blocks ((i, j), u_i, v_j) of a split, 1-based."""
+    return [
+        ((i, j), ui, vj)
+        for i, ui in enumerate(u_split, start=1)
+        for j, vj in enumerate(v_split, start=1)
+        if ui and vj
+    ]
 
 
 @dataclass(frozen=True)
@@ -231,44 +298,47 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n}, graph has n={g.n}")
     adj = g.adj.copy()
+    # phase 1: every part and its complement, every pair block and its
+    # bipartite complement
+    pairs = list(combinations(range(len(p.parts)), 2))
+    blocks = []
+    for x, y in pairs:
+        k, m = len(p.parts[x]), len(p.parts[x]) + len(p.parts[y])
+        blocks.append((p.parts[x] + p.parts[y], tuple(range(k)), tuple(range(k, m))))
+    pieces = [(part, None) for part in p.parts] + [(vs, left) for vs, left, _ in blocks]
+    readings = _piece_diameters(g.adj, pieces)
+
     part_certs = []
-    for x, part in enumerate(p.parts):
-        sub, order = induced(g, part)
-        flipped_sub = complement(sub)
-        if diameter(flipped_sub) <= _PART_DIAMETER_BOUND:
+    for x, (part, (diam, diam_c)) in enumerate(zip(p.parts, readings)):
+        if diameter(diam_c) <= _PART_DIAMETER_BOUND:
             part_certs.append(PartCertificate(part=x, flipped=False, branch="compl_diam_le3"))
         else:
-            if diameter(sub) > _PART_DIAMETER_BOUND:
+            if diameter(diam) > _PART_DIAMETER_BOUND:
                 raise RuntimeError(
                     "part and its complement both have diameter above 3; "
                     "the diameter dichotomy is broken"
                 )
-            adj[np.ix_(order, order)] = flipped_sub.adj
+            adj[np.ix_(part, part)] = complement(induced(g, part)[0]).adj
             part_certs.append(PartCertificate(part=x, flipped=True, branch="self_diam_le3"))
 
     # refined label of v: its part, then each pair {x, y} whose split puts v
     # in the second cell (trivial splits keep the second cell empty)
     labels = [(x,) for x in p.part_labels().tolist()]
     pair_certs = []
-    for x, y in combinations(range(len(p.parts)), 2):
-        px, py = p.parts[x], p.parts[y]
-        block, mapping = bipartite_induced(g, px, py)
-        result = bipartite_flip(block)
-        to_orig = lambda cell: tuple(sorted(mapping[i] for i in cell))
-        left_split = (to_orig(result.u_split[0]), to_orig(result.u_split[1]))
-        right_split = (to_orig(result.v_split[0]), to_orig(result.v_split[1]))
+    flips = _flip_blocks(g.adj, [b + d for b, d in zip(blocks, readings[len(p.parts):])], adj)
+    for (x, y), (vs, _, _), (case, u_split, v_split, flipped_blocks) in zip(pairs, blocks, flips):
+        to_orig = lambda cell: tuple(sorted(vs[i] for i in cell))
+        left_split = (to_orig(u_split[0]), to_orig(u_split[1]))
+        right_split = (to_orig(v_split[0]), to_orig(v_split[1]))
         for v in left_split[1] + right_split[1]:
             labels[v] += (x, y)
-        k, flipped_block = len(block.left), result.flipped.graph.adj
-        adj[np.ix_(mapping[:k], mapping[k:])] = flipped_block[:k, k:]
-        adj[np.ix_(mapping[k:], mapping[:k])] = flipped_block[k:, :k]
         pair_certs.append(
             PairCertificate(
                 parts=(x, y),
-                case=result.case,
+                case=case,
                 left_split=left_split,
                 right_split=right_split,
-                flipped_blocks=result.flipped_blocks,
+                flipped_blocks=flipped_blocks,
             )
         )
 

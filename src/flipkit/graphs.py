@@ -154,9 +154,14 @@ class Bipartite:
 
     def cross_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of the crossing vertex pairs."""
-        ind_l = np.zeros(self.n, dtype=bool)
-        ind_l[list(self.left)] = True
-        return np.logical_xor.outer(ind_l, ind_l)
+        return _cross_pairs(self.n, self.left)
+
+
+def _cross_pairs(n: int, left) -> np.ndarray:
+    """Boolean (n, n) mask of the pairs with exactly one end in ``left``."""
+    ind = np.zeros(n, dtype=bool)
+    ind[list(left)] = True
+    return ind[:, None] ^ ind
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +325,65 @@ def within(dist: np.ndarray, r: int) -> np.ndarray:
     return (dist != UNREACHED) & (dist <= r)
 
 
+def diameters(dist: np.ndarray) -> np.ndarray:
+    """The diameter of each matrix of a sentinel-coded distance stack
+    (..., n, n), sentinel-coded too: UNREACHED when some pair is, and 0
+    for n = 0."""
+    unreached = (dist == UNREACHED).any(axis=(-2, -1))
+    return np.where(unreached, UNREACHED, dist.max(axis=(-2, -1), initial=0))
+
+
+#: Pieces of at most this many vertices share one padded size: a BFS call
+#: costs 10-40 us, a 16-vertex piece in a stack 2-5 us (numpy, one core).
+_SMALL_PIECE = 16
+
+#: Cells (P N^2) of one padded stack at most, unless one piece alone is
+#: larger: about 17 MB of BFS buffers.
+_STACK_CELLS = 1 << 20
+
+
+def _piece_diameters(adj: np.ndarray, pieces: list[tuple]) -> list[tuple[int, int]]:
+    """``diameters`` of each piece (vs, left) of ``adj`` and of its
+    complement: the subgraph induced on the vertex list ``vs``, or with
+    ``left`` (positions in ``vs``) the bipartite block between those and
+    the rest, complemented bipartitely.  The pieces and complements of one
+    size class - at most ``_SMALL_PIECE`` vertices, or else (2^(c-1), 2^c]
+    - are padded with isolated vertices to the largest of them, in stacks
+    of at most ``_STACK_CELLS`` cells, each built by one gather and run by
+    one BFS.  Padding changes no distance between a piece's own vertices,
+    so each reads its (m, m) corner."""
+    halves = [(vs, left, flip) for vs, left in pieces for flip in (False, True)]
+    sizes = [len(vs) for vs, _, _ in halves]
+    size_class = lambda m: (max(m, _SMALL_PIECE) - 1).bit_length()
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    out, start = [0] * len(sizes), 0
+    while start < len(order):
+        n = sizes[order[start]]
+        stop = start + max(1, _STACK_CELLS // max(n * n, 1))
+        chunk = [i for i in order[start:stop] if size_class(sizes[i]) == size_class(n)]
+        start += len(chunk)
+        # a pair inside a piece may hold an edge iff its two labels differ:
+        # positions in a subgraph, sides in a bipartite block
+        idx = np.zeros((len(chunk), n), dtype=np.intp)
+        labels, flip = np.tile(np.arange(n), (len(chunk), 1)), np.zeros(len(chunk), dtype=bool)
+        for j, i in enumerate(chunk):
+            vs, left, flip[j] = halves[i]
+            idx[j, : len(vs)] = vs
+            if left is not None:
+                labels[j, : len(vs)] = -1
+                labels[j, list(left)] = -2
+        inside = np.arange(n) < np.array([sizes[i] for i in chunk])[:, None]
+        inside = inside[:, :, None] & inside[:, None]
+        pairs = inside & (labels[:, :, None] != labels[:, None])
+        stack = adj[idx[:, :, None], idx[:, None]] & pairs
+        stack ^= pairs & flip[:, None, None]
+        d = batched_distance_matrices(stack)
+        d[~inside] = 0
+        for i, diam in zip(chunk, diameters(d).tolist()):
+            out[i] = diam
+    return list(zip(out[::2], out[1::2]))
+
+
 def component_labels(adjs: np.ndarray) -> np.ndarray:
     """(F, n) component labels of a stack of adjacency matrices (n >= 1): a
     vertex's label is the minimum member of its component, the first vertex
@@ -329,17 +393,15 @@ def component_labels(adjs: np.ndarray) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """A graph on at most one vertex counts as connected."""
-    return g.n <= 1 or not component_labels(g.adj[None]).any()
+    return bool(diameters(distance_matrix(g)) != UNREACHED)
 
 
 def diameter(g: Graph) -> ExtDist:
     """Max pairwise distance; INF iff disconnected (n >= 2), 0 for n = 1."""
     if g.n == 0:
         raise DomainError("diameter of the empty graph is undefined")
-    dist = distance_matrix(g)
-    if (dist == UNREACHED).any():
-        return INF
-    return int(dist.max())
+    diam = int(diameters(distance_matrix(g)))
+    return INF if diam == UNREACHED else diam
 
 
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
@@ -370,8 +432,16 @@ def bipartite_complement(b: Bipartite) -> Bipartite:
 def induced(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``s`` plus the new-index -> old-vertex table."""
     order = g._vertices(s)
-    sub = g.adj[np.ix_(order, order)]
-    return Graph(sub), tuple(order)
+    return Graph(_induced_adj(g.adj, order)), tuple(order)
+
+
+def _induced_adj(adj: np.ndarray, vs, left=None) -> np.ndarray:
+    """``adj`` induced on the vertex list ``vs``; with ``left``, positions
+    in ``vs``, only its edges between those and the rest."""
+    sub = adj[np.ix_(vs, vs)]
+    if left is not None:
+        sub &= _cross_pairs(len(vs), left)
+    return sub
 
 
 def bipartite_induced(g: Graph, a, b) -> tuple[Bipartite, tuple[int, ...]]:
@@ -381,10 +451,6 @@ def bipartite_induced(g: Graph, a, b) -> tuple[Bipartite, tuple[int, ...]]:
         raise DomainError("bipartite sides must be disjoint")
     a_sorted = g._vertices(a)
     order = a_sorted + g._vertices(b)
-    sub = g.adj[np.ix_(order, order)].copy()
-    k = len(a_sorted)
-    sub[:k, :k] = False
-    sub[k:, k:] = False
-    left = tuple(range(k))
-    right = tuple(range(k, len(order)))
-    return Bipartite(Graph(sub), left, right), tuple(order)
+    left = tuple(range(len(a_sorted)))
+    sub = _induced_adj(g.adj, order, left)
+    return Bipartite(Graph(sub), left, tuple(range(len(left), len(order)))), tuple(order)

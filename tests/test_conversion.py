@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+from itertools import combinations
+
 import pytest
 
 import oracle
@@ -13,11 +18,13 @@ from flipkit import (
     convert,
     search_definable_emulation,
 )
+from flipkit import conversion, graphs
 from flipkit.conversion import BipartiteCaseTag, ball_containment_ok
 from flipkit.flips import FlipSpec, canonical_pairs
 from flipkit.generators import clique, path
 from flipkit.graphs import UNREACHED
 from flipkit.metrics import dist_partition_matrix
+from flipkit.verify import verify_bipartite_classification
 from conftest import random_graph, random_partition_labels
 
 
@@ -143,6 +150,13 @@ class TestBipartiteFlip:
         # diameter of b is 3 <= 6, so the single block is flipped
         assert result.flipped_blocks == {(1, 1)}
         assert result.flipped == bipartite_complement(b)
+
+    def test_split_block_large_on_both_sides_raises(self, monkeypatch):
+        # the split blocks of a degenerate case are read off the second BFS
+        monkeypatch.setattr(conversion, "diameter", lambda d: float("inf"))
+        b = bip([(0, 3), (0, 4), (1, 3), (1, 4), (2, 5)], (0, 1, 2), (3, 4, 5), 6)
+        with pytest.raises(RuntimeError, match="large diameter on both sides"):
+            bipartite_flip(b)
 
 
 class TestConvert:
@@ -336,3 +350,157 @@ class TestComposedPipeline:
                 5,
             )
         assert found > 0
+
+
+def _growth_strings(n: int, k: int):
+    """Part labels of every partition of 0..n-1 into at most k parts."""
+    if n == 0:
+        yield []
+        return
+    stack = [[0]]
+    while stack:
+        labels = stack.pop()
+        if len(labels) == n:
+            yield labels
+            continue
+        top = max(labels)
+        stack.extend(labels + [lab] for lab in reversed(range(min(top + 2, k))))
+
+
+def _golden_instances():
+    """Every graph on n <= 4 with every partition into at most 3 parts,
+    then 1500 seeded random instances with n <= 10 and k <= 4."""
+    for n in range(5):
+        cells = list(combinations(range(n), 2))
+        for mask in range(1 << len(cells)):
+            g = Graph.from_edges(n, [c for t, c in enumerate(cells) if mask >> t & 1])
+            for labels in _growth_strings(n, 3):
+                yield g, (Partition.from_labels(labels) if n else Partition(0, []))
+    rng = random.Random(24)
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        density = rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+        g = Graph.from_edges(n, [c for c in combinations(range(n), 2) if rng.random() < density])
+        k = rng.randint(1, min(4, n))
+        labels = [rng.randrange(k) for _ in range(n)]
+        labels[:k] = range(k)
+        yield g, Partition.from_labels(labels)
+
+
+def _canonical(result) -> dict:
+    def case(c):
+        return [c.tag.value, [list(map(list, b)) for b in c.blocks], c.side,
+                c.v_minus, c.v_plus, c.chosen_u]
+
+    return {
+        "refined": [list(q) for q in result.refined.parts],
+        "edges": result.flipped.edges(),
+        "spec": sorted(result.refined_spec.pairs),
+        "parts": [[c.part, c.flipped, c.branch] for c in result.part_certificates],
+        "pairs": [[list(c.parts), case(c.case), [list(s) for s in c.left_split],
+                   [list(s) for s in c.right_split], sorted(c.flipped_blocks)]
+                  for c in result.pair_certificates],
+    }
+
+
+class TestGoldenConversions:
+    #: sha256 over the canonical results of ``_golden_instances``, recorded
+    #: with the one-graph-per-BFS conversion that preceded the padded stacks
+    DIGEST = "e04bb9053d44c67c18f848dbd852072f7ced8f2b9e661a33e6e820ef65c3e6d4"
+
+    def test_every_result_matches_the_recorded_digest(self):
+        digest, tags, sizes, degenerate = hashlib.sha256(), set(), set(), 0
+        for g, p in _golden_instances():
+            result = convert(g, p)
+            digest.update(json.dumps(_canonical(result), separators=(",", ":")).encode() + b"\n")
+            pair_tags = {c.case.tag for c in result.pair_certificates}
+            tags |= pair_tags
+            sizes.add(g.n)
+            degenerate += bool(pair_tags - {BipartiteCaseTag.CONNECTED_OR_COMPLEMENT})
+        assert tags == set(BipartiteCaseTag)
+        assert degenerate > 0, "no instance splits a degenerate pair's blocks"
+        assert {0, 1} <= sizes
+        assert digest.hexdigest() == self.DIGEST
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Counts of the BFS runs (``graphs._bfs``, under every entry) and of
+    the classifier's ``component_labels`` calls."""
+    counts = {"bfs": 0, "labels": 0}
+    bfs, labels = graphs._bfs, conversion.component_labels
+
+    def counting_bfs(*args, **kwargs):
+        counts["bfs"] += 1
+        return bfs(*args, **kwargs)
+
+    def counting_labels(adjs):
+        counts["labels"] += 1
+        return labels(adjs)
+
+    monkeypatch.setattr(graphs, "_bfs", counting_bfs)
+    monkeypatch.setattr(conversion, "component_labels", counting_labels)
+    return counts
+
+
+class TestOneBfsPerPhase:
+    """A conversion reads its pieces off at most two rounds of padded
+    stacks, one stack per round when no piece has more than 16 vertices,
+    and the classification sweep BFS's each (a, b) stack once: no
+    per-piece BFS."""
+
+    def test_convert(self, bfs_calls):
+        trivial = split = 0
+        for g, p in list(_golden_instances())[::4]:
+            bfs_calls.update(bfs=0, labels=0)
+            tags = [c.case.tag for c in convert(g, p).pair_certificates]
+            bicliques = tags.count(BipartiteCaseTag.TWO_BICLIQUES)
+            assert bfs_calls["labels"] == bicliques
+            if set(tags) <= {BipartiteCaseTag.CONNECTED_OR_COMPLEMENT}:
+                trivial += 1
+                assert bfs_calls["bfs"] == (g.n > 0)
+            else:
+                split += 1
+                assert bfs_calls["bfs"] <= 2 + bicliques
+        assert trivial and split
+
+    @pytest.mark.parametrize("max_side", [1, 2, 3])
+    def test_classification_sweep(self, bfs_calls, max_side):
+        # one BFS per stack, plus the public classifier's own on each
+        # degenerate graph, plus the biclique labels of both
+        report = verify_bipartite_classification(max_side)
+        degenerate = report.counters["degenerate_cases"]
+        assert bfs_calls["bfs"] == max_side ** 2 + degenerate + bfs_calls["labels"]
+        assert bfs_calls["labels"] <= 2 * degenerate
+        if max_side > 1:
+            assert bfs_calls["labels"] > 0
+
+
+class TestUnevenParts:
+    """One part of 40 vertices and 40 singletons: pieces of 1 to 41
+    vertices.  Padding stays within a size class and a stack within its
+    cell cap, and a cap small enough to split every class changes nothing."""
+
+    G = random_graph(random.Random(80), 80, 0.3)
+    P = Partition.from_labels([0] * 40 + list(range(1, 41)))
+
+    @pytest.mark.parametrize("cells", [graphs._STACK_CELLS, 48 * 48])
+    def test_stacks_are_bounded(self, monkeypatch, cells):
+        expected = _canonical(convert(self.G, self.P))
+        sizes, stacks = [], []
+        piece_diameters, bfs = conversion._piece_diameters, graphs.batched_distance_matrices
+
+        def recording(adj, pieces):
+            sizes.extend(len(vs) for vs, _ in pieces for _ in range(2))  # and complements
+            return piece_diameters(adj, pieces)
+
+        monkeypatch.setattr(graphs, "_STACK_CELLS", cells)
+        monkeypatch.setattr(conversion, "_piece_diameters", recording)
+        monkeypatch.setattr(graphs, "batched_distance_matrices",
+                            lambda adjs: stacks.append(adjs.shape) or bfs(adjs))
+        assert _canonical(convert(self.G, self.P)) == expected
+        assert max(sizes) == 41 and min(sizes) == 1
+        assert all(count * n * n <= cells for count, n, _ in stacks)
+        # a stack of more than 16 vertices holds pieces of over half its size
+        for count, n, _ in stacks:
+            assert n <= graphs._SMALL_PIECE or count <= sum(n < 2 * m <= 2 * n for m in sizes)

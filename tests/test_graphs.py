@@ -409,3 +409,63 @@ def test_is_connected():
     assert is_connected(Graph.empty(1))
     assert is_connected(path(4))
     assert not is_connected(Graph.empty(2))
+
+
+class TestPieceDiameters:
+    """Each piece of a graph - a subgraph or a bipartite block - and its
+    complement read their own diameters off padded stacks: padding with
+    isolated vertices changes no distance between a piece's own vertices."""
+
+    @staticmethod
+    def expected(g, vs, left):
+        if left is None:
+            piece = induced(g, vs)[0]
+            pair = (piece, complement(piece))
+        else:
+            b, _ = bipartite_induced(g, [vs[i] for i in left],
+                                     [v for i, v in enumerate(vs) if i not in left])
+            pair = (b.graph, bipartite_complement(b).graph)
+        diams = [diameter(h) if h.n else 0 for h in pair]
+        return tuple(UNREACHED if diam == INF else diam for diam in diams)
+
+    @pytest.mark.parametrize("cells", [graphs._STACK_CELLS, 64 * 64])
+    def test_each_piece_reads_its_own_diameter(self, rng, monkeypatch, cells):
+        monkeypatch.setattr(graphs, "_STACK_CELLS", cells)
+        g = random_graph(rng, 70, 0.1)
+        pieces = []
+        for m in [0, 1, 2, 12, 16, 17, 33, 64] + [rng.randint(1, 40) for _ in range(60)]:
+            vs = rng.sample(range(g.n), m)
+            left = None if rng.random() < 0.4 else sorted(rng.sample(range(m), rng.randint(0, m)))
+            pieces.append((vs, left))
+        stacks = []
+        bfs = graphs.batched_distance_matrices
+        monkeypatch.setattr(graphs, "batched_distance_matrices",
+                            lambda adjs: stacks.append(adjs.shape) or bfs(adjs))
+        got = graphs._piece_diameters(g.adj, pieces)
+        assert got == [self.expected(g, *piece) for piece in pieces]
+        # padded within a size class, to at most twice a piece's size or to 16
+        for count, n, _ in stacks:
+            assert count * n * n <= cells or count == 1
+        padded = sum(count * n * n for count, n, _ in stacks)
+        assert padded <= 8 * sum(max(len(vs), graphs._SMALL_PIECE) ** 2 for vs, _ in pieces)
+        assert len(stacks) >= 3
+
+    def test_stacks_by_size_class(self, monkeypatch):
+        stacks = []
+        bfs = graphs.batched_distance_matrices
+        monkeypatch.setattr(graphs, "batched_distance_matrices",
+                            lambda adjs: stacks.append(adjs.shape) or bfs(adjs))
+        g = path(41)
+        sizes = [1, 16, 33, 3, 41, 17, 40, 32]
+        got = graphs._piece_diameters(g.adj, [(list(range(m)), None) for m in sizes])
+        assert [diam for diam, _ in got] == [m - 1 for m in sizes]
+        # a piece and its complement share their class
+        assert sorted(stacks) == [(4, 32, 32), (6, 16, 16), (6, 41, 41)]
+
+    def test_no_pieces(self):
+        assert graphs._piece_diameters(Graph.empty(3).adj, []) == []
+
+    def test_diameters_of_a_stack(self):
+        d = batched_distance_matrices(np.stack([path(4).adj, Graph.empty(4).adj]))
+        assert graphs.diameters(d).tolist() == [3, UNREACHED]
+        assert graphs.diameters(np.zeros((0, 0), dtype=np.int16)) == 0

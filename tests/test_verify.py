@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from itertools import combinations, product
@@ -5,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from flipkit import Bipartite, Graph, verify
+from flipkit import Bipartite, Graph, conversion, verify
 from flipkit.cli import main
 from flipkit.conversion import BipartiteCase, BipartiteCaseTag
 from flipkit.errors import CapExceeded, DomainError
@@ -125,6 +126,56 @@ class TestTwoBicliquesCaseCheck:
     def test_a_block_that_is_not_complete(self):
         # 1-2 is not an edge, so (0, 1) x (2,) is no biclique
         assert not verify._case_matches(self.B, self.case(((0, 1), (2,)), ((1,), (3,))))
+
+
+REAL_CLASSIFY = conversion._classify
+
+
+class TestIsolatedCaseCheck:
+    """verify._case_matches checks the pivot of an ISOLATED_AND_DOMINATING
+    record, the lowest vertex of the other side: right side 3 isolated, 5
+    dominating."""
+
+    B = Bipartite(Graph.from_edges(6, [(0, 5), (1, 5), (2, 5), (0, 4)]), (0, 1, 2), (3, 4, 5))
+
+    @staticmethod
+    def case(chosen_u, side="right", v_minus=3, v_plus=5):
+        return BipartiteCase(tag=BipartiteCaseTag.ISOLATED_AND_DOMINATING, side=side,
+                             v_minus=v_minus, v_plus=v_plus, chosen_u=chosen_u)
+
+    def test_the_lowest_pivot_matches(self):
+        assert verify._case_matches(self.B, self.case(0))
+
+    @pytest.mark.parametrize("chosen_u", [1, 2, None])
+    def test_another_pivot_is_refused(self, chosen_u):
+        assert not verify._case_matches(self.B, self.case(chosen_u))
+
+    def test_an_empty_other_side_has_no_pivot(self):
+        b = Bipartite(Graph.empty(2), (), (0, 1))
+        assert verify._case_matches(b, self.case(None, v_minus=0, v_plus=0))
+        assert not verify._case_matches(b, self.case(0, v_minus=0, v_plus=0))
+
+    @staticmethod
+    def highest_pivot(adj, vs, left, right, diam, diam_c):
+        case = REAL_CLASSIFY(adj, vs, left, right, diam, diam_c)
+        if case.chosen_u is None:
+            return case
+        other = left if case.side == "right" else right
+        return dataclasses.replace(case, chosen_u=max(other))
+
+    def test_the_sweep_fails_a_classifier_with_the_wrong_pivot(self, monkeypatch):
+        # both the sweep's classification and the public classifier's
+        monkeypatch.setattr(verify, "_classify", self.highest_pivot)
+        monkeypatch.setattr(conversion, "_classify", self.highest_pivot)
+        report = verify_bipartite_classification(2)
+        assert report.outcome == "fail"
+        assert report.payload["tag"] == "isolated_and_dominating"
+
+    def test_the_sweep_fails_a_public_classifier_that_disagrees(self, monkeypatch):
+        monkeypatch.setattr(conversion, "_classify", self.highest_pivot)
+        report = verify_bipartite_classification(2)
+        assert report.outcome == "fail"
+        assert report.payload["tag"] == "isolated_and_dominating"
 
 
 class TestRandomSweeps:
