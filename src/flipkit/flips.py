@@ -11,8 +11,9 @@ packs the distinct flips of consecutive partitions, given as part labels,
 into cell-bounded stacks of pieces, and each caller builds the layout its
 BFS reads.  ``flip_adjacency_pack`` builds masks through ``pair_index``,
 from n alone, and a flip of a graph is its adjacency XOR its mask;
-``flip_words`` builds a flip-metric pack of 64 or more flips straight from
-its codes, bit-sliced 64 flips to a word.  ``first_flip`` judges the packs
+``flip_words``, the one builder of words, builds a flip-metric pack of 64
+or more flips straight from its codes, bit-sliced 64 flips to a word
+(``metrics._pack_max`` picks the layout).  ``first_flip`` judges the packs
 of a search: ``candidate_packs`` of a candidate stream, or ``raw_packs``,
 the packs of every partition into at most k parts, which depend on no
 graph and are stored once per (n, k, CHUNK) under a byte budget.
@@ -30,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import _WORD, Graph, _pack_words, batched_distance_matrices
+from .graphs import _WORD, Graph, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -512,11 +513,14 @@ def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
 def flip_words(adj: np.ndarray, pieces) -> np.ndarray:
     """The flips ``adj ^ flip_adjacency_pack(n, pieces)`` as the (W, n, n)
     uint64 words of ``graphs._word_fold``, bit i of word w being flip
-    64w + i, without a bool stack: the ``_bit_rows`` are packed into words
-    once, each piece gathers its cells' words, masked in a word it shares
-    with the piece before or after it, and the cells of edges are inverted."""
+    64w + i, without a bool stack: the ``_bit_rows`` are packed into (W,
+    pairs + 1) words once, zero past F, each piece gathers its cells'
+    words, masked in a word it shares with the piece before or after it,
+    and the cells of edges are inverted.  This is the one word packer."""
     (index, rows), n, ones = _bit_rows(pieces), len(adj), ~np.uint64(0)
-    words = _pack_words(rows)
+    packed = np.zeros((len(rows), 8 * -(-rows.shape[1] // _WORD)), dtype=np.uint8)
+    packed[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    words = packed.view("<u8").T.copy()
     out = np.zeros((len(words), n * n), dtype=np.uint64)
     start = 0
     for piece, (_, c) in zip(index, pieces):

@@ -7,6 +7,12 @@ bitwise operations, which is what every search in this package leans on.
 Distances are nonnegative integers or :data:`INF` for disconnected pairs.
 Internally, distance matrices use ``-1`` as the unreachable sentinel; the
 public functions translate to :data:`INF` at the boundary.
+
+There are two level loops: ``_bfs``, by float32 frontier products, either
+per flip of a stack or folded to the max over it, and ``_word_fold``, the
+folded loop bit-sliced 64 flips to a word.  This module folds words but
+never builds them: ``flips.flip_words`` does, and ``metrics._pack_max``
+is the one place that picks a flip-metric pack's loop.
 """
 
 from __future__ import annotations
@@ -190,21 +196,6 @@ def batched_distance_matrices(adjs: np.ndarray, depth: int | None = None) -> np.
     return _bfs(adjs, fold=False, depth=depth)
 
 
-def max_distance_matrix(adjs: np.ndarray, sources=None, depth: int | None = None) -> np.ndarray:
-    """``fold_max_distances(batched_distance_matrices(adjs, depth))`` as one
-    (n, n) int16 matrix, without the per-flip stack; the flip metric's
-    kernel.  With ``sources`` only their rows are run: an (s, n) matrix.
-    An empty stack (F = 0) has no max and is a DomainError.  A stack of at
-    least ``_WORD`` flips is packed along its flips for ``_word_fold``; a
-    smaller one, which would fill less than a word, runs ``_bfs``."""
-    adjs = np.asarray(adjs, dtype=bool)
-    f, n, _ = adjs.shape
-    if f < _WORD:
-        return _bfs(adjs, fold=True, depth=depth, sources=sources)
-    words = _pack_words(adjs.reshape(f, n * n).T)
-    return _word_fold(words.reshape(len(words), n, n), f, sources, depth)
-
-
 #: Stacks of at least this many flips drop their words of finished flips in
 #: the word fold once fewer than 3/4 of the words are still live.
 _COMPACT_MIN = 256
@@ -218,24 +209,16 @@ _WORD = 64
 _STEP_WORDS = 1 << 12
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """The (W, r) uint64 words of an (r, F) bool array packed along its F
-    columns: bit i of word w is column 64w + i, and the bits past F are 0."""
-    packed = np.zeros((len(bits), 8 * -(-bits.shape[1] // _WORD)), dtype=np.uint8)
-    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").T.copy()
-
-
 def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) -> np.ndarray:
     """The folded level loop of ``_bfs``, bit-sliced along the ``f`` flips
-    of ``a``, (W, n, n) uint64 words from ``flips.flip_words`` or
-    ``_pack_words``: bit i of word w is flip 64w + i, so one word operation
-    steps 64 flips.  The bits past f start reached, so padding is never
-    pending.  A level ORs ``frontier[:, :, j] & a[:, j]`` over the columns
-    j, in blocks of ``_STEP_WORDS`` // (W s n) columns reduced at once, or
-    one column at a time when a block would hold one, so no temporary
-    outgrows the larger of ``_STEP_WORDS`` and the (W, s, n) frontier; a
-    stack of ``_COMPACT_MIN`` flips or more drops its finished words."""
+    of ``a``, the (W, n, n) uint64 words of ``flips.flip_words``: bit i of
+    word w is flip 64w + i, so one word operation steps 64 flips.  The
+    bits past f start reached, so padding is never pending.  A level ORs
+    ``frontier[:, :, j] & a[:, j]`` over the columns j, in blocks of
+    ``_STEP_WORDS`` // (W s n) columns reduced at once, or one column at a
+    time when a block would hold one, so no temporary outgrows the larger
+    of ``_STEP_WORDS`` and the (W, s, n) frontier; a stack of
+    ``_COMPACT_MIN`` flips or more drops its finished words."""
     w, n, _ = a.shape
     frontier, left = a, ~a
     left[-1] &= np.uint64((1 << (f - _WORD * (w - 1))) - 1)  # clears the bits past F
@@ -287,8 +270,6 @@ def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray
     is taken in C order, so that the products run on contiguous matrices."""
     adjs = np.ascontiguousarray(adjs, dtype=bool)
     f, n, _ = adjs.shape
-    if fold and not f:
-        raise DomainError("the max over an empty flip stack has no value")
     a = frontier = adjs.astype(np.float32)
     left = ~adjs
     left.reshape(f, n * n)[:, :: n + 1] = False  # reached at level 0

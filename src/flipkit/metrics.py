@@ -7,9 +7,11 @@ defining sets takes the pointwise maximum over its members.  Everything here
 is one exact max over the stacks of ``flips.flip_packs``, each distinct flip
 once and every member of a family in the one stream; the BFS folds the max
 over each stack as it goes, so no per-flip distance matrix is ever stored.
-A stack that fills a word is built as words straight from its codes
-(``flips.flip_words``) for the bit-sliced fold; a smaller one as its masks
-XOR the adjacency, in C order, for the float32 loop.
+``_pack_max`` is the one place that picks a stack's layout: a stack that
+fills a word is built as words straight from its codes
+(``flips.flip_words``) for the bit-sliced fold (``graphs._word_fold``); a
+smaller one as its masks XOR the adjacency, in C order, for the folded
+float32 loop (``graphs._bfs``).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .graphs import (
     UNREACHED,
     ExtDist,
     Graph,
+    _bfs,
     _word_fold,
     fold_max_distances,
-    max_distance_matrix,
     within,
 )
 
@@ -68,8 +70,9 @@ class SetFamily:
 def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -> np.ndarray:
     """The absorbing max of the distances over every distinct flip of each
     of ``partitions``, folded inside the BFS pack by pack; the max ignores
-    duplicate flips, so skipping them keeps the result exact.  ``sources``
-    and ``depth`` cut each pack's BFS as in ``max_distance_matrix``."""
+    duplicate flips, so skipping them keeps the result exact.  With
+    ``sources`` each pack's BFS runs only their rows, an (s, n) result,
+    and a ``depth`` cuts it as in ``batched_distance_matrices``."""
     packs = flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK)
     return fold_max_distances(np.stack([_pack_max(g, pieces, sources, depth) for pieces in packs]))
 
@@ -83,7 +86,7 @@ def _pack_max(g: Graph, pieces, sources, depth) -> np.ndarray:
     if f >= _WORD:
         return _word_fold(flips.flip_words(g.adj, pieces), f, sources, depth)
     flipped = np.bitwise_xor(g.adj, flips.flip_adjacency_pack(g.n, pieces), order="C")
-    return max_distance_matrix(flipped, sources, depth)
+    return _bfs(flipped, fold=True, depth=depth, sources=sources)
 
 
 def _pair_distance(g: Graph, u: int, v: int, partitions) -> ExtDist:

@@ -33,7 +33,7 @@ from flipkit import flips
 from flipkit.flips import candidate_packs, first_flip, flip_adjacency_batch, pair_index
 from flipkit.graphs import UNREACHED, distance_matrix
 from flipkit.generators import clique, cycle, gnp, path, star
-from conftest import random_graph, random_partition_labels
+from conftest import packed_words, random_graph, random_partition_labels
 
 
 class TestPartition:
@@ -414,15 +414,6 @@ class TestFlipAdjacencyBatch:
             dist_partition_matrix(g, p)
 
 
-def _packed_words(stack):
-    """A bool (F, n, n) stack packed along its flips: (W, n, n) uint64, bit
-    i of word w being flip 64w + i, zero past F."""
-    f, n, _ = stack.shape
-    packed = np.zeros((n * n, 8 * -(-f // 64)), dtype=np.uint8)
-    packed[:, : -(-f // 8)] = np.packbits(stack.reshape(f, -1).T, axis=1, bitorder="little")
-    return packed.view("<u8").T.reshape(-1, n, n)
-
-
 class TestFlipWords:
     @pytest.mark.parametrize("n", [1, 2, 9, 80])
     def test_words_are_the_packed_masks(self, rng, n):
@@ -445,7 +436,7 @@ class TestFlipWords:
                     codes = [rng.getrandbits(pairs) for _ in range(end - start)]
                     pieces.append((labels, np.array(codes, dtype=np.uint64)))
                 got = flips.flip_words(g.adj, pieces)
-                want = _packed_words(g.adj ^ flips.flip_adjacency_pack(n, pieces))
+                want = packed_words(g.adj ^ flips.flip_adjacency_pack(n, pieces))
                 below = np.full((len(want), 1, 1), (1 << 64) - 1, dtype=np.uint64)
                 below[-1] >>= -f % 64
                 assert got.dtype == np.uint64 and got.shape == want.shape == (-(-f // 64), n, n)

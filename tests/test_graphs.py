@@ -25,10 +25,9 @@ from flipkit.graphs import (
     UNREACHED,
     batched_distance_matrices,
     fold_max_distances,
-    max_distance_matrix,
     within,
 )
-from conftest import random_graph
+from conftest import packed_words, random_graph
 
 
 class TestGraphConstruction:
@@ -142,11 +141,11 @@ def _connected_stack(rng, f, n):
 
 
 class TestMaxDistanceMatrix:
-    """The folded entry on stacks under a word, the float32 loop, against
-    the oracle and the per-flip kernel: mixed stacks, whose maxima are
-    UNREACHED off the diagonal, and connected ones, whose maxima are
-    finite.  The float32 fold drops no flip, so every product it takes
-    runs on the full stack."""
+    """The folded max-distance matrix of the float32 loop,
+    ``_bfs(fold=True)``, on stacks under a word, against the oracle and
+    the per-flip kernel: mixed stacks, whose maxima are UNREACHED off the
+    diagonal, and connected ones, whose maxima are finite.  The float32
+    fold drops no flip, so every product it takes runs on the full stack."""
 
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -165,7 +164,7 @@ class TestMaxDistanceMatrix:
                 stack, adjs = build(rng, f, n)
                 del sizes[:]
                 per_flip = batched_distance_matrices(adjs)
-                got = max_distance_matrix(adjs)
+                got = graphs._bfs(adjs, fold=True)
                 assert got.shape == (n, n) and got.dtype == np.int16
                 assert np.array_equal(got, fold_max_distances(per_flip))
                 assert set(sizes) <= {f}
@@ -195,7 +194,7 @@ class TestMaxDistanceMatrix:
                 for sources in ([rng.randrange(n)], several, list(range(n))):
                     for depth in (None, *range(n + 1)):
                         del sizes[:]
-                        got = max_distance_matrix(adjs, sources, depth)
+                        got = graphs._bfs(adjs, fold=True, depth=depth, sources=sources)
                         want = full[sources]
                         if depth is not None:
                             want = np.where(within(want, max(depth, 1)), want, UNREACHED)
@@ -205,17 +204,14 @@ class TestMaxDistanceMatrix:
                         products += len(sizes)
         assert products
 
-    def test_empty_stack_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="empty flip stack"):
-            max_distance_matrix(np.zeros((0, 3, 3), dtype=bool))
+    def test_empty_stack_has_the_empty_per_flip_shape(self):
         assert batched_distance_matrices(np.zeros((0, 3, 3), dtype=bool)).shape == (0, 3, 3)
 
 
 class TestWordFold:
-    """Stacks of at least 64 flips fold bit-sliced, 64 flips to a uint64
-    word: at and around the word boundaries, in C order and read fastest
-    along the flips, against the per-flip fold and, on a subset, the
-    oracle; finished words are dropped as finished flips are."""
+    """``_word_fold`` folds a stack bit-sliced, 64 flips to a uint64 word:
+    at and around the word boundaries, against the per-flip fold and, on a
+    subset, the oracle; finished words are dropped as finished flips are."""
 
     @pytest.fixture(params=[None, 200], ids=["step-default", "step-200"])
     def step_words(self, request, monkeypatch):
@@ -231,28 +227,29 @@ class TestWordFold:
         stacks = [stack(rng, f, n) for f in (63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
                   for stack in (_mixed_stack, _connected_stack)]
         for _, adjs in stacks:
-            f = len(adjs)
-            flip_fastest = np.ascontiguousarray(adjs.reshape(f, n * n).T).T.reshape(f, n, n)
-            assert flip_fastest.strides[0] == 1 and np.array_equal(flip_fastest, adjs)
+            f, words = len(adjs), packed_words(adjs)
             three = sorted(rng.sample(range(n), min(3, n)))
             for depth in (None, *range(n + 1)):
                 want = fold_max_distances(batched_distance_matrices(adjs, depth))
                 for sources in (None, [], [rng.randrange(n)], three, list(range(n))):
                     rows = want if sources is None else want[sources]
-                    for stack in (adjs, flip_fastest):
-                        got = max_distance_matrix(stack, sources, depth)
-                        assert got.dtype == np.int16 and np.array_equal(got, rows)
+                    got = graphs._word_fold(words, f, sources, depth)
+                    assert got.dtype == np.int16 and np.array_equal(got, rows)
 
     def test_no_vertices(self):
-        """Stacks on no vertices fold to the empty matrix on both sides of
-        the 64-flip dispatch."""
-        for f in (1, 63, 64, 65):
-            assert max_distance_matrix(np.zeros((f, 0, 0), dtype=bool)).shape == (0, 0)
+        """Stacks on no vertices fold to the empty matrix in both loops, on
+        both sides of the 64-flip dispatch; W words of no cells are built
+        directly."""
+        for f in (1, 63):
+            assert graphs._bfs(np.zeros((f, 0, 0), dtype=bool), fold=True).shape == (0, 0)
+        for f in (64, 65):
+            words = np.zeros((-(-f // 64), 0, 0), dtype=np.uint64)
+            assert graphs._word_fold(words, f).shape == (0, 0)
 
     def test_matches_oracle(self, rng):
         for f, n in ((64, 5), (129, 6), (257, 4)):
             stack, adjs = _connected_stack(rng, f, n)
-            got = max_distance_matrix(adjs)
+            got = graphs._word_fold(packed_words(adjs), f)
             want = [oracle.all_pairs(n, oracle.edges_of(g)) for g in stack]
             for u in range(n):
                 for v in range(n):
@@ -271,21 +268,23 @@ class TestWordFold:
         n = 12
         for f, last in ((300, 1), (192, 3)):
             adjs = np.array([path(n).adj] * 8 + [clique(n).adj] * (f - 8))
+            words = packed_words(adjs)
             del steps[:]
-            got = max_distance_matrix(adjs)
+            got = graphs._word_fold(words, f)
             assert steps[0] == -(-f // 64) and steps[-1] == last
             assert np.array_equal(got, fold_max_distances(batched_distance_matrices(adjs)))
 
     def test_neighbour_step_memory_is_bounded(self, rng):
         """At n = 80, the largest n at which a pack's cell bound still
-        allows a word of flips, the fold peaks under twice the bytes of the
-        bool stack itself; one product over every column at once would
-        take (W, n, n, n) words, ten times them."""
+        allows a word of flips, the fold of words packed beforehand peaks
+        under twice the bytes of the bool stack itself; one product over
+        every column at once would take (W, n, n, n) words, ten times them."""
         f, n = 64, 80
         _, adjs = _connected_stack(rng, f, n)
+        words = packed_words(adjs)
         tracemalloc.start()
         try:
-            max_distance_matrix(adjs)
+            graphs._word_fold(words, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -60,6 +60,16 @@ def _called(node) -> set[str]:
     }
 
 
+def _functions() -> list[tuple[str, ast.AST]]:
+    """("module.py:name", node) of every function of the library, nested ones too."""
+    return [
+        (f"{module.name}:{func.name}", func)
+        for module in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(module.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 def test_one_candidate_walker():
     """flips.first_flip is the one walk over flip candidates: no other
     module loops over a candidate stream or calls the walker per
@@ -208,12 +218,7 @@ def test_one_bfs():
         if isinstance(node, ast.FunctionDef) and node.name == "bfs_array"
     ]
     assert not defined, f"graphs._bfs is the one BFS: {defined}"
-    functions = [
-        (f"{module.name}:{func.name}", func)
-        for module in sorted(SRC.glob("*.py"))
-        for func in ast.walk(ast.parse(module.read_text()))
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
+    functions = _functions()
     products = sorted(
         name for name, func in functions
         if any(
@@ -239,6 +244,38 @@ def test_one_bfs():
         f"two level loops, the float32 one and the bit-sliced fold: {levels}")
     named = _names(ast.parse((SRC / "metrics.py").read_text()))
     assert "batched_distance_matrices" not in named, "the flip metric folds inside the BFS"
+
+
+def test_one_pack_dispatch():
+    """metrics._pack_max is the one place that picks a flip-metric pack's
+    layout: the only function with ``_WORD``, the flips per word of the
+    bit-sliced fold, as a side of a comparison.  flips.flip_words is the
+    one builder of its words: the only function that packs bits
+    little-endian."""
+    functions = _functions()
+
+    def is_named(node, name: str) -> bool:
+        return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    dispatch = sorted(
+        name for name, func in functions
+        if any(
+            isinstance(node, ast.Compare)
+            and any(is_named(side, "_WORD") for side in [node.left, *node.comparators])
+            for node in ast.walk(func)
+        )
+    )
+    assert dispatch == ["metrics.py:_pack_max"], f"one function compares with _WORD: {dispatch}"
+    packers = sorted(
+        name for name, func in functions
+        if any(
+            isinstance(node, ast.Call) and is_named(node.func, "packbits")
+            and any(k.arg == "bitorder" and getattr(k.value, "value", None) == "little"
+                    for k in node.keywords)
+            for node in ast.walk(func)
+        )
+    )
+    assert packers == ["flips.py:flip_words"], f"one function packs words: {packers}"
 
 
 def test_one_breakability_split():

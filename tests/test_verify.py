@@ -178,6 +178,23 @@ class TestIsolatedCaseCheck:
         assert report.payload["tag"] == "isolated_and_dominating"
 
 
+class TestTrivialTagCheck:
+    """The sweep checks the trivial tag on the component labels of each
+    graph and its complement, not on the diameters the classifier decided
+    it from: diameters that read every graph as connected tag the
+    degenerate ones trivial, and the labels refuse that."""
+
+    def test_the_sweep_fails_diameters_that_read_connected(self, monkeypatch):
+        monkeypatch.setattr(verify, "diameters", lambda dist: np.zeros(len(dist), dtype=np.int16))
+        report = verify_bipartite_classification(2)
+        assert report.outcome == "fail"
+        assert report.payload["tag"] == "connected_or_complement"
+        a, b = report.payload["sides"]
+        g = Graph.from_edges(a + b, report.payload["edges"])
+        case = conversion.classify_bipartite(Bipartite(g, range(a), range(a, a + b)))
+        assert case.tag is not BipartiteCaseTag.CONNECTED_OR_COMPLEMENT
+
+
 class TestRandomSweeps:
     def test_conversion(self):
         report = verify_conversion(25, seed=5)
