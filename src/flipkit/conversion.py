@@ -14,7 +14,9 @@ holds every part and its complement and every pair block and its bipartite
 complement; it decides the parts and classifies the pairs.  The second
 holds the split blocks of the degenerate pairs and their complements, and
 runs only when some pair is degenerate.  ``classify_bipartite`` and
-``bipartite_flip`` run the same code on one block.
+``bipartite_flip`` run the same code on one block.  A bound is read off
+the sentinel-coded readings through ``graphs.within``, and connectivity
+as a reading other than ``UNREACHED``.
 
 Also here: the exhaustive witness search for emulating an arbitrary flip by
 a neighborhood-definable one with a 5x radius blowup, exposed as a budgeted
@@ -39,17 +41,13 @@ from .flips import (
     reconstruct_flip_spec,
 )
 from .graphs import (
-    INF,
     UNREACHED,
     Bipartite,
-    ExtDist,
     Graph,
     _induced_adj,
     _piece_diameters,
-    complement,
     component_labels,
     distance_matrix,
-    induced,
     within,
 )
 
@@ -90,18 +88,6 @@ class BipartiteCase:
 _TRIVIAL = BipartiteCase(tag=BipartiteCaseTag.CONNECTED_OR_COMPLEMENT)
 
 
-def diameter(reading: int) -> ExtDist:
-    """A piece's diameter from its sentinel-coded reading (see
-    ``graphs.diameters``).  This and ``is_connected`` are the two readings
-    every decision of the conversion makes of its pieces."""
-    return INF if reading == UNREACHED else reading
-
-
-def is_connected(reading: int) -> bool:
-    """Whether a piece with this sentinel-coded diameter is connected."""
-    return reading != UNREACHED
-
-
 def _block(b: Bipartite) -> tuple:
     """``b`` as a block (vs, left, right, diam, diam_c) of its own adjacency."""
     vs = tuple(range(b.n))
@@ -112,7 +98,7 @@ def _classify(adj, vs, left, right, diam, diam_c) -> BipartiteCase:
     """The case of the bipartite block of ``adj`` between the positions
     ``left`` and ``right`` of the vertex list ``vs``, in positions, given
     the readings of it and of its bipartite complement."""
-    if is_connected(diam) or is_connected(diam_c):
+    if diam != UNREACHED or diam_c != UNREACHED:
         return _TRIVIAL
     block = _induced_adj(adj, vs, left)
 
@@ -233,12 +219,12 @@ def _flip_blocks(adj: np.ndarray, blocks: list[tuple], out: np.ndarray) -> list[
         flipped_blocks = set()
         for ij, ui, vj in _cells(u_split, v_split):
             cell_d, cell_dc = (diam, diam_c) if whole else next(readings)
-            if diameter(cell_d) <= _PAIR_DIAMETER_BOUND:
+            if within(cell_d, _PAIR_DIAMETER_BOUND):
                 rows, cols = [vs[v] for v in ui], [vs[v] for v in vj]
                 out[np.ix_(rows, cols)] ^= True
                 out[np.ix_(cols, rows)] ^= True
                 flipped_blocks.add(ij)
-            elif diameter(cell_dc) > _PAIR_DIAMETER_BOUND:
+            elif not within(cell_dc, _PAIR_DIAMETER_BOUND):
                 raise RuntimeError(
                     "bipartite block has large diameter on both sides; "
                     "the case split above is broken"
@@ -269,6 +255,13 @@ class PartCertificate:
 
 @dataclass(frozen=True)
 class PairCertificate:
+    """What was decided for the pair of parts ``parts`` = (x, y).
+
+    ``case`` is in positions of the vertex list ``p.parts[x] +
+    p.parts[y]``: its ``v_minus``, ``v_plus``, ``chosen_u`` and ``blocks``
+    index that list.  ``left_split`` and ``right_split``, the cells of
+    parts x and y, are vertex ids, each cell ascending."""
+
     parts: tuple[int, int]
     case: BipartiteCase
     left_split: tuple[tuple[int, ...], tuple[int, ...]]
@@ -310,15 +303,15 @@ def convert(g: Graph, p: Partition) -> ConversionResult:
 
     part_certs = []
     for x, (part, (diam, diam_c)) in enumerate(zip(p.parts, readings)):
-        if diameter(diam_c) <= _PART_DIAMETER_BOUND:
+        if within(diam_c, _PART_DIAMETER_BOUND):
             part_certs.append(PartCertificate(part=x, flipped=False, branch="compl_diam_le3"))
         else:
-            if diameter(diam) > _PART_DIAMETER_BOUND:
+            if not within(diam, _PART_DIAMETER_BOUND):
                 raise RuntimeError(
                     "part and its complement both have diameter above 3; "
                     "the diameter dichotomy is broken"
                 )
-            adj[np.ix_(part, part)] = complement(induced(g, part)[0]).adj
+            adj[np.ix_(part, part)] ^= ~np.eye(len(part), dtype=bool)
             part_certs.append(PartCertificate(part=x, flipped=True, branch="self_diam_le3"))
 
     # refined label of v: its part, then each pair {x, y} whose split puts v
@@ -366,10 +359,7 @@ def ball_containment_ok(inner: Graph, outer: Graph, r_max: int) -> bool:
         raise DomainError("graphs must share one vertex set")
     d_in = distance_matrix(inner)
     d_out = distance_matrix(outer)
-    relevant = within(d_in, r_max)
-    if (d_out[relevant] == UNREACHED).any():
-        return False
-    return bool((d_out[relevant] <= _EMULATION_BLOWUP * d_in[relevant]).all())
+    return bool(within(d_out, _EMULATION_BLOWUP * d_in)[within(d_in, r_max)].all())
 
 
 @dataclass(frozen=True)
@@ -443,10 +433,9 @@ def search_definable_emulation(
     if r_max < 0:
         raise DomainError(f"r_max must be nonnegative, got {r_max}")
     d_out = distance_matrix(gprime)
-    unreached = d_out == UNREACHED
 
     def first_contained(dists: np.ndarray) -> int | None:
-        bad = within(dists, r_max) & (unreached | (d_out > _EMULATION_BLOWUP * dists))
+        bad = within(dists, r_max) & ~within(d_out, _EMULATION_BLOWUP * dists)
         hits = np.flatnonzero(~bad.any(axis=(1, 2)))
         return int(hits[0]) if hits.size else None
 

@@ -611,23 +611,28 @@ def enumerate_partitions(n: int, max_parts: int) -> Iterator[Partition]:
 
 
 def reconstruct_flip_spec(g: Graph, flipped: Graph, p: Partition) -> FlipSpec:
-    """Recover the spec turning ``g`` into ``flipped`` over partition ``p``.
+    """Recover the spec turning ``g`` into ``flipped`` over partition ``p``,
+    every pair in one pass: with ``pair_index`` shifted by one, so that the
+    diagonal falls in bin 0, one ``np.bincount`` counts each pair's cells
+    and one more its differing cells.  A pair is in the spec when all of
+    its cells differ, and there is one (a singleton's self pair has none).
 
-    Raises DomainError if the difference is not uniform on some pair of
-    parts, i.e. ``flipped`` is not a flip of ``g`` over ``p``.
+    Raises DomainError, naming the first such pair in canonical order, if
+    some but not all cells of a pair differ, i.e. ``flipped`` is not a
+    flip of ``g`` over ``p``.
     """
     if g.n != flipped.n or p.n != g.n:
         raise DomainError("graphs and partition must share one vertex set")
-    diff = g.adj ^ flipped.adj
+    i, j = np.triu_indices(len(p.parts))
     index = pair_index(p)
-    pairs = []
-    for t, (i, j) in enumerate(canonical_pairs(len(p.parts))):
-        values = diff[index == t]
-        if values.all() and values.size:
-            pairs.append((i, j))
-        elif values.any():
-            raise DomainError(
-                f"difference is not uniform on parts ({i},{j}); "
-                "not a flip over this partition"
-            )
-    return FlipSpec(pairs)
+    index += 1
+    cells = np.bincount(index.ravel(), minlength=len(i) + 1)[1:]
+    differing = np.bincount(index[g.adj ^ flipped.adj], minlength=len(i) + 1)[1:]
+    uneven = np.flatnonzero((differing > 0) & (differing < cells))
+    if uneven.size:
+        t = uneven[0]
+        raise DomainError(
+            f"difference is not uniform on parts ({i[t]},{j[t]}); "
+            "not a flip over this partition"
+        )
+    return FlipSpec(zip(i[differing > 0].tolist(), j[differing > 0].tolist()))

@@ -153,7 +153,7 @@ class TestBipartiteFlip:
 
     def test_split_block_large_on_both_sides_raises(self, monkeypatch):
         # the split blocks of a degenerate case are read off the second BFS
-        monkeypatch.setattr(conversion, "diameter", lambda d: float("inf"))
+        monkeypatch.setattr(conversion, "within", lambda dist, r: False)
         b = bip([(0, 3), (0, 4), (1, 3), (1, 4), (2, 5)], (0, 1, 2), (3, 4, 5), 6)
         with pytest.raises(RuntimeError, match="large diameter on both sides"):
             bipartite_flip(b)
@@ -239,6 +239,47 @@ class TestConvert:
                             for cell in split
                         ]
                         assert sum(hits) <= 1
+
+    def test_pair_cases_are_positions_in_the_pair_block(self, rng):
+        """A degenerate pair's case indexes ``parts[x] + parts[y]``: mapped
+        through it, the isolated and dominating vertices, the pivot and the
+        two bicliques hold in ``g``, and the pivot's neighborhood is the
+        split of the opposite side, in vertex ids."""
+        tags, moved = set(), 0
+        while len(tags) < 2 or moved < 10:
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n, rng.random())
+            p = Partition.from_labels(random_partition_labels(rng, n, 3))
+            for cert in convert(g, p).pair_certificates:
+                case = cert.case
+                if case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
+                    continue
+                tags.add(case.tag)
+                x, y = cert.parts
+                vs = p.parts[x] + p.parts[y]
+                adj = lambda us, ws: g.adj[list(us)][:, list(ws)]
+                if case.tag is BipartiteCaseTag.TWO_BICLIQUES:
+                    positions = [i for block in case.blocks for cell in block for i in cell]
+                    (u1, v1), (u2, v2) = [[[vs[i] for i in cell] for cell in b] for b in case.blocks]
+                    assert sorted(u1 + u2) == list(p.parts[x])
+                    assert sorted(v1 + v2) == list(p.parts[y])
+                    assert adj(u1, v1).all() and adj(u2, v2).all()
+                    assert not adj(u1, v2).any() and not adj(u2, v1).any()
+                    moved += any(vs[i] != i for i in positions)
+                    continue
+                side, other = p.parts[x], p.parts[y]
+                if case.side == "right":
+                    side, other = other, side
+                v_minus, v_plus = vs[case.v_minus], vs[case.v_plus]
+                assert v_minus in side and v_plus in side
+                assert not adj([v_minus], other).any() and adj([v_plus], other).all()
+                moved += (v_minus, v_plus) != (case.v_minus, case.v_plus)
+                if case.chosen_u is not None:
+                    pivot = vs[case.chosen_u]
+                    assert pivot == min(other)
+                    near = tuple(v for v in side if g.adj[pivot, v])
+                    split = cert.right_split if case.side == "right" else cert.left_split
+                    assert split == (near, tuple(v for v in side if v not in near))
 
     def test_edge_certificates(self, rng):
         # every flip edge has partition distance <= 6, and <= 3 inside a part

@@ -662,3 +662,87 @@ def test_reconstruct_rejects_non_flip():
     other = Graph.from_edges(4, [(0, 1)])
     with pytest.raises(DomainError):
         reconstruct_flip_spec(g, other, Partition(4, [[0, 1], [2, 3]]))
+
+
+def _spec_per_pair(g, flipped, p):
+    """The reference of ``reconstruct_flip_spec``, pair by pair in canonical
+    order off the part labels: the spec, or the text of its DomainError."""
+    diff, labels = g.adj ^ flipped.adj, p.part_labels()
+    off_diagonal = ~np.eye(g.n, dtype=bool)
+    pairs = []
+    for i, j in canonical_pairs(len(p.parts)):
+        cells = np.logical_and.outer(labels == i, labels == j)
+        cells = (cells | cells.T) & off_diagonal
+        values = diff[cells]
+        if values.size and values.all():
+            pairs.append((i, j))
+        elif values.any():
+            return f"difference is not uniform on parts ({i},{j}); not a flip over this partition"
+    return FlipSpec(pairs)
+
+
+def _check_reconstruct(g, flipped, p):
+    want = _spec_per_pair(g, flipped, p)
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as raised:
+            reconstruct_flip_spec(g, flipped, p)
+        assert str(raised.value) == want
+    else:
+        assert reconstruct_flip_spec(g, flipped, p) == want
+    return want
+
+
+def _singleton_loops(p):
+    return {(i, i) for i, part in enumerate(p.parts) if len(part) == 1}
+
+
+def test_reconstruct_recovers_the_applied_spec_less_singleton_loops(rng):
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.random())
+        p = Partition.from_labels(random_partition_labels(rng, n, 5))
+        spec = FlipSpec([q for q in canonical_pairs(len(p.parts)) if rng.random() < 0.5])
+        recovered = reconstruct_flip_spec(g, apply_flip(g, p, spec), p)
+        assert recovered.pairs == spec.pairs - _singleton_loops(p)
+
+
+def test_reconstruct_names_the_first_uneven_pair(rng):
+    """Toggling a few cells of a flip leaves some pairs uneven; the error
+    names the first of them in canonical order, and a pair of two
+    singletons, whose two cells toggle together, stays even."""
+    errors = 0
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.random())
+        p = Partition.from_labels(random_partition_labels(rng, n, 5))
+        spec = FlipSpec([q for q in canonical_pairs(len(p.parts)) if rng.random() < 0.5])
+        adj = apply_flip(g, p, spec).adj.copy()
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            adj[u, v] ^= True
+            adj[v, u] ^= True
+        errors += isinstance(_check_reconstruct(g, Graph(adj), p), str)
+    assert errors
+
+
+def test_reconstruct_on_an_uneven_partition(rng):
+    """One part of 30 vertices and 30 singletons: most pairs hold the two
+    cells of one vertex pair, and a singleton's self pair none."""
+    g = gnp(60, 0.5, 3)
+    p = Partition(60, [range(30)] + [[v] for v in range(30, 60)])
+    pairs = canonical_pairs(len(p.parts))
+    spec = FlipSpec([q for q in pairs if rng.random() < 0.5])
+    flipped = apply_flip(g, p, spec)
+    assert _check_reconstruct(g, flipped, p).pairs == spec.pairs - _singleton_loops(p)
+    adj = flipped.adj.copy()
+    adj[0, 1] ^= True  # inside the big part
+    adj[1, 0] ^= True
+    adj[40, 50] ^= True  # two singletons: even again
+    adj[50, 40] ^= True
+    assert _check_reconstruct(g, Graph(adj), p) == (
+        "difference is not uniform on parts (0,0); not a flip over this partition")
+    adj[0, 1] = adj[1, 0] = flipped.adj[0, 1]
+    adj[5, 45] ^= True  # the big part against the singleton 45, part 16
+    adj[45, 5] ^= True
+    assert _check_reconstruct(g, Graph(adj), p) == (
+        "difference is not uniform on parts (0,16); not a flip over this partition")

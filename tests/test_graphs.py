@@ -274,6 +274,31 @@ class TestWordFold:
             assert steps[0] == -(-f // 64) and steps[-1] == last
             assert np.array_equal(got, fold_max_distances(batched_distance_matrices(adjs)))
 
+    def test_a_word_is_dropped_once_all_its_rows_finish(self, monkeypatch):
+        """Paths hung at vertex 0 near their middle finish row 0 by level
+        8, and the rows of their ends at level 11.  The two words of
+        cliques finish at once, so the stack compacts to the paths' four
+        words, which still compact and must stay until their last rows
+        finish, from every source list and at every depth."""
+        monkeypatch.setattr(graphs, "_STEP_WORDS", 1)
+        steps = []
+        real = np.bitwise_and
+        monkeypatch.setattr(
+            np, "bitwise_and", lambda x, y, **kw: steps.append(len(x)) or real(x, y, **kw))
+        n, f = 12, 384
+        orders = [list(range(1, k)) + [0] + list(range(k, n)) for k in range(4, 10)]
+        paths = [Graph.from_edges(n, list(zip(order, order[1:]))).adj for order in orders]
+        adjs = np.array([paths[i % len(paths)] for i in range(256)] + [clique(n).adj] * 128)
+        words = packed_words(adjs)
+        for depth in (None, 9, 10, 11):
+            want = fold_max_distances(batched_distance_matrices(adjs, depth))
+            for sources in (None, [0], [0, 11], [5, 0, 1]):
+                rows = want if sources is None else want[sources]
+                del steps[:]
+                got = graphs._word_fold(words, f, sources, depth)
+                assert steps[0] == 6 and steps[-1] == 4
+                assert np.array_equal(got, rows)
+
     def test_neighbour_step_memory_is_bounded(self, rng):
         """At n = 80, the largest n at which a pack's cell bound still
         allows a word of flips, the fold of words packed beforehand peaks

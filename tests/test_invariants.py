@@ -14,7 +14,7 @@ from flipkit import SearchBudget, SetFamily, breakability_search, breaksep, clas
 from flipkit import conversion, flips, search_definable_emulation, separability_search
 from flipkit import small_balls_orchestrate, sunflower_extract, vc, vc_dimension
 from flipkit.generators import clique, path
-from flipkit.graphs import INF, UNREACHED, Bipartite
+from flipkit.graphs import UNREACHED, Bipartite
 from flipkit.verify import LEMMA_SWEEPS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flipkit"
@@ -348,15 +348,37 @@ def test_vc_witness_is_rechecked_off_the_block_scan():
     assert "is_shattered" in called["vc_dimension"]
 
 
+def test_conversion_reads_through_graphs():
+    """The conversion tests its sentinel-coded readings through
+    graphs.within and UNREACHED, with no private reader and no INF, and
+    flips.reconstruct_flip_spec reads every part pair in one pass."""
+    tree = ast.parse((SRC / "conversion.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"diameter", "is_connected"}, "read pieces through graphs.within"
+    assert "INF" not in _names(tree), "conversion.py reads sentinel-coded values, not INF"
+    (spec,) = [
+        node for node in ast.walk(ast.parse((SRC / "flips.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "reconstruct_flip_spec"
+    ]
+    loops = [node.lineno for node in ast.walk(spec)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert not loops, f"reconstruct_flip_spec loops over pairs at lines {loops}"
+
+
+def _unreached_pieces(adj, pieces):
+    """Every piece and its complement read as disconnected."""
+    return [(UNREACHED, UNREACHED)] * len(pieces)
+
+
 class TestBrokenTheoryRaises:
     def test_bipartite_block_large_on_both_sides(self, monkeypatch):
-        monkeypatch.setattr(conversion, "diameter", lambda g: INF)
+        monkeypatch.setattr(conversion, "within", lambda dist, r: False)
         b = Bipartite(Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]), (0, 1), (2, 3))
         with pytest.raises(RuntimeError, match="large diameter on both sides"):
             bipartite_flip(b)
 
     def test_part_and_complement_both_large(self, monkeypatch):
-        monkeypatch.setattr(conversion, "diameter", lambda g: INF)
+        monkeypatch.setattr(conversion, "within", lambda dist, r: False)
         with pytest.raises(RuntimeError, match="diameter dichotomy is broken"):
             convert(path(4), Partition.trivial(4))
 
@@ -403,14 +425,14 @@ class TestBrokenTheoryRaises:
 
     def test_isolated_vertex_without_a_dominating_partner(self, monkeypatch):
         # 3 is isolated on the right, and 2 misses 1: no right vertex dominates
-        monkeypatch.setattr(conversion, "is_connected", lambda g: False)
+        monkeypatch.setattr(conversion, "_piece_diameters", _unreached_pieces)
         b = Bipartite(Graph.from_edges(4, [(0, 2)]), (0, 1), (2, 3))
         with pytest.raises(RuntimeError, match="no dominating partner.*classification is broken"):
             classify_bipartite(b)
 
     def test_components_that_are_not_two_bicliques(self, monkeypatch):
         # a path 0-2-1-3: no isolated vertex, and one component
-        monkeypatch.setattr(conversion, "is_connected", lambda g: False)
+        monkeypatch.setattr(conversion, "_piece_diameters", _unreached_pieces)
         b = Bipartite(Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]), (0, 1), (2, 3))
         with pytest.raises(RuntimeError, match="not exactly two bicliques.*is broken"):
             classify_bipartite(b)

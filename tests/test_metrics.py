@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import oracle
 from flipkit import (
@@ -403,6 +404,36 @@ class TestPackLayouts:
                     assert ball is None or ball(g, metric, vertices, r, max_parts=5) == balls
             cases += 1
         assert bool(worded) == (chunk >= 64) and (chunk < 64 or max(worded) >= 2)
+
+
+@st.composite
+def packed_partitions(draw):
+    """gnp(6-12) with a partition into 3 to 5 parts, the first pack size of
+    its flip stream, and a source list and a depth, each possibly None."""
+    n = draw(st.integers(6, 12))
+    g = gnp(n, draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7])), draw(st.integers(0, 1 << 16)))
+    k = draw(st.integers(3, 5))
+    labels = draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
+    sources = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    depth = draw(st.none() | st.integers(0, n))
+    return g, np.array(labels), draw(st.integers(1, 100)), sources, depth
+
+
+@seed(20261020)
+@settings(max_examples=30, deadline=None, database=None)
+@given(packed_partitions())
+def test_every_pack_folds_as_its_per_flip_distances(case):
+    """``metrics._pack_max`` of each pack of a partition's flip stream, on
+    both sides of the 64-flip dispatch, equals the fold of the per-flip
+    distances of its flips: stacks of 256 flips or more compact their
+    words, and their rows finish at different levels."""
+    g, labels, size, sources, depth = case
+    for pieces in flips.flip_packs(g.n, [(None, labels)], size):
+        masks = flips.flip_adjacency_pack(g.n, [(p, codes) for _, p, codes in pieces])
+        want = fold_max_distances(batched_distance_matrices(g.adj ^ masks, depth))
+        got = metrics._pack_max(g, pieces, sources, depth)
+        assert np.array_equal(got, want if sources is None else want[sources])
 
 
 class TestMetricAxioms:
