@@ -6,14 +6,11 @@ from .graphs import (
     Bipartite,
     Graph,
     ball,
-    bfs_distances,
-    bipartite_complement,
     bipartite_induced,
     complement,
     diameter,
     distance_matrix,
     induced,
-    is_connected,
 )
 from .flips import (
     FlipSpec,

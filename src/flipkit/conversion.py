@@ -101,14 +101,16 @@ def _classify(adj, vs, left, right, diam, diam_c) -> BipartiteCase:
     if diam != UNREACHED or diam_c != UNREACHED:
         return _TRIVIAL
     block = _induced_adj(adj, vs, left)
+    degree = block.sum(1).tolist()
 
     # Isolated vertex first, scanning the right side then the left, lowest
-    # index first.  The dominating partner lives on the same side.
+    # index first.  The dominating partner lives on the same side; every
+    # edge crosses sides, so it has degree |other|.
     for side_name, side, other in (("right", right, left), ("left", left, right)):
-        isolated = [v for v in side if not block[v].any()]
+        isolated = [v for v in side if not degree[v]]
         if not isolated:
             continue
-        dominating = [v for v in side if block[v, list(other)].all()]
+        dominating = [v for v in side if degree[v] == len(other)]
         if not dominating:
             raise RuntimeError(
                 "an isolated vertex has no dominating partner although both "

@@ -71,6 +71,14 @@ def check_part_cap(parts: int, max_parts: int | None, what="partition", smaller=
         )
 
 
+def _first_labels(keys) -> list[int]:
+    """Each key's rank among the distinct keys, in order of first
+    occurrence: the one grouping of vertices by a key, and canonical part
+    labels, since parts are ordered by their minimum vertex."""
+    rank: dict[object, int] = {}
+    return [rank.setdefault(key, len(rank)) for key in keys]
+
+
 class Partition:
     """An ordered partition of ``0..n-1`` into nonempty disjoint parts.
 
@@ -86,22 +94,20 @@ class Partition:
         if any(len(p) == 0 for p in cleaned):
             raise DomainError("partition contains an empty part")
         cleaned.sort(key=lambda p: p[0])
-        seen: set[int] = set()
-        for p in cleaned:
+        labels: list = [None] * n
+        for i, p in enumerate(cleaned):
             for v in p:
                 if not 0 <= v < n:
                     raise DomainError(f"vertex {v} out of range for n={n}")
-                if v in seen:
+                if labels[v] is not None:
                     raise DomainError(f"vertex {v} appears in two parts")
-                seen.add(v)
-        if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
+                labels[v] = i
+        if None in labels:
+            missing = [v for v, i in enumerate(labels) if i is None]
             raise DomainError(f"partition does not cover vertices {missing}")
         self.n = n
         self.parts = tuple(cleaned)
-        part_of = np.empty(n, dtype=np.int64)
-        for i, p in enumerate(self.parts):
-            part_of[list(p)] = i
+        part_of = np.array(labels, dtype=np.int64)
         part_of.setflags(write=False)
         self._part_of = part_of
 
@@ -118,11 +124,11 @@ class Partition:
     @classmethod
     def from_labels(cls, labels) -> "Partition":
         """Build from a per-vertex label sequence (labels may be anything)."""
-        labels = list(labels)
-        groups: dict[object, list[int]] = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(v)
-        return cls(len(labels), groups.values())
+        labels = _first_labels(labels)
+        parts = [[] for _ in range(max(labels, default=-1) + 1)]
+        for v, i in enumerate(labels):
+            parts[i].append(v)
+        return cls(len(labels), parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -546,18 +552,26 @@ def flip_adjacency_batch(
     return np.bitwise_xor(g.adj, masks, order="C")
 
 
+def _definable_labels(g: Graph, s) -> np.ndarray:
+    """The part labels of ``definable_partition(g, s)``, with no Partition:
+    v in ``s`` keyed by v, every other vertex by its row of ``g.adj[:,
+    s]``, ranked by first occurrence."""
+    s_sorted = g._vertices(s)
+    if g.n == 0:
+        raise DomainError("definable partition of an empty graph is undefined")
+    k, in_s = len(s_sorted), set(s_sorted)
+    rows = g.adj[:, s_sorted].tobytes()
+    keys = (v if v in in_s else rows[v * k:(v + 1) * k] for v in range(g.n))
+    return np.array(_first_labels(keys), dtype=np.int64)
+
+
 def definable_partition(g: Graph, s) -> Partition:
     """Singletons for ``s`` plus classes of equal neighborhood inside ``s``.
 
     The result has at most |s| + 2^|s| parts; empty neighborhood classes
     simply never materialize.
     """
-    s_sorted = g._vertices(s)
-    if g.n == 0:
-        raise DomainError("definable partition of an empty graph is undefined")
-    rows = g.adj[:, s_sorted]
-    in_s = set(s_sorted)
-    return Partition.from_labels(v if v in in_s else rows[v].tobytes() for v in range(g.n))
+    return Partition.from_labels(_definable_labels(g, s).tolist())
 
 
 def definable_candidates(
@@ -570,8 +584,8 @@ def definable_candidates(
         raise DomainError(f"s_max must be nonnegative, got {s_max}")
     cap = resolve_max_parts(max_parts)
     sets = (s for size in range(min(s_max, g.n) + 1) for s in combinations(range(g.n), size))
-    return ((s, p.part_labels() if len(p.parts) <= cap else None)
-            for s, p in ((s, definable_partition(g, s)) for s in sets))
+    return ((s, labels if labels.max() < cap else None)
+            for s, labels in ((s, _definable_labels(g, s)) for s in sets))
 
 
 def refine(p: Partition, q: Partition) -> Partition:

@@ -175,13 +175,6 @@ def _cross_pairs(n: int, left) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g: Graph, src: int) -> dict[int, ExtDist]:
-    """Exact shortest-path distances from ``src``; unreachable maps to INF."""
-    g._check_vertex(src)
-    dist = distance_matrix(g)[src]
-    return {v: (INF if dist[v] == UNREACHED else int(dist[v])) for v in range(g.n)}
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path distances as int64; -1 encodes INF."""
     return batched_distance_matrices(g.adj[None])[0].astype(np.int64)
@@ -372,11 +365,6 @@ def component_labels(adjs: np.ndarray) -> np.ndarray:
     return (batched_distance_matrices(adjs) != UNREACHED).argmax(-1)
 
 
-def is_connected(g: Graph) -> bool:
-    """A graph on at most one vertex counts as connected."""
-    return bool(diameters(distance_matrix(g)) != UNREACHED)
-
-
 def diameter(g: Graph) -> ExtDist:
     """Max pairwise distance; INF iff disconnected (n >= 2), 0 for n = 1."""
     if g.n == 0:
@@ -402,12 +390,6 @@ def complement(g: Graph) -> Graph:
     adj = ~g.adj
     np.fill_diagonal(adj, False)
     return Graph(adj)
-
-
-def bipartite_complement(b: Bipartite) -> Bipartite:
-    """Complement the crossing edges only; the bipartition is preserved."""
-    adj = b.graph.adj ^ b.cross_mask()
-    return Bipartite(Graph(adj), b.left, b.right)
 
 
 def induced(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:

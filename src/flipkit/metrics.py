@@ -20,7 +20,7 @@ import numpy as np
 
 from . import flips
 from .errors import DomainError
-from .flips import Partition, check_part_cap, definable_partition
+from .flips import Partition, check_part_cap
 from .graphs import (
     _WORD,
     INF,
@@ -119,11 +119,11 @@ def dist_partition(
     return _pair_distance(g, u, v, lambda: _partition_list(g, p, max_parts))
 
 
-def _defining_partition(g: Graph, s, max_parts: int | None) -> Partition:
-    """The partition of defining set ``s``, refused above the part cap."""
-    p = definable_partition(g, s)
-    check_part_cap(len(p.parts), max_parts, f"defining set {sorted(set(s))}", "set")
-    return p
+def _defining_partition(g: Graph, s, max_parts: int | None) -> np.ndarray:
+    """The part labels of defining set ``s``, refused above the part cap."""
+    labels = flips._definable_labels(g, s)
+    check_part_cap(int(labels.max()) + 1, max_parts, f"defining set {sorted(set(s))}", "set")
+    return labels
 
 
 def dist_definable_matrix(
@@ -138,8 +138,8 @@ def dist_definable(
     return _pair_distance(g, u, v, lambda: [_defining_partition(g, s, max_parts)])
 
 
-def _family_partitions(g: Graph, fam: SetFamily, max_parts: int | None) -> list[Partition]:
-    """The members' partitions.  The empty family is the metric of the
+def _family_partitions(g: Graph, fam: SetFamily, max_parts: int | None) -> list:
+    """The members' part labels.  The empty family is the metric of the
     trivial partition, matching the defining-set metric with an empty set;
     this keeps family operations total for the orchestration code."""
     members = [_defining_partition(g, s, max_parts) for s in fam]

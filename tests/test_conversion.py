@@ -12,7 +12,6 @@ from flipkit import (
     Graph,
     Partition,
     apply_flip,
-    bipartite_complement,
     bipartite_flip,
     classify_bipartite,
     convert,
@@ -92,10 +91,10 @@ class TestBipartiteFlip:
             for b_side in (1, 2, 3):
                 for b in self.exhaustive_bipartites(a, b_side):
                     result = bipartite_flip(b)
-                    comp = bipartite_complement(b)
+                    comp = Graph(b.graph.adj ^ b.cross_mask())
                     n = b.n
                     e_orig = oracle.edges_of(b.graph)
-                    e_comp = oracle.edges_of(comp.graph)
+                    e_comp = oracle.edges_of(comp)
                     for u, v in result.flipped.graph.edges():
                         assert oracle.bfs(n, e_orig, u)[v] <= 6
                         assert oracle.bfs(n, e_comp, u)[v] <= 6
@@ -149,7 +148,7 @@ class TestBipartiteFlip:
         assert result.case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT
         # diameter of b is 3 <= 6, so the single block is flipped
         assert result.flipped_blocks == {(1, 1)}
-        assert result.flipped == bipartite_complement(b)
+        assert result.flipped == Bipartite(Graph(b.graph.adj ^ b.cross_mask()), b.left, b.right)
 
     def test_split_block_large_on_both_sides_raises(self, monkeypatch):
         # the split blocks of a degenerate case are read off the second BFS

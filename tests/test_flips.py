@@ -17,6 +17,7 @@ from flipkit import (
     breakability_search,
     canonical_pairs,
     complement,
+    convert,
     definable_partition,
     dist_definable_matrix,
     dist_family_matrix,
@@ -174,6 +175,64 @@ class TestDefinablePartition:
             p = definable_partition(g, s)
             classes = len(p.parts) - len(s)
             assert classes <= sum(comb(k, i) for i in range(min(d, k) + 1))
+
+
+class TestDefinableLabels:
+    """The defining-set candidates carry part labels, not Partitions: the
+    labels are those of ``definable_partition``, and only a search's
+    witness is built as a Partition."""
+
+    def test_labels_are_the_partitions_labels(self, rng):
+        cases = []
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            s = [rng.randrange(n) for _ in range(rng.randint(0, 5))]  # unsorted, repeats
+            cases.append((random_graph(rng, n, rng.random()), s))
+        for n, k in [(70, 64), (80, 70)]:  # more defining vertices than a uint64 has bits
+            cases.append((random_graph(rng, n, 0.5), rng.sample(range(n), k)))
+        # outside s = 0..69, vertex 70 differs from 71 and 73 only at 69, and from 72 only at 0
+        common = [(u, v) for u in range(70, 74) for v in range(1, 69) if v % 3]
+        g = Graph.from_edges(74, common + [(70, 69), (72, 0), (72, 69)])
+        cases.append((g, range(70)))
+        assert flips._definable_labels(g, range(70))[70:].tolist() == [70, 71, 72, 71]
+        assert any(len(set(s)) < len(s) for _, s in cases)
+        for g, s in cases:
+            labels = flips._definable_labels(g, s)
+            want = definable_partition(g, s).part_labels()
+            assert labels.dtype == want.dtype and labels.tolist() == want.tolist(), (g.edges(), s)
+
+    def test_refusals_keep_their_text(self):
+        with pytest.raises(DomainError, match="^definable partition of an empty graph is undefined$"):
+            flips._definable_labels(Graph.empty(0), [])
+        with pytest.raises(DomainError, match="^vertex 5 out of range for n=4$"):
+            flips._definable_labels(path(4), [1, 5])
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_a_set_over_the_cap_comes_with_none(self, cap):
+        # on star(4), {} has 1 part, {0} 2, {1} 3 and {1, 2} 4
+        g = star(4)
+        got = dict(flips.definable_candidates(g, 2, cap))
+        parts = {s: len(definable_partition(g, s).parts) for s in got}
+        assert len(got) == 11 and {cap, cap + 1} <= set(parts.values())
+        for s, labels in got.items():
+            if parts[s] > cap:
+                assert labels is None
+            else:
+                assert labels.tolist() == definable_partition(g, s).part_labels().tolist()
+
+    def test_a_search_builds_only_its_witness(self, monkeypatch):
+        built = []
+        init = Partition.__init__
+        monkeypatch.setattr(Partition, "__init__",
+                            lambda self, n, parts: built.append(n) or init(self, n, parts))
+        g = gnp(8, 0.5, seed=11)
+        found = breakability_search(g, range(8), 1, 2, SearchBudget(s_max=2))
+        assert found and found.sets_tried >= 3 and len(built) == 1
+        g = gnp(8, 0.5, seed=7)
+        gprime = convert(g, Partition.from_labels([v % 2 for v in range(8)])).flipped
+        built.clear()
+        found = search_definable_emulation(g, gprime, 1, 2)
+        assert found and found.sets_tried >= 3 and len(built) == 1
 
 
 class TestEnumerateFlips:

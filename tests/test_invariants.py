@@ -312,7 +312,7 @@ def test_one_component_labelling():
 
 
 def test_partitions_through_their_labels():
-    """Partition.from_labels is the one grouping of vertices by a key and
+    """flips._first_labels is the one grouping of vertices by a key and
     flips.pair_index the one cell-to-pair map; apply_flip, the reference
     the kernel is checked against, does not read it."""
     offenders = []
@@ -320,8 +320,8 @@ def test_partitions_through_their_labels():
         tree = ast.parse(module.read_text())
         grouping = {
             sub
-            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Partition"
-            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "from_labels"
+            for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_first_labels"
+            and module.name == "flips.py"
             for sub in ast.walk(fn)
         }
         for node in ast.walk(tree):
@@ -333,7 +333,7 @@ def test_partitions_through_their_labels():
             if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
                     and node not in grouping):
                 offenders.append(f"{module.name}:{node.lineno} setdefault")
-    assert not offenders, f"group through Partition.from_labels, map cells by pair_index: {offenders}"
+    assert not offenders, f"group through flips._first_labels, map cells by pair_index: {offenders}"
 
 
 def test_vc_witness_is_rechecked_off_the_block_scan():
@@ -461,3 +461,27 @@ class TestWrongKernelIsCaught:
     def test_emulation(self):
         with pytest.raises(RuntimeError, match="emulation witness failed re-verification"):
             search_definable_emulation(clique(4), Graph.empty(4), 1, 0)
+
+
+def test_public_surface():
+    """The public names of flipkit/__init__.py, so that an API change shows
+    in the diff of this list."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = {alias.asname or alias.name
+             for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
+    assert sorted(name for name in names if not name.startswith("_")) == [
+        "Bipartite", "BipartiteCase", "BipartiteCaseTag", "BreakWitness", "CapExceeded",
+        "ConversionResult", "DefinableConversion", "DomainError", "FlipSpec", "Graph", "INF",
+        "Partition", "SearchBudget", "SetFamily", "ShatterReport", "SunflowerResult", "WeightFn",
+        "apply_flip", "ball", "ball_family", "ball_partition", "bipartite_flip",
+        "bipartite_induced", "break_from_sep", "breakability_search", "canonical_pairs",
+        "classify_bipartite", "complement", "convert", "convert_to_definable",
+        "definable_partition", "diameter", "dist_definable", "dist_definable_matrix",
+        "dist_family", "dist_family_matrix", "dist_partition", "dist_partition_matrix",
+        "distance_matrix", "enumerate_flips", "enumerate_partitions", "greedy_scattered",
+        "induced", "is_shattered", "num_flips", "reconstruct_flip_spec", "refine",
+        "search_definable_emulation", "sep_then_break", "separability_search",
+        "shatter_function", "small_balls_orchestrate", "sunflower_extract", "vc_dimension",
+        "verify_break_witness",
+    ]
