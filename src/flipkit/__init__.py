@@ -40,11 +40,9 @@ from .conversion import (
     BipartiteCase,
     BipartiteCaseTag,
     ConversionResult,
-    DefinableConversion,
     bipartite_flip,
     classify_bipartite,
     convert,
-    convert_to_definable,
     search_definable_emulation,
 )
 from .breaksep import (

@@ -237,11 +237,13 @@ class BreakSearchResult:
 
 
 def _splits(
-    dists: np.ndarray, probes: list[int], r: int, m: int, w1, w2
+    dists: np.ndarray, idx: np.ndarray, in1: np.ndarray, in2: np.ndarray, r: int, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic two-stage greedy for two size-m probe subsets with no
     cross conflict (hence disjoint r-balls), on each matrix of a (F, n, n)
-    distance stack: (F, k) masks a1, a2 over the sorted probes, and ok.
+    distance stack: (F, k) masks a1, a2 over the sorted probes ``idx`` (of
+    W1 where ``in1``, of W2 where ``in2``), and ok.  Only ``within(., 2r)``
+    is read, so a stack BFS'd to depth 2r splits as its full matrices do.
 
     Two probes conflict when their centres are within 2r.  Stage one
     assigns whole conflict components, by minimum member, to the currently
@@ -251,13 +253,10 @@ def _splits(
     first m probes of W1 and takes the first m probes of W2 that are not
     anchors and meet no anchor.
     """
-    f, k = len(dists), len(probes)
+    f, k = len(dists), len(idx)
     if m == 0 or k == 0:
         none = np.zeros((f, k), dtype=bool)
         return none, none, np.full(f, m == 0)
-    idx = np.array(probes)
-    in1 = np.isin(idx, list(w1))
-    in2 = np.isin(idx, list(w2))
     meets = within(dists[:, idx[:, None], idx], 2 * r)
     labels = component_labels(meets)
     a1 = np.zeros((f, k), dtype=bool)
@@ -311,39 +310,32 @@ def breakability_search(
     w2 = g._vertices(w2_set) if w2_set is not None else None
     if r < 0 or m < 0:
         raise DomainError("radius and target size must be nonnegative")
-    probes = sorted(set(w1) | set(w2 or []))
-    probe_arr = np.array(probes, dtype=int)
-    side1 = set(w1)
-    side2 = set(w2) if w2 is not None else set(w1)
+    idx = np.array(sorted(set(w1) | set(w2 or [])), dtype=int)
+    in1 = np.isin(idx, w1)
+    in2 = np.isin(idx, w1 if w2 is None else w2)
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
         _check_n_cap(g.n, n_cap)
         packs = raw_packs(g.n, cap)
     else:
         packs = candidate_packs(g.n, definable_candidates(g, budget.s_max, cap))
+    split = {}  # the hit's a1 and a2, from the pass that found it
 
     def first_split(dists: np.ndarray) -> int | None:
-        hits = np.flatnonzero(_splits(dists, probes, r, m, side1, side2)[2])
-        return int(hits[0]) if hits.size else None
+        a1, a2, ok = _splits(dists, idx, in1, in2, r, m)
+        hits = np.flatnonzero(ok)
+        if not hits.size:
+            return None
+        split.update(a1=tuple(idx[a1[hits[0]]].tolist()), a2=tuple(idx[a2[hits[0]]].tolist()))
+        return int(hits[0])
 
     sets, skipped, specs, hit = first_flip(g, packs, first_split, 2 * r)
     result = BreakSearchResult(witness=None, flips_tried=specs, sets_tried=sets,
                                sets_skipped=skipped)
     if hit is None:
         return result
-    s, p, spec, h = hit
-    a1, a2, ok = _splits(distance_matrix(h)[None], probes, r, m, side1, side2)
-    if not ok[0]:
-        raise RuntimeError("the batched flip kernel found a split that apply_flip does not")
-    result.witness = BreakWitness(
-        partition=p,
-        spec=spec,
-        defining_set=s,
-        a1=tuple(probe_arr[a1[0]].tolist()),
-        a2=tuple(probe_arr[a2[0]].tolist()),
-        radius=r,
-        m=m,
-    )
+    s, p, spec, _ = hit
+    result.witness = BreakWitness(p, spec, s, radius=r, m=m, **split)
     if not verify_break_witness(g, result.witness):
         raise RuntimeError("greedy split produced an invalid witness")
     return result
@@ -413,11 +405,15 @@ def separability_search(
         bound = float(eps) * w.total
         limit = bound + bound * 1e-9 + _FLOAT_TOL
 
+    def light(balls: np.ndarray) -> bool:
+        """Whether every ball, a row of the mask ``balls``, is light."""
+        return all(w.within_eps(w.of(np.flatnonzero(row).tolist()), eps) for row in balls)
+
     def first_light(dists: np.ndarray) -> int | None:
         reach = within(dists[:, small], r)
         screened = ~((reach @ weights_arr) > limit).any(axis=1)
         for i in np.flatnonzero(screened).tolist():
-            if all(w.within_eps(w.of(np.flatnonzero(row).tolist()), eps) for row in reach[i]):
+            if light(reach[i]):
                 return i
         return None
 
@@ -425,8 +421,7 @@ def separability_search(
     if hit is None:
         return SeparabilityResult(None, None, tried, specs)
     _, p, spec, h = hit
-    balls = _balls(h, small, r)
-    if not all(w.within_eps(w.of(np.flatnonzero(balls[v]).tolist()), eps) for v in small):
+    if not light(_balls(h, small, r)[small]):
         raise RuntimeError("separability witness failed re-verification")
     return SeparabilityResult(p, spec, tried, specs)
 

@@ -47,8 +47,16 @@ EXIT_REFUSED = 2
 Result = tuple[RunReport | str, dict[str, str]]
 
 
+def _read(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not a UTF-8 text file") from None
+
+
 def _read_graph(path: str) -> Graph:
-    return fileio.loads_graph(Path(path).read_text())
+    return fileio.loads_graph(_read(path))
 
 
 def _dist_cell(value) -> str:
@@ -112,13 +120,13 @@ def _cmd_dist(args) -> Result:
         for v in args.pair:
             g._check_vertex(v)
     if args.partition:
-        metric = fileio.loads_partition(Path(args.partition).read_text(), g.n)
+        metric = fileio.loads_partition(_read(args.partition), g.n)
         matrix, pair = dist_partition_matrix, dist_partition
     else:
         if args.set is not None:
             sets = [fileio.loads_vertex_set(args.set)]
         else:
-            sets = fileio.loads_family(Path(args.family).read_text())
+            sets = fileio.loads_family(_read(args.family))
         metric, matrix, pair = SetFamily(sets), dist_family_matrix, dist_family
     if args.all_pairs:  # the whole matrix; a pair reads one BFS row
         dist = matrix(g, metric, max_parts=args.max_parts)
@@ -159,7 +167,7 @@ def _certificate_rows(result) -> list[dict]:
 
 def _cmd_convert(args) -> Result:
     g = _read_graph(args.graph)
-    p = fileio.loads_partition(Path(args.partition).read_text(), g.n)
+    p = fileio.loads_partition(_read(args.partition), g.n)
     result = convert(g, p)
     report = RunReport(
         command="convert",
@@ -214,11 +222,11 @@ def _search_report(command: str, parameters: dict, result, counters: dict, paylo
 
 def _cmd_break(args) -> Result:
     g = _read_graph(args.graph)
-    w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
+    w_set = fileio.loads_vertex_set(_read(args.probes))
     budget = SearchBudget(
         s_max=args.s_max, part_cap=args.part_cap, raw_partitions=args.raw_partitions
     )
-    w2 = fileio.loads_vertex_set(Path(args.probes2).read_text()) if args.probes2 else None
+    w2 = fileio.loads_vertex_set(_read(args.probes2)) if args.probes2 else None
     result = breakability_search(g, w_set, args.radius, args.m, budget, w2_set=w2,
                                  n_cap=args.n_cap)
     parameters = {"graph": args.graph, "r": args.radius, "m": args.m, "s_max": args.s_max,
@@ -230,7 +238,7 @@ def _cmd_break(args) -> Result:
 
 def _cmd_separate(args) -> Result:
     g = _read_graph(args.graph)
-    weights = WeightFn(fileio.loads_weights(Path(args.weights).read_text(), g.n))
+    weights = WeightFn(fileio.loads_weights(_read(args.weights), g.n))
     eps = _parse_eps(args.eps)
     result = separability_search(
         g, weights, args.radius, eps, args.k_max, n_cap=args.n_cap
@@ -242,7 +250,7 @@ def _cmd_separate(args) -> Result:
 
 def _cmd_sep2break(args) -> Result:
     g = _read_graph(args.graph)
-    w_set = fileio.loads_vertex_set(Path(args.probes).read_text())
+    w_set = fileio.loads_vertex_set(_read(args.probes))
     result = sep_then_break(g, w_set, args.radius, k_max=args.k_max, n_cap=args.n_cap)
     parameters = {"graph": args.graph, "r": args.radius, "k_max": args.k_max,
                   "probes": sorted(set(w_set))}
@@ -265,7 +273,7 @@ def _cmd_verify(args) -> Result:
 def _cmd_export(args) -> Result:
     g = _read_graph(args.graph)
     p = (
-        fileio.loads_partition(Path(args.partition).read_text(), g.n)
+        fileio.loads_partition(_read(args.partition), g.n)
         if args.partition
         else None
     )

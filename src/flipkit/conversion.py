@@ -139,19 +139,10 @@ def _classify(adj, vs, left, right, diam, diam_c) -> BipartiteCase:
     return BipartiteCase(tag=BipartiteCaseTag.TWO_BICLIQUES, blocks=blocks)
 
 
-def classify_bipartite(b: Bipartite, *, require_degenerate: bool = False) -> BipartiteCase:
-    """Classify a bipartite graph both of whose complements are disconnected.
-
-    When ``b`` or its bipartite complement is connected, the trivial tag is
-    returned, unless ``require_degenerate`` asks for a hard error instead.
-    """
-    case = _classify(b.graph.adj, *_block(b))
-    if require_degenerate and case.tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT:
-        raise DomainError(
-            "graph or its bipartite complement is connected; "
-            "no degenerate classification exists"
-        )
-    return case
+def classify_bipartite(b: Bipartite) -> BipartiteCase:
+    """Classify a bipartite graph both of whose complements are disconnected;
+    when ``b`` or its bipartite complement is connected, the tag is trivial."""
+    return _classify(b.graph.adj, *_block(b))
 
 
 @dataclass(frozen=True)
@@ -380,37 +371,6 @@ class EmulationSearchResult:
 
     def __bool__(self) -> bool:
         return self.witness is not None
-
-
-@dataclass(frozen=True)
-class DefinableConversion:
-    """Composition of the conversion with a definable-flip emulation.
-
-    The conversion bounds partition-metric balls by 6x balls of its flip;
-    a successful emulation bounds the definable flip's balls by 5x balls of
-    that flip, giving the combined 30x guarantee.  Only witness validity is
-    asserted; when the budgeted emulation search comes up empty,
-    ``emulation.witness`` is None and the conversion result stands alone.
-    """
-
-    conversion: ConversionResult
-    emulation: "EmulationSearchResult"
-
-
-def convert_to_definable(
-    g: Graph,
-    p: Partition,
-    r_max: int,
-    s_max: int,
-    *,
-    max_parts: int | None = None,
-) -> DefinableConversion:
-    """Run the conversion, then search for a definable flip emulating it."""
-    conversion = convert(g, p)
-    emulation = search_definable_emulation(
-        g, conversion.flipped, r_max, s_max, max_parts=max_parts
-    )
-    return DefinableConversion(conversion=conversion, emulation=emulation)
 
 
 def search_definable_emulation(

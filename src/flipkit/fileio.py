@@ -15,7 +15,7 @@ import io
 
 from .errors import DomainError
 from .flips import Partition
-from .graphs import Graph, check_dense_n
+from .graphs import Graph, check_dense_n, edge_error
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
@@ -52,7 +52,11 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
         raise DomainError(
             f"line {header[0]}: header declares {m} edges, file has {len(edge_rows)}"
         )
-    return Graph.from_edges(n, [_fields(row, int, int) for row in edge_rows])
+    edges = [_fields(row, int, int) for row in edge_rows]
+    for (number, _), (u, v) in zip(edge_rows, edges):
+        if error := edge_error(n, u, v):
+            raise DomainError(f"line {number}: {error}")
+    return Graph.from_edges(n, edges)
 
 
 def _per_vertex(text: str, n: int | None, what: str, kind) -> list[str]:

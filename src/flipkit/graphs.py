@@ -52,6 +52,13 @@ def check_dense_n(n: int, what: str | None = None) -> None:
         )
 
 
+def edge_error(n: int, u: int, v: int) -> str | None:
+    """Why (u, v) is not an edge of a simple graph on n vertices, or None."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range for n={n}"
+    return f"self-loop ({u},{v}) not allowed" if u == v else None
+
+
 class Graph:
     """An undirected simple graph on vertices ``0..n-1``.
 
@@ -79,10 +86,8 @@ class Graph:
         check_dense_n(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise DomainError(f"self-loop ({u},{v}) not allowed")
+            if error := edge_error(n, u, v):
+                raise DomainError(error)
             adj[u, v] = adj[v, u] = True
         return cls(adj)
 

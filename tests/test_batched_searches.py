@@ -193,9 +193,9 @@ def test_splits_match_the_oracle_matrix_by_matrix(w2_kind):
         probes = sorted(set(w1) | set(w2))
         r, m = rng.randint(0, 2), rng.randint(0, 3)
         stack = batched_distance_matrices(np.stack([h.adj for h in graphs]))
-        a1, a2, ok = _splits(stack, probes, r, m, set(w1), set(w2))
-        assert a1.shape == a2.shape == (len(graphs), len(probes))
         names = np.array(probes, dtype=int)
+        a1, a2, ok = _splits(stack, names, np.isin(names, w1), np.isin(names, w2), r, m)
+        assert a1.shape == a2.shape == (len(graphs), len(probes))
         for i, h in enumerate(graphs):
             want = greedy_split(n, edges_of(h), probes, r, m, set(w1), set(w2))
             got = (tuple(names[a1[i]].tolist()), tuple(names[a2[i]].tolist())) if ok[i] else None

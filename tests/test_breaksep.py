@@ -192,6 +192,17 @@ class TestBreakabilitySearch:
         assert flipped.num_edges() == 0
         assert oracle.balls_disjoint(6, oracle.edges_of(flipped), w.a1, w.a2, 1)
 
+    def test_one_bfs_per_witness(self, monkeypatch):
+        """The witness is built from the kernel pass's split, so the one
+        all-pairs BFS of a hit is the re-verification's."""
+        calls = []
+        real = breaksep.distance_matrix
+        monkeypatch.setattr(breaksep, "distance_matrix", lambda h: calls.append(h) or real(h))
+        g = path(6)
+        w = breakability_search(g, range(6), 1, 2).witness
+        assert w is not None
+        assert calls == [apply_flip(g, w.partition, w.spec)]
+
     def test_m_zero_trivial(self):
         g = clique(4)
         result = breakability_search(g, range(4), 1, 0)

@@ -311,10 +311,11 @@ def inputs(tmp_path):
         "quad_out_of_range": "0 1 2 99",
         "bad_probes": "0 x\n",
         "huge": "200000 0\n",
+        "not_utf8": b"\xff3 0\n",
     }
     names = {"dir": str(tmp_path)}
     for name, text in texts.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         names[name] = str(tmp_path / name)
     return names
 
@@ -349,6 +350,7 @@ RUNS = {
     ),
     "verify-wrong-mode": (["verify", "conversion", "--exhaustive", "4"], 2, "error: "),
     "diam-directory": (["diam", "{dir}"], 2, "error: "),
+    "diam-not-utf8": (["diam", "{not_utf8}"], 2, "not_utf8: not a UTF-8 text file"),
     "gen-into-directory": (["gen", "path", "3", "-o", "{dir}"], 2, "error: "),
     "dist-negative-vertex": (
         ["dist", "{path6}", "0", "-1", "--set", "0"], 2, "vertex -1 out of range",

@@ -36,11 +36,6 @@ class TestClassifyBipartite:
         b = bip([(0, 1)], (0,), (1,), 2)
         assert classify_bipartite(b).tag is BipartiteCaseTag.CONNECTED_OR_COMPLEMENT
 
-    def test_require_degenerate_raises_on_connected(self):
-        b = bip([(0, 1)], (0,), (1,), 2)
-        with pytest.raises(DomainError):
-            classify_bipartite(b, require_degenerate=True)
-
     def test_two_bicliques(self):
         # K22 on {0,1}x{3,4} plus K11 on {2}x{5}
         edges = [(0, 3), (0, 4), (1, 3), (1, 4), (2, 5)]
@@ -369,23 +364,22 @@ class TestEmulationSearch:
 
 class TestComposedPipeline:
     def test_witness_validity_when_found(self, rng):
-        from flipkit import convert_to_definable
-
         found = 0
         for _ in range(8):
             n = rng.randint(3, 7)
             g = random_graph(rng, n, rng.random())
             p = Partition.from_labels(random_partition_labels(rng, n, 2))
-            result = convert_to_definable(g, p, 2, 2)
-            assert result.conversion.refined.refines(p)
-            if result.emulation.witness is None:
+            conversion = convert(g, p)
+            emulation = search_definable_emulation(g, conversion.flipped, 2, 2)
+            assert conversion.refined.refines(p)
+            if emulation.witness is None:
                 continue
             found += 1
             # witness balls embed in 5x balls of the conversion flip
             assert oracle.ball_containment(
                 n,
-                oracle.edges_of(result.emulation.witness.flipped),
-                oracle.edges_of(result.conversion.flipped),
+                oracle.edges_of(emulation.witness.flipped),
+                oracle.edges_of(conversion.flipped),
                 2,
                 5,
             )

@@ -150,12 +150,15 @@ class TestMalformedInput:
         "parse, text, line",
         [
             (fileio.loads_graph, "3 2\n0 1\n0 x\n", 3),
+            (fileio.loads_graph, "3 1\n0 5\n", 2),
+            (fileio.loads_graph, "3 1\n1 1\n", 2),
             (fileio.loads_partition, "0 0\n# comment\n\n1 0 2\n", 4),
             (fileio.loads_weights, "0 1\n1 2 3\n", 2),
             (fileio.loads_family, "0 1\n2 3.5\n", 2),
             (fileio.loads_vertex_set, "0, 1\n2,x\n", 2),
         ],
-        ids=["graph", "partition", "weights", "family", "vertex_set"],
+        ids=["graph", "graph_edge_range", "graph_self_loop", "partition", "weights", "family",
+             "vertex_set"],
     )
     def test_names_the_line(self, parse, text, line):
         with pytest.raises(DomainError, match=f"^line {line}: "):

@@ -451,7 +451,7 @@ class TestWrongKernelIsCaught:
         )
 
     def test_breakability(self):
-        with pytest.raises(RuntimeError, match="apply_flip does not"):
+        with pytest.raises(RuntimeError, match="greedy split produced an invalid witness"):
             breakability_search(clique(4), range(4), 1, 2)
 
     def test_separability(self):
@@ -472,11 +472,11 @@ def test_public_surface():
     names |= {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
     assert sorted(name for name in names if not name.startswith("_")) == [
         "Bipartite", "BipartiteCase", "BipartiteCaseTag", "BreakWitness", "CapExceeded",
-        "ConversionResult", "DefinableConversion", "DomainError", "FlipSpec", "Graph", "INF",
+        "ConversionResult", "DomainError", "FlipSpec", "Graph", "INF",
         "Partition", "SearchBudget", "SetFamily", "ShatterReport", "SunflowerResult", "WeightFn",
         "apply_flip", "ball", "ball_family", "ball_partition", "bipartite_flip",
         "bipartite_induced", "break_from_sep", "breakability_search", "canonical_pairs",
-        "classify_bipartite", "complement", "convert", "convert_to_definable",
+        "classify_bipartite", "complement", "convert",
         "definable_partition", "diameter", "dist_definable", "dist_definable_matrix",
         "dist_family", "dist_family_matrix", "dist_partition", "dist_partition_matrix",
         "distance_matrix", "enumerate_flips", "enumerate_partitions", "greedy_scattered",

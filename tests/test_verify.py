@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from flipkit import Bipartite, Graph, conversion, verify
+from flipkit import Bipartite, Graph, conversion, vc, verify
 from flipkit.cli import main
 from flipkit.conversion import BipartiteCase, BipartiteCaseTag
 from flipkit.errors import CapExceeded, DomainError
@@ -381,7 +381,7 @@ class TestFailureReports:
         )
 
     def test_sauer_shelah(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "comb", lambda n, k: 0 if n == 3 else math.comb(n, k))
+        monkeypatch.setattr(vc, "comb", lambda n, k: 0 if n == 3 else math.comb(n, k))
         _fails(
             capsys, lambda: verify_sauer_shelah(10, seed=2),
             ["verify", "sauer-shelah", "--random", "10", "--seed", "2"],
@@ -393,9 +393,7 @@ class TestFailureReports:
                 "payload": {
                     "instance": 2,
                     "edges": [[0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
-                    "size": 3,
-                    "traces": 5,
-                    "bound": 0,
+                    "error": "trace count 5 at n=3 violates the binomial-sum bound 0",
                 },
             },
         )
