@@ -309,6 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the graph file: the first argument of every command that reads one
     graph_opt = argparse.ArgumentParser(add_help=False, parents=[seed_opt])
     graph_opt.add_argument("graph")
+    # a copy of stdout; gen and convert take their own -o for the graph they write
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("-o", "--output")
+    # the radius and the vertex cap of the searches
+    search_opt = argparse.ArgumentParser(add_help=False, parents=[graph_opt, out_opt])
+    search_opt.add_argument("-r", "--radius", type=int, required=True)
+    search_opt.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph", parents=[seed_opt])
@@ -320,19 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diam", help="diameter of a graph", parents=[graph_opt])
     p.set_defaults(func=_cmd_diam)
 
-    p = sub.add_parser("vcdim", help="exact VC-dimension and trace table", parents=[graph_opt])
+    p = sub.add_parser("vcdim", help="exact VC-dimension and trace table", parents=[graph_opt, out_opt])
     p.add_argument("--cap", type=int, default=DEFAULT_VCDIM_CAP)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_vcdim)
 
-    p = sub.add_parser("dist", help="flip-metric distances as CSV", parents=[graph_opt])
+    p = sub.add_parser("dist", help="flip-metric distances as CSV", parents=[graph_opt, out_opt])
     p.add_argument("pair", nargs="*", type=int, help="vertex pair u v")
     p.add_argument("--partition")
     p.add_argument("--set")
     p.add_argument("--family")
     p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--max-parts", type=int)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("convert", help="metric conversion: refine and flip", parents=[graph_opt])
@@ -342,33 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", dest="graph_out", help="write the flipped graph")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("break", help="budgeted flip-breakability search", parents=[graph_opt])
+    p = sub.add_parser("break", help="budgeted flip-breakability search", parents=[search_opt])
     p.add_argument("--W", dest="probes", required=True, help="probe-set file")
     p.add_argument("--W2", dest="probes2", help="second probe-set file")
-    p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--s-max", type=int, default=1)
     p.add_argument("--part-cap", type=int)
     p.add_argument("--raw-partitions", action="store_true")
-    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_break)
 
-    p = sub.add_parser("separate", help="brute-force flip-separability search", parents=[graph_opt])
+    p = sub.add_parser("separate", help="brute-force flip-separability search", parents=[search_opt])
     p.add_argument("--weights", required=True)
-    p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--eps", required=True, help="fraction, e.g. 0.4 or 2/5")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("sep2break", help="separability then witness construction", parents=[graph_opt])
+    p = sub.add_parser("sep2break", help="separability then witness construction", parents=[search_opt])
     p.add_argument("--W", dest="probes", required=True, help="probe-set file (size 4m^2)")
-    p.add_argument("-r", "--radius", type=int, required=True)
     p.add_argument("--k-max", type=int, default=1)
-    p.add_argument("--n-cap", type=int, default=DEFAULT_PARTITION_ENUM_CAP)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sep2break)
 
     p = sub.add_parser("verify", help="run a verification sweep", parents=[seed_opt])

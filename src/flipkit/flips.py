@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import _WORD, Graph, batched_distance_matrices
+from .graphs import _WORD, Graph, batched_distance_matrices, vertex_type_error
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -41,6 +41,9 @@ DEFAULT_MAX_PARTS = 4
 CHUNK = 1 << 12
 
 _ENV_MAX_PARTS = "FLIPKIT_MAX_PARTS"
+
+#: The most parts a flip code holds: 11 parts have 66 pairs, a code 64 bits.
+_CODE_PARTS = 10
 
 
 def resolve_max_parts(max_parts: int | None = None) -> int:
@@ -97,6 +100,8 @@ class Partition:
         labels: list = [None] * n
         for i, p in enumerate(cleaned):
             for v in p:
+                if error := vertex_type_error(v):
+                    raise DomainError(error)
                 if not 0 <= v < n:
                     raise DomainError(f"vertex {v} out of range for n={n}")
                 if labels[v] is not None:
@@ -349,27 +354,21 @@ def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[list]:
     The first pack holds ``size`` flips, then twice the last, at most CHUNK
     flips and CHUNK * 100 cells (flips times n^2) but at least one flip.  A
     partition is drawn only while the current pack still needs flips, and a
-    refusal raised while drawing is raised only after the pack of the flips
-    drawn before it.  ``raw`` is passed to ``distinct_flip_codes``."""
-    runs = ((info, p, codes) for info, p in partitions for codes in distinct_flip_codes(p, raw))
+    refusal is raised where it is drawn.  ``raw`` is passed to
+    ``distinct_flip_codes``."""
     most = min(CHUNK, max(1, CHUNK * 100 // max(n, 1) ** 2))
-    size, rest, end = min(size, most), None, None
-    while end is None:
-        pieces, room = [], size
-        while room and end is None:
-            try:
-                info, labels, codes = rest or next(runs)
-            except (StopIteration, CapExceeded) as exc:
-                end = exc
-                break
-            pieces.append((info, labels, codes[:room]))
-            rest = (info, labels, codes[room:]) if len(codes) > room else None
-            room -= len(pieces[-1][2])
-        if pieces:
-            yield pieces
-        size = min(2 * size, most)
-    if isinstance(end, CapExceeded):
-        raise end
+    room = size = min(size, most)
+    pieces = []
+    for info, labels in partitions:
+        for codes in distinct_flip_codes(labels, raw):
+            while len(codes):
+                pieces.append((info, labels, codes[:room]))
+                codes, room = codes[room:], room - len(pieces[-1][2])
+                if not room:
+                    yield pieces
+                    pieces, room = [], (size := min(2 * size, most))
+    if pieces:
+        yield pieces
 
 
 def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
@@ -416,8 +415,7 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
     _RAW holds at most _RAW_BUDGET bytes, and later reads take the stored
     packs.  A reader past them continues the spare stream, or a new one
     that skips the packs before, and keeps it while its packs go unstored.
-    A refusal is stored at its place and raised again for every reader
-    that reaches it.  Its callers cap n."""
+    Its callers cap n."""
     key = (n, max_parts, CHUNK)
     with _RAW_LOCK:
         packs, size, spare = _RAW[key] = _RAW.get(key) or ([], [0], {})
@@ -430,10 +428,7 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
             if stream is None:
                 stream = candidate_packs(n, zip(repeat(None), partition_labels(n, max_parts)), True)
                 next(islice(stream, i, i), None)  # skips packs 0..i-1
-            try:
-                masks, pieces = next(stream)
-            except CapExceeded as refusal:
-                masks, pieces = None, refusal
+            masks, pieces = next(stream)
             bits = None if masks is None else np.packbits(masks.reshape(len(masks), -1), axis=1)
             nbytes = 0 if bits is None else bits.nbytes + sum(
                 labels.nbytes + codes.nbytes for _, labels, codes in pieces)
@@ -443,8 +438,6 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
                     size[0] += nbytes
                     spare.clear()
                     spare[i + 1], stream = stream, None
-        if isinstance(pieces, CapExceeded):
-            raise CapExceeded(*pieces.args)
         if bits is None:
             yield None, pieces
             return
@@ -578,11 +571,11 @@ def definable_candidates(
     g: Graph, s_max: int, max_parts: int | None
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray | None]]:
     """Defining sets by ascending size, lexicographic within a size, with
-    the part labels of their partitions; a set over the part cap comes with
-    None.  The arguments are checked at the call."""
+    the part labels of their partitions; a set over the part cap or over
+    _CODE_PARTS comes with None.  The arguments are checked at the call."""
     if s_max < 0:
         raise DomainError(f"s_max must be nonnegative, got {s_max}")
-    cap = resolve_max_parts(max_parts)
+    cap = min(resolve_max_parts(max_parts), _CODE_PARTS)
     sets = (s for size in range(min(s_max, g.n) + 1) for s in combinations(range(g.n), size))
     return ((s, labels if labels.max() < cap else None)
             for s, labels in ((s, _definable_labels(g, s)) for s in sets))

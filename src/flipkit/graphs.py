@@ -52,8 +52,18 @@ def check_dense_n(n: int, what: str | None = None) -> None:
         )
 
 
+def vertex_type_error(v) -> str | None:
+    """Why ``v`` is not a vertex by its type, or None: a vertex is an int or
+    a numpy integer, never a bool, which numpy would read as a mask."""
+    # plain ints first: Graph.from_edges checks both ends of every edge
+    ok = type(v) is int or isinstance(v, np.integer) or (isinstance(v, int) and type(v) is not bool)
+    return None if ok else f"vertex {v!r} is not an integer"
+
+
 def edge_error(n: int, u: int, v: int) -> str | None:
     """Why (u, v) is not an edge of a simple graph on n vertices, or None."""
+    if error := vertex_type_error(u) or vertex_type_error(v):
+        return f"edge ({u!r},{v!r}): {error}"
     if not (0 <= u < n and 0 <= v < n):
         return f"edge ({u},{v}) out of range for n={n}"
     return f"self-loop ({u},{v}) not allowed" if u == v else None
@@ -113,6 +123,8 @@ class Graph:
         return int(self.adj[v].sum())
 
     def _check_vertex(self, v: int) -> None:
+        if error := vertex_type_error(v):
+            raise DomainError(error)
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} out of range for n={self.n}")
 

@@ -165,9 +165,7 @@ def _metric_ball(g: Graph, vertices, r: int, partitions) -> frozenset[int]:
     BFS'd to depth r, which decides ``within(., r)`` exactly."""
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    if isinstance(vertices, (int, np.integer)):
-        vertices = [int(vertices)]
-    vertices = g._vertices(int(v) for v in vertices)
+    vertices = [int(v) for v in g._vertices(vertices if np.iterable(vertices) else [vertices])]
     rows = _flip_metric(g, partitions(), vertices, max(r, 1))
     return frozenset(np.flatnonzero(within(rows, r).any(axis=0)).tolist())
 

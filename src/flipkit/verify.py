@@ -27,7 +27,6 @@ from .graphs import (
     Bipartite,
     Graph,
     batched_distance_matrices,
-    component_labels,
     diameters,
     distance_matrix,
     within,
@@ -195,18 +194,20 @@ def _case_matches(b: Bipartite, case) -> bool:
 def verify_bipartite_classification(max_side: int = _BIPARTITE_SIDE_CAP) -> RunReport:
     """When a bipartite graph and its complement are both disconnected, the
     classifier returns a structurally verified case; otherwise it returns
-    the trivial tag, checked on the connectivity of both as their component
-    labels read it, apart from the diameters the classifier decided on."""
+    the trivial tag, checked on the connectivity of both as vertex 0's row
+    of their distances reads it, apart from the diameters the classifier
+    decided on."""
     stacks = _bipartite_stacks(max_side)
     degenerate = 0
 
     def items():
         nonlocal degenerate
         for (a, b), adjs in stacks:
-            # one BFS per stack and one for its labels; the bipartite
-            # complement of graph i is graph count-1-i
-            diam = diameters(batched_distance_matrices(adjs)).tolist()
-            connected = ~component_labels(adjs).any(-1)
+            # one BFS per stack, read for diameters and, apart, for
+            # connectivity; the bipartite complement of graph i is graph count-1-i
+            dist = batched_distance_matrices(adjs)
+            diam = diameters(dist).tolist()
+            connected = (dist[:, 0] != UNREACHED).all(-1)
             vs, left, right = tuple(range(a + b)), tuple(range(a)), tuple(range(a, a + b))
             for i, adj in enumerate(adjs):
                 case = _classify(adj, vs, left, right, diam[i], diam[-1 - i])

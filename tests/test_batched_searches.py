@@ -37,7 +37,7 @@ from flipkit.breaksep import _splits
 from flipkit.conversion import ball_containment_ok
 from flipkit.errors import CapExceeded
 from flipkit.flips import Partition, distinct_flip_codes, partition_labels
-from flipkit.generators import clique, cycle, path
+from flipkit.generators import cycle, path
 from flipkit.graphs import batched_distance_matrices
 from conftest import random_graph, random_partition_labels
 from oracle import edges_of, greedy_split
@@ -336,10 +336,9 @@ def test_raw_cache_keeps_no_graph_state(chunk, monkeypatch):
 
 def test_raw_cache_replays_a_refusal(monkeypatch):
     """A refusal met while drawing a raw stream, here ``_pair_count``
-    refusing two parts, is stored at its place: every later search of the
-    profile that reads that far raises it again, from the stored packs,
-    where a spent stream would end it as a miss; a search that hits before
-    it still returns its hit."""
+    refusing two parts, is raised where it is met, and again for every
+    later search of the profile that reads that far, where a spent stream
+    would end it as a miss."""
     monkeypatch.setattr(flips, "_RAW", {})
     monkeypatch.setattr(flips, "_WHOLE", {})
     real_count = flips._pair_count
@@ -349,21 +348,13 @@ def test_raw_cache_replays_a_refusal(monkeypatch):
             raise CapExceeded(f"{k} parts refused")
         return real_count(k)
 
-    built = []
-    real_pack = flips.flip_adjacency_pack
     monkeypatch.setattr(flips, "_pair_count", capped)
-    monkeypatch.setattr(flips, "flip_adjacency_pack",
-                        lambda n, pieces: built.append(pieces) or real_pack(n, pieces))
     budget = SearchBudget(part_cap=2, raw_partitions=True)
     for search in (lambda: separability_search(path(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2),
                    lambda: separability_search(cycle(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2),
                    lambda: breakability_search(path(4), range(4), 1, 4, budget)):
         with pytest.raises(CapExceeded, match="2 parts refused"):
             search()
-        assert len(built) == 1
-    # the complement of K4, the trivial partition's second flip, is edgeless
-    hit = separability_search(clique(4), WeightFn.uniform(4), 1, Fraction(1, 4), 2)
-    assert (hit.partitions_tried, hit.flips_tried, len(hit.partition)) == (1, 2, 1)
 
 
 def _stored_bytes() -> int:

@@ -480,8 +480,8 @@ def bfs_calls(monkeypatch):
 class TestOneBfsPerPhase:
     """A conversion reads its pieces off at most two rounds of padded
     stacks, one stack per round when no piece has more than 16 vertices,
-    and the classification sweep BFS's each (a, b) stack twice, for its
-    diameters and for its component labels: no per-piece BFS."""
+    and the classification sweep BFS's each (a, b) stack once, for its
+    diameters and its connectivity: no per-piece BFS."""
 
     def test_convert(self, bfs_calls):
         trivial = split = 0
@@ -500,12 +500,12 @@ class TestOneBfsPerPhase:
 
     @pytest.mark.parametrize("max_side", [1, 2, 3])
     def test_classification_sweep(self, bfs_calls, max_side):
-        # two BFS per stack (diameters and labels), plus the public
+        # one BFS per stack (diameters and connectivity), plus the public
         # classifier's own on each degenerate graph, plus the biclique
         # labels of both
         report = verify_bipartite_classification(max_side)
         degenerate = report.counters["degenerate_cases"]
-        assert bfs_calls["bfs"] == 2 * max_side ** 2 + degenerate + bfs_calls["labels"]
+        assert bfs_calls["bfs"] == max_side ** 2 + degenerate + bfs_calls["labels"]
         assert bfs_calls["labels"] <= 2 * degenerate
         if max_side > 1:
             assert bfs_calls["labels"] > 0

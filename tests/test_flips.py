@@ -220,6 +220,20 @@ class TestDefinableLabels:
             else:
                 assert labels.tolist() == definable_partition(g, s).part_labels().tolist()
 
+    def test_a_set_over_the_code_width_comes_with_none(self, monkeypatch):
+        """Under a part cap of 16, {0, 1, 2} defines 3 singletons and 8
+        neighbourhood classes, 11 parts, whose codes would need 66 bits: it
+        comes with None, like a set over the cap, and every set of 10 parts
+        or fewer keeps its labels."""
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", "16")
+        g = Graph.from_edges(12, [(b, 3 + i) for i in range(8) for b in range(3) if i >> b & 1])
+        got = dict(flips.definable_candidates(g, 3, None))
+        assert len(got) == 299 and got[(0, 1, 2)] is None
+        for s, labels in got.items():
+            want = definable_partition(g, s)
+            assert (labels is None) == (len(want.parts) > 10), s
+            assert labels is None or labels.tolist() == want.part_labels().tolist()
+
     def test_a_search_builds_only_its_witness(self, monkeypatch):
         built = []
         init = Partition.__init__
@@ -637,15 +651,10 @@ class TestFirstFlip:
         assert max(sizes) * 60**2 <= flips.CHUNK * 100 < (max(sizes) + 1) * 60**2
         assert sizes[:3] == [64, 113, 113] and len(sizes) > 10
 
-    def test_refusal_while_drawing_waits_for_the_pack(self):
+    def test_refusal_is_raised_where_it_is_drawn(self):
         """An 11-part partition, whose codes would need 66 bits, is refused
-        when drawn, but only after the flips drawn before it are judged."""
+        when drawn."""
         stream = [("a", Partition.trivial(11)), ("b", Partition.singletons(11))]
-
-        def complement(dists):
-            return 1 if len(dists) > 1 else None
-
-        assert first_flip(Graph.empty(11), candidate_packs(11, stream), complement)[:3] == (1, 0, 2)
         with pytest.raises(CapExceeded, match="at most 64"):
             first_flip(Graph.empty(11), candidate_packs(11, stream), lambda dists: None)
 

@@ -94,6 +94,17 @@ def test_one_candidate_walker():
     assert readers == {"flips.py:flip_packs"}, readers
 
 
+def test_flips_catches_no_refusal():
+    """No ``except`` clause in flips.py catches CapExceeded, by name, by a
+    base class or bare: a refusal met while drawing a flip stream is raised
+    where it is met, never deferred or stored."""
+    bases = {"CapExceeded", "RuntimeError", "Exception", "BaseException"}
+    tree = ast.parse((SRC / "flips.py").read_text())
+    caught = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+              and (node.type is None or _names(node.type) & bases)]
+    assert not caught, f"flips.py catches CapExceeded at lines {caught}"
+
+
 def test_one_sweep_loop():
     """verify._sweep is the one loop that fills and ends a sweep's report:
     nothing else in verify.py builds a RunReport or sets its outcome or

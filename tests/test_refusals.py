@@ -20,8 +20,12 @@ from flipkit import (
     ball_partition,
     breakability_search,
     convert,
+    definable_partition,
+    dist_partition,
     dist_partition_matrix,
     enumerate_flips,
+    greedy_scattered,
+    is_shattered,
     reconstruct_flip_spec,
     search_definable_emulation,
     separability_search,
@@ -135,5 +139,33 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refuses_with_its_message(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+P4 = path(4)
+
+# id: (call, the message of its DomainError); numpy reads a bool index as a
+# mask, so each of these answered wrongly or raised IndexError or ValueError
+NON_INTEGER_VERTICES = {
+    "degree": (lambda: P4.degree(True), "vertex True is not an integer"),
+    "neighbors": (lambda: P4.neighbors(True), "vertex True is not an integer"),
+    "ball-bool": (lambda: ball(P4, True, 1), "vertex True is not an integer"),
+    "ball-float": (lambda: ball(P4, 1.5, 1), "vertex 1.5 is not an integer"),
+    "ball-partition": (lambda: ball_partition(P4, TRIVIAL4, True, 1), "vertex True is not an integer"),
+    "definable-partition": (lambda: definable_partition(P4, [True]), "vertex True is not an integer"),
+    "is-shattered": (lambda: is_shattered(P4, [True]), "vertex True is not an integer"),
+    "dist-partition": (lambda: dist_partition(P4, TRIVIAL4, True, 3), "vertex True is not an integer"),
+    "greedy-scattered": (lambda: greedy_scattered(P4, [True], 1), "vertex True is not an integer"),
+    "partition": (lambda: Partition(4, [[True, 0], [2, 3]]), "vertex True is not an integer"),
+    "from-edges": (
+        lambda: Graph.from_edges(3, [(0, 1.5)]),
+        "edge (0,1.5): vertex 1.5 is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INTEGER_VERTICES.values(), ids=NON_INTEGER_VERTICES.keys())
+def test_vertices_are_integers(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

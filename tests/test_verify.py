@@ -179,10 +179,10 @@ class TestIsolatedCaseCheck:
 
 
 class TestTrivialTagCheck:
-    """The sweep checks the trivial tag on the component labels of each
-    graph and its complement, not on the diameters the classifier decided
-    it from: diameters that read every graph as connected tag the
-    degenerate ones trivial, and the labels refuse that."""
+    """The sweep checks the trivial tag on the connectivity of each graph
+    and its complement, not on the diameters the classifier decided it
+    from: diameters that read every graph as connected tag the degenerate
+    ones trivial, and the connectivity check refuses that."""
 
     def test_the_sweep_fails_diameters_that_read_connected(self, monkeypatch):
         monkeypatch.setattr(verify, "diameters", lambda dist: np.zeros(len(dist), dtype=np.int16))
