@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
+
 from .errors import DomainError
 from .flips import Partition
 from .graphs import Graph, check_dense_n, edge_error
@@ -56,7 +58,10 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
     for (number, _), (u, v) in zip(edge_rows, edges):
         if error := edge_error(n, u, v):
             raise DomainError(f"line {number}: {error}")
-    return Graph.from_edges(n, edges)
+    adj = np.zeros((n, n), dtype=bool)
+    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T  # each edge checked above
+    adj[u, v] = adj[v, u] = True
+    return Graph(adj)
 
 
 def _per_vertex(text: str, n: int | None, what: str, kind) -> list[str]:

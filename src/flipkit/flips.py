@@ -93,15 +93,18 @@ class Partition:
     __slots__ = ("n", "parts", "_part_of")
 
     def __init__(self, n: int, parts) -> None:
-        cleaned = [tuple(sorted(set(p))) for p in parts]
-        if any(len(p) == 0 for p in cleaned):
+        parts = [list(p) for p in parts]
+        if not all(parts):
             raise DomainError("partition contains an empty part")
+        for p in parts:  # before any sort, which a mix of types would break
+            for v in p:
+                if error := vertex_type_error(v):
+                    raise DomainError(error)
+        cleaned = [tuple(sorted(set(p))) for p in parts]
         cleaned.sort(key=lambda p: p[0])
         labels: list = [None] * n
         for i, p in enumerate(cleaned):
             for v in p:
-                if error := vertex_type_error(v):
-                    raise DomainError(error)
                 if not 0 <= v < n:
                     raise DomainError(f"vertex {v} out of range for n={n}")
                 if labels[v] is not None:

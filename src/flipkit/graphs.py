@@ -13,6 +13,11 @@ per flip of a stack or folded to the max over it, and ``_word_fold``, the
 folded loop bit-sliced 64 flips to a word.  This module folds words but
 never builds them: ``flips.flip_words`` does, and ``metrics._pack_max``
 is the one place that picks a flip-metric pack's loop.
+
+The word fold settles cells: INF absorbs the max, so a cell that one flip
+leaves unreached is INF whatever the other flips do.  Such a cell is no
+longer pending, keeps no word of flips stepping, and may be handed to the
+fold of the next pack as settled from the start.
 """
 
 from __future__ import annotations
@@ -130,6 +135,10 @@ class Graph:
 
     def _vertices(self, vs) -> list[int]:
         """The distinct vertices of ``vs``, ascending, each checked in that order."""
+        vs = list(vs)
+        for v in vs:  # types first: a mix of them would break the sort
+            if error := vertex_type_error(v):
+                raise DomainError(error)
         order = sorted(set(vs))
         for v in order:
             self._check_vertex(v)
@@ -206,8 +215,9 @@ def batched_distance_matrices(adjs: np.ndarray, depth: int | None = None) -> np.
     return _bfs(adjs, fold=False, depth=depth)
 
 
-#: Stacks of at least this many flips drop their words of finished flips in
-#: the word fold once fewer than 3/4 of the words are still live.
+#: Stacks of at least this many flips drop the words whose flips have only
+#: settled cells left in the word fold once fewer than 3/4 of the words are
+#: still live.
 _COMPACT_MIN = 256
 
 #: Flips per word of the bit-sliced fold.
@@ -219,7 +229,7 @@ _WORD = 64
 _STEP_WORDS = 1 << 12
 
 
-def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) -> np.ndarray:
+def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None, cut=None) -> np.ndarray:
     """The folded level loop of ``_bfs``, bit-sliced along the ``f`` flips
     of ``a``, the (W, n, n) uint64 words of ``flips.flip_words``: bit i of
     word w is flip 64w + i, so one word operation steps 64 flips.  The
@@ -228,7 +238,16 @@ def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) ->
     ``_STEP_WORDS`` // (W s n) columns reduced at once, or one column at a
     time when a block would hold one, so no temporary outgrows the larger
     of ``_STEP_WORDS`` and the (W, s, n) frontier; a stack of
-    ``_COMPACT_MIN`` flips or more drops its finished words."""
+    ``_COMPACT_MIN`` flips or more drops its finished words.
+    A row of a flip whose last level reached nothing has ended, and the
+    cells it left are settled: UNREACHED absorbs the max, whatever the
+    other flips do.  Each level from the second looks for such rows
+    before it steps, with two (W, s) row reductions, and only if it finds
+    one clears those cells' bits, in that flip alone (in a flip still
+    walking, a bit of ``left`` also marks a vertex not yet visited), and
+    adds them to ``cut``, the bool (s, n) settled cells, which a caller may
+    seed.  A cut cell is no longer pending, keeps no word live and reads
+    UNREACHED."""
     w, n, _ = a.shape
     frontier, left = a, ~a
     left[-1] &= np.uint64((1 << (f - _WORD * (w - 1))) - 1)  # clears the bits past F
@@ -236,10 +255,24 @@ def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) ->
     if sources is not None:
         frontier, left = a[:, sources], left[:, sources]
     dist = ((frontier[0] | left[0]) != 0).astype(np.int16)
-    for _ in range(1, n if depth is None else depth):
-        pending = left.any(0)
+    cut = np.zeros(dist.shape, dtype=bool) if cut is None else cut.copy()
+    cutting = cut.any()
+    for level in range(1, n if depth is None else depth):
+        pending = left.any(0) & ~cut
+        if level > 1 and np.count_nonzero(pending):
+            ended = _row_or(left) & ~_row_or(frontier)  # (W, s): rows ended with cells left
+            if ended.any():
+                dead = left & ended[..., None]
+                left ^= dead
+                cut |= dead.any(0)
+                pending &= ~cut
+                cutting = True
+            if _WORD * len(a) >= _COMPACT_MIN:
+                live = ((left != 0) & ~cut).any((1, 2)) if cutting else left.any((1, 2))
+                if 4 * np.count_nonzero(live) < 3 * len(a):
+                    a, frontier, left = a[live], frontier[live], left[live]
         if not np.count_nonzero(pending):
-            return dist
+            break
         dist += pending
         ft, at = frontier.transpose(2, 0, 1)[..., None], a.transpose(1, 0, 2)[:, :, None]
         block = _STEP_WORDS // left.size
@@ -256,15 +289,17 @@ def _word_fold(a: np.ndarray, f: int, sources=None, depth: int | None = None) ->
         if not np.count_nonzero(reached):
             break
         left ^= reached
-        if _WORD * len(a) >= _COMPACT_MIN:
-            live = left.any((1, 2))
-            if 4 * np.count_nonzero(live) < 3 * len(a):
-                a, reached, left = a[live], reached[live], left[live]
         frontier = reached
     else:  # cut at the depth: what is left is farther
         pending = left.any(0)
-    dist[pending] = UNREACHED
+    dist[pending | cut] = UNREACHED
     return dist
+
+
+def _row_or(x: np.ndarray) -> np.ndarray:
+    """The OR of (W, s, n) words over n, in an (n, W, s) copy: about twice
+    as fast as a reduce along their short rows."""
+    return np.bitwise_or.reduce(np.ascontiguousarray(x.transpose(2, 0, 1)), axis=0)
 
 
 def _bfs(adjs, fold: bool, depth: int | None = None, sources=None) -> np.ndarray:

@@ -72,19 +72,26 @@ def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -
     of ``partitions``, folded inside the BFS pack by pack; the max ignores
     duplicate flips, so skipping them keeps the result exact.  With
     ``sources`` each pack's BFS runs only their rows, an (s, n) result,
-    and a ``depth`` cuts it as in ``batched_distance_matrices``."""
+    and a ``depth`` cuts it as in ``batched_distance_matrices``.  A cell
+    UNREACHED so far is settled, so each pack starts with those cut."""
     packs = flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK)
-    return fold_max_distances(np.stack([_pack_max(g, pieces, sources, depth) for pieces in packs]))
+    folded = _pack_max(g, next(packs), sources, depth)
+    for pieces in packs:
+        pack = _pack_max(g, pieces, sources, depth, folded == UNREACHED)
+        folded = fold_max_distances(np.stack([folded, pack]))
+    return folded
 
 
-def _pack_max(g: Graph, pieces, sources, depth) -> np.ndarray:
+def _pack_max(g: Graph, pieces, sources, depth, cut=None) -> np.ndarray:
     """The folded max over one pack of ``flips.flip_packs``, built in the
     layout its BFS reads: ``flips.flip_words`` for at least ``_WORD`` flips,
-    else the masks XOR the adjacency, in C order, for the float32 loop."""
+    else the masks XOR the adjacency, in C order, for the float32 loop.
+    The word fold starts with the cells of ``cut`` settled; the float32
+    loop ignores it."""
     pieces = [(labels, codes) for _, labels, codes in pieces]
     f = sum(len(codes) for _, codes in pieces)
     if f >= _WORD:
-        return _word_fold(flips.flip_words(g.adj, pieces), f, sources, depth)
+        return _word_fold(flips.flip_words(g.adj, pieces), f, sources, depth, cut)
     flipped = np.bitwise_xor(g.adj, flips.flip_adjacency_pack(g.n, pieces), order="C")
     return _bfs(flipped, fold=True, depth=depth, sources=sources)
 

@@ -277,6 +277,40 @@ class TestWordFold:
                 assert steps[0] == 6 and steps[-1] == 4
                 assert np.array_equal(got, rows)
 
+    def test_a_word_stops_once_only_cut_cells_remain(self, monkeypatch):
+        """A flip that isolates vertex 0 ends its rows with cells left after
+        the first level, so those cells are cut: UNREACHED in the max,
+        whatever other flips do.  From row 0, a word of that flip and 63
+        paths 0-1-...-11 stops after one level, where the paths would walk
+        ten more.  Over all rows, a word of that flip and 63 cliques is
+        dropped after the first level, with the six words of cliques, and
+        the word of paths steps alone.  Every fold, at every depth and from
+        every source list, against the per-flip fold."""
+        monkeypatch.setattr(graphs, "_STEP_WORDS", 1)
+        steps = []
+        real = np.bitwise_and
+        monkeypatch.setattr(
+            np, "bitwise_and", lambda x, y, **kw: steps.append(len(x)) or real(x, y, **kw))
+        n = 12
+        lone = clique(n).adj.copy()
+        lone[0] = lone[:, 0] = False
+        walks = np.array([lone] + [path(n).adj] * 63)
+        among_cliques = np.array([lone] + [clique(n).adj] * 447 + [path(n).adj] * 64)
+        got = graphs._word_fold(packed_words(walks), len(walks), [0])
+        assert np.array_equal(got, fold_max_distances(batched_distance_matrices(walks))[[0]])
+        assert steps == [1] * (n - 1)
+        del steps[:]
+        got = graphs._word_fold(packed_words(among_cliques), len(among_cliques))
+        assert np.array_equal(got, fold_max_distances(batched_distance_matrices(among_cliques)))
+        assert steps[: n - 1] == [8] * (n - 1) and set(steps[n - 1:]) == {1}
+        for adjs in (walks, among_cliques):
+            words = packed_words(adjs)
+            for depth in (None, 2, 3, 11):
+                want = fold_max_distances(batched_distance_matrices(adjs, depth))
+                for sources in (None, [0], [0, 11], [5, 0, 1]):
+                    rows = want if sources is None else want[sources]
+                    assert np.array_equal(graphs._word_fold(words, len(adjs), sources, depth), rows)
+
     def test_neighbour_step_memory_is_bounded(self, rng):
         """At n = 80, the largest n at which a pack's cell bound still
         allows a word of flips, the fold of words packed beforehand peaks

@@ -115,9 +115,9 @@ class TestDistPartition:
         sizes = []
         real = metrics._pack_max
 
-        def spy(g, pieces, sources, depth):
+        def spy(g, pieces, sources, depth, cut=None):
             sizes.append(sum(len(codes) for _, _, codes in pieces))
-            return real(g, pieces, sources, depth)
+            return real(g, pieces, sources, depth, cut)
 
         monkeypatch.setattr(metrics, "_pack_max", spy)
         p = Partition.from_labels([v % 5 for v in range(40)])
@@ -217,9 +217,9 @@ class TestDistFamily:
         packs = []
         real = metrics._pack_max
 
-        def spy(g, pieces, sources, depth):
+        def spy(g, pieces, sources, depth, cut=None):
             packs.append(len(pieces))
-            return real(g, pieces, sources, depth)
+            return real(g, pieces, sources, depth, cut)
 
         monkeypatch.setattr(metrics, "_pack_max", spy)
         families = 0
@@ -340,9 +340,9 @@ class TestBalls:
         calls = []
         real = metrics._pack_max
 
-        def spy(g, pieces, sources, depth):
+        def spy(g, pieces, sources, depth, cut=None):
             calls.append((None if sources is None else len(sources), depth))
-            return real(g, pieces, sources, depth)
+            return real(g, pieces, sources, depth, cut)
 
         monkeypatch.setattr(metrics, "_pack_max", spy)
         g = random_graph(rng, 9, 0.4)
@@ -404,6 +404,43 @@ class TestPackLayouts:
                     assert ball is None or ball(g, metric, vertices, r, max_parts=5) == balls
             cases += 1
         assert bool(worded) == (chunk >= 64) and (chunk < 64 or max(worded) >= 2)
+
+    def test_many_packs_equal_one(self, rng, monkeypatch):
+        """Under CHUNK = 64 a metric folds many word packs, and each starts
+        with the cells UNREACHED so far cut; the partition matrix, the
+        partition ball and the family matrix equal those under the default
+        CHUNK, whose packs hold 64 times as many flips."""
+        cases = []
+        while len(cases) < 16:
+            n = rng.randint(6, 10)
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+            p = Partition.from_labels(random_partition_labels(rng, n, 5))
+            sets = [rng.sample(range(n), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+            fam = SetFamily(s for s in sets if len(definable_partition(g, s)) <= 5)
+            if len(fam):
+                cases.append((g, p, fam, rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 2)))
+
+        def run():
+            return [
+                (dist_partition_matrix(g, p, max_parts=5), ball_partition(g, p, vs, r, max_parts=5),
+                 dist_family_matrix(g, fam, max_parts=5))
+                for g, p, fam, vs, r in cases
+            ]
+
+        want = run()
+        seeded = []
+        real = metrics._word_fold
+
+        def spy(a, f, sources, depth, cut):
+            seeded.append(cut is not None and bool(cut.any()))
+            return real(a, f, sources, depth, cut)
+
+        monkeypatch.setattr(metrics, "_word_fold", spy)
+        monkeypatch.setattr(flips, "CHUNK", 64)
+        for got, expected in zip(run(), want):
+            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+            assert np.array_equal(got[2], expected[2])
+        assert sum(seeded) >= 10
 
 
 @st.composite

@@ -25,6 +25,7 @@ from flipkit import (
     dist_partition_matrix,
     enumerate_flips,
     greedy_scattered,
+    induced,
     is_shattered,
     reconstruct_flip_spec,
     search_definable_emulation,
@@ -146,7 +147,8 @@ def test_refuses_with_its_message(call, message):
 P4 = path(4)
 
 # id: (call, the message of its DomainError); numpy reads a bool index as a
-# mask, so each of these answered wrongly or raised IndexError or ValueError
+# mask, so each of these answered wrongly or raised IndexError or ValueError,
+# and the sort of a collection that mixes types raised TypeError
 NON_INTEGER_VERTICES = {
     "degree": (lambda: P4.degree(True), "vertex True is not an integer"),
     "neighbors": (lambda: P4.neighbors(True), "vertex True is not an integer"),
@@ -158,6 +160,9 @@ NON_INTEGER_VERTICES = {
     "dist-partition": (lambda: dist_partition(P4, TRIVIAL4, True, 3), "vertex True is not an integer"),
     "greedy-scattered": (lambda: greedy_scattered(P4, [True], 1), "vertex True is not an integer"),
     "partition": (lambda: Partition(4, [[True, 0], [2, 3]]), "vertex True is not an integer"),
+    "definable-partition-mixed": (lambda: definable_partition(P4, ["a", 1]), "vertex 'a' is not an integer"),
+    "partition-mixed": (lambda: Partition(4, [["a", 0], [1, 2, 3]]), "vertex 'a' is not an integer"),
+    "induced-mixed": (lambda: induced(P4, [1, "a"]), "vertex 'a' is not an integer"),
     "from-edges": (
         lambda: Graph.from_edges(3, [(0, 1.5)]),
         "edge (0,1.5): vertex 1.5 is not an integer",
