@@ -36,7 +36,7 @@ from .flips import (
     raw_packs,
     resolve_max_parts,
 )
-from .graphs import Graph, component_labels, distance_matrix, within
+from .graphs import Graph, _check_radius, component_labels, distance_matrix, within
 from .metrics import SetFamily, _family_partitions, _flip_metric
 
 _FLOAT_TOL = 1e-9
@@ -208,8 +208,7 @@ def _balls(h: Graph, vertices, r: int) -> np.ndarray:
     """(n, n) mask whose row v is the r-ball of v in ``h``, from one BFS.
     As with ``graphs.ball``, a negative radius or a centre in ``vertices``
     outside ``h`` is a DomainError."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     for v in vertices:
         h._check_vertex(v)
     return within(distance_matrix(h), r)
@@ -308,8 +307,10 @@ def breakability_search(
     """
     w1 = g._vertices(w_set)
     w2 = g._vertices(w2_set) if w2_set is not None else None
-    if r < 0 or m < 0:
-        raise DomainError("radius and target size must be nonnegative")
+    negative = "radius and target size must be nonnegative"
+    _check_radius(r, negative=negative)
+    if m < 0:
+        raise DomainError(negative)
     idx = np.array(sorted(set(w1) | set(w2 or [])), dtype=int)
     in1 = np.isin(idx, w1)
     in2 = np.isin(idx, w1 if w2 is None else w2)
@@ -389,8 +390,7 @@ def separability_search(
         raise DomainError(f"k_max must be positive, got {k_max}")
     check_part_cap(k_max, max_parts, "k_max")
     _check_n_cap(g.n, n_cap)
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     eps = _check_eps(eps)
     small = w.small_vertices(eps)
     # Screen, then let the exact comparison decide.  Integer ball weights are
@@ -533,8 +533,7 @@ def sep_then_break(
 ) -> PipelineResult:
     """Full pipeline: separability at radius 4r with eps = 1/2 over the
     probe-indicator weights, then the witness construction on success."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     probes, _ = _probe_contract(g, w_set)
     weights = WeightFn.indicator(g.n, probes)
     sep = separability_search(
@@ -603,6 +602,7 @@ def small_balls_orchestrate(
     """
     if len(w.weights) != g.n:
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
+    _check_radius(r)
     sizes = {len(s) for s in f.sets}
     if len(sizes) != 1:
         raise DomainError(f"family must be uniform, got sizes {sorted(sizes)}")

@@ -9,7 +9,8 @@ index pairs, so they compare, dedupe, and compose by symmetric difference.
 Every search and every flip metric walks one stream: ``flip_packs``
 packs the distinct flips of consecutive partitions, given as part labels,
 into cell-bounded stacks of pieces, and each caller builds the layout its
-BFS reads.  ``flip_adjacency_pack`` builds masks through ``pair_index``,
+BFS reads; given a flip metric's graph, it empties each complete or empty
+block.  ``flip_adjacency_pack`` builds masks through ``pair_index``,
 from n alone, and a flip of a graph is its adjacency XOR its mask;
 ``flip_words``, the one builder of words, builds a flip-metric pack of 64
 or more flips straight from its codes, bit-sliced 64 flips to a word
@@ -25,13 +26,13 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from itertools import combinations, count, islice, repeat
+from itertools import chain, combinations, count, islice, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import _WORD, Graph, batched_distance_matrices, vertex_type_error
+from .graphs import _WORD, Graph, _check_vertex_types, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -96,10 +97,7 @@ class Partition:
         parts = [list(p) for p in parts]
         if not all(parts):
             raise DomainError("partition contains an empty part")
-        for p in parts:  # before any sort, which a mix of types would break
-            for v in p:
-                if error := vertex_type_error(v):
-                    raise DomainError(error)
+        _check_vertex_types(chain.from_iterable(parts))
         cleaned = [tuple(sorted(set(p))) for p in parts]
         cleaned.sort(key=lambda p: p[0])
         labels: list = [None] * n
@@ -234,45 +232,59 @@ def _pair_count(k: int) -> int:
     return npairs
 
 
-#: The read-only chunks of every whole code stream (2^L <= CHUNK codes over
-#: L live pairs), per (live self pairs, raw): at CHUNK = 4096, 46 profiles of
-#: at most 5 parts, so at most 92 keys.  A whole stream is one chunk at any
-#: CHUNK that holds it, so a smaller CHUNK never reads a longer entry.
+#: Flip streams of at most this many cells (flips times n^2) ignore a graph:
+#: reading it costs more than it saves (break-even near 128 flips at n = 8).
+_SHORT_STREAM = 1 << 13
+
+#: The read-only chunks of every whole code stream with no graph (2^L <=
+#: CHUNK codes over L live pairs), per (live self pairs, raw): at CHUNK =
+#: 4096, 46 profiles of at most 5 parts, so at most 92 keys.  A whole stream
+#: is one chunk at any CHUNK that holds it, so no smaller CHUNK reads it.
 _WHOLE: dict[tuple[bytes, bool], tuple[np.ndarray, ...]] = {}
 
 
-def distinct_flip_codes(p, raw=False) -> Iterator[np.ndarray]:
+def distinct_flip_codes(p, raw=False, adj=None) -> Iterator[np.ndarray]:
     """Counter codes of the distinct flips of ``p`` (part labels or a
     Partition), ascending, in nonempty read-only chunks of at most CHUNK.
 
     The self pair (i, i) of a singleton part is a no-op, since flips never
     touch the diagonal.  The 2^L codes over the L remaining "live" canonical
-    pairs give every distinct flip once, each the counter value with a zero
-    bit inserted at each dead position, in the full canonical pair order.
-    ``raw`` says ``p`` comes from ``partition_labels``, in order, and drops
-    the merge repeats of ``_drop_merges``: a merged partition has fewer
-    parts and a smaller restricted growth string, so it came earlier.  A
-    whole stream is built once, into ``_WHOLE``; longer ones chunk by chunk.
-    """
+    pairs give every distinct flip once, the counter spread over their
+    positions.  Given ``adj``, a stream of over ``_SHORT_STREAM`` cells
+    empties each complete or empty block (bit 1 if complete) and varies the
+    rest: removing edges never shortens a path, so these flips attain every
+    cell's max over all flips.  ``raw`` says ``p`` comes from
+    ``partition_labels``, in order, and drops the merge repeats of
+    ``_drop_merges``: a merged partition has fewer parts and a smaller
+    restricted growth string, so it came earlier.  A whole stream with no
+    ``adj`` is built once, into ``_WHOLE``."""
     live = np.bincount(np.asarray(p)) > 1
-    k = len(live)
-    dead = [i * k - i * (i - 1) // 2 for i in range(k) if not live[i]]
+    k, key, ones = len(live), (live.tobytes(), raw), 0
+    size = 1 << (_pair_count(k) - k + int(live.sum()))
+    adj = None if adj is None or size * len(adj) ** 2 <= _SHORT_STREAM else adj
+    if adj is None and size <= CHUNK and key in _WHOLE:
+        return iter(_WHOLE[key])
+    free = [t for t, (i, j) in enumerate(canonical_pairs(k)) if i != j or live[i]]
+    if adj is not None:
+        cells, edges = _pair_cells(p, k, adj)
+        free = np.flatnonzero((0 < edges) & (edges < cells)).tolist()
+        ones = sum(1 << t for t in np.flatnonzero((0 < edges) & (edges == cells)).tolist())
+    low, spread = min(len(free), CHUNK.bit_length() - 1), np.full(1, ones, dtype=np.uint64)
+    for t in free[:low]:  # the codes over the low free positions, in counter order
+        spread = np.concatenate((spread, spread | np.uint64(1 << t)))
 
     def chunks():
-        for codes in _counter_chunks(1 << (_pair_count(k) - len(dead))):
-            for d in dead:
-                codes = (codes & ((1 << d) - 1)) | (codes >> d << (d + 1))
+        for c in range(1 << (len(free) - low)):
+            codes = spread | np.uint64(sum(1 << t for b, t in enumerate(free[low:]) if c >> b & 1))
             if raw:
                 codes = _drop_merges(codes, live)
             if len(codes):
                 codes.setflags(write=False)
                 yield codes
 
-    if 1 << (k * (k + 1) // 2 - len(dead)) > CHUNK:
+    if adj is not None or size > CHUNK:
         return chunks()
-    key = (live.tobytes(), raw)
-    if key not in _WHOLE:
-        _WHOLE[key] = tuple(chunks())
+    _WHOLE[key] = tuple(chunks())
     return iter(_WHOLE[key])
 
 
@@ -316,6 +328,14 @@ def pair_index(p) -> np.ndarray:
     return index
 
 
+def _pair_cells(p, k: int, *masks) -> list[np.ndarray]:
+    """Each canonical pair's cells in ``p`` (k parts), then its cells in each (n, n) mask."""
+    index = pair_index(p)
+    index += 1
+    return [np.bincount(cells, minlength=k * (k + 1) // 2 + 1)[1:]
+            for cells in (index.ravel(), *(index[m] for m in masks))]
+
+
 def apply_flip(g: Graph, p: Partition, spec: FlipSpec) -> Graph:
     """The flip of ``g`` given by complementing every pair of parts in ``spec``."""
     if p.n != g.n:
@@ -350,20 +370,20 @@ def enumerate_flips(
             yield FlipSpec.from_bits(k, bits), Graph(adj)
 
 
-def flip_packs(n: int, partitions, size: int, raw=False) -> Iterator[list]:
+def flip_packs(n: int, partitions, size: int, raw=False, adj=None) -> Iterator[list]:
     """The distinct flips of ``partitions``, ``(info, labels)`` pairs over
     ``0..n-1``, in stream and counter order, as packs of ``(info, labels,
     codes)`` pieces, which each caller builds in the layout its BFS reads.
     The first pack holds ``size`` flips, then twice the last, at most CHUNK
     flips and CHUNK * 100 cells (flips times n^2) but at least one flip.  A
     partition is drawn only while the current pack still needs flips, and a
-    refusal is raised where it is drawn.  ``raw`` is passed to
-    ``distinct_flip_codes``."""
+    refusal is raised where it is drawn.  ``raw`` and ``adj`` are passed
+    to ``distinct_flip_codes``."""
     most = min(CHUNK, max(1, CHUNK * 100 // max(n, 1) ** 2))
     room = size = min(size, most)
     pieces = []
     for info, labels in partitions:
-        for codes in distinct_flip_codes(labels, raw):
+        for codes in distinct_flip_codes(labels, raw, adj):
             while len(codes):
                 pieces.append((info, labels, codes[:room]))
                 codes, room = codes[room:], room - len(pieces[-1][2])
@@ -622,10 +642,9 @@ def enumerate_partitions(n: int, max_parts: int) -> Iterator[Partition]:
 
 def reconstruct_flip_spec(g: Graph, flipped: Graph, p: Partition) -> FlipSpec:
     """Recover the spec turning ``g`` into ``flipped`` over partition ``p``,
-    every pair in one pass: with ``pair_index`` shifted by one, so that the
-    diagonal falls in bin 0, one ``np.bincount`` counts each pair's cells
-    and one more its differing cells.  A pair is in the spec when all of
-    its cells differ, and there is one (a singleton's self pair has none).
+    every pair in one pass: ``_pair_cells`` counts each pair's cells and
+    its differing cells.  A pair is in the spec when all of its cells
+    differ, and there is one (a singleton's self pair has none).
 
     Raises DomainError, naming the first such pair in canonical order, if
     some but not all cells of a pair differ, i.e. ``flipped`` is not a
@@ -634,10 +653,7 @@ def reconstruct_flip_spec(g: Graph, flipped: Graph, p: Partition) -> FlipSpec:
     if g.n != flipped.n or p.n != g.n:
         raise DomainError("graphs and partition must share one vertex set")
     i, j = np.triu_indices(len(p.parts))
-    index = pair_index(p)
-    index += 1
-    cells = np.bincount(index.ravel(), minlength=len(i) + 1)[1:]
-    differing = np.bincount(index[g.adj ^ flipped.adj], minlength=len(i) + 1)[1:]
+    cells, differing = _pair_cells(p, len(p.parts), g.adj ^ flipped.adj)
     uneven = np.flatnonzero((differing > 0) & (differing < cells))
     if uneven.size:
         t = uneven[0]

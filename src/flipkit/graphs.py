@@ -65,6 +65,24 @@ def vertex_type_error(v) -> str | None:
     return None if ok else f"vertex {v!r} is not an integer"
 
 
+def _check_vertex_types(vs) -> None:
+    """Refuse the first element of ``vs`` that is not a vertex by its type;
+    run before any sort, which a mix of types would break."""
+    for v in vs:
+        if type(v) is not int and (error := vertex_type_error(v)):
+            raise DomainError(error)
+
+
+def _check_radius(r, what: str = "radius", negative: str | None = None) -> None:
+    """Refuse a radius ``r`` that is not a nonnegative integer, by the rule
+    of ``vertex_type_error``; ``negative`` replaces the message of a
+    negative one."""
+    if vertex_type_error(r):
+        raise DomainError(f"{what} must be an integer, got {r!r}")
+    if r < 0:
+        raise DomainError(negative or f"{what} must be nonnegative, got {r}")
+
+
 def edge_error(n: int, u: int, v: int) -> str | None:
     """Why (u, v) is not an edge of a simple graph on n vertices, or None."""
     if error := vertex_type_error(u) or vertex_type_error(v):
@@ -136,9 +154,7 @@ class Graph:
     def _vertices(self, vs) -> list[int]:
         """The distinct vertices of ``vs``, ascending, each checked in that order."""
         vs = list(vs)
-        for v in vs:  # types first: a mix of them would break the sort
-            if error := vertex_type_error(v):
-                raise DomainError(error)
+        _check_vertex_types(vs)
         order = sorted(set(vs))
         for v in order:
             self._check_vertex(v)
@@ -427,8 +443,7 @@ def diameter(g: Graph) -> ExtDist:
 
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     """Vertices at distance at most ``r`` from ``v``; r=0 gives {v}."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     g._check_vertex(v)
     return frozenset(np.flatnonzero(within(distance_matrix(g)[v], r)).tolist())
 

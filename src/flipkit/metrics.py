@@ -4,9 +4,10 @@ The distance between u and v under a partition is the maximum shortest-path
 distance over every flip of that partition; a defining vertex set S induces
 the same notion through its neighborhood-class partition, and a family of
 defining sets takes the pointwise maximum over its members.  Everything here
-is one exact max over the stacks of ``flips.flip_packs``, each distinct flip
-once and every member of a family in the one stream; the BFS folds the max
-over each stack as it goes, so no per-flip distance matrix is ever stored.
+is one exact max over the stacks of ``flips.flip_packs``, every member of a
+family in one stream that, given the graph, empties each homogeneous block
+(removing edges never shortens a path); the BFS folds the max over each
+stack as it goes, so no per-flip distance matrix is ever stored.
 ``_pack_max`` is the one place that picks a stack's layout: a stack that
 fills a word is built as words straight from its codes
 (``flips.flip_words``) for the bit-sliced fold (``graphs._word_fold``); a
@@ -15,6 +16,8 @@ float32 loop (``graphs._bfs``).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +31,8 @@ from .graphs import (
     ExtDist,
     Graph,
     _bfs,
+    _check_radius,
+    _check_vertex_types,
     _word_fold,
     fold_max_distances,
     within,
@@ -39,6 +44,8 @@ class SetFamily:
     __slots__ = ("sets", "uniform_size")
 
     def __init__(self, sets, uniform_size: int | None = None):
+        sets = [list(s) for s in sets]
+        _check_vertex_types(chain.from_iterable(sets))
         canon = sorted({tuple(sorted(set(s))) for s in sets})
         if uniform_size is not None:
             for s in canon:
@@ -68,13 +75,13 @@ class SetFamily:
 
 
 def _flip_metric(g: Graph, partitions, sources=None, depth: int | None = None) -> np.ndarray:
-    """The absorbing max of the distances over every distinct flip of each
-    of ``partitions``, folded inside the BFS pack by pack; the max ignores
-    duplicate flips, so skipping them keeps the result exact.  With
+    """The absorbing max of the distances over every flip of each of
+    ``partitions``, folded pack by pack in the BFS over the flips emptying
+    each homogeneous block (a spanning subgraph, no closer anywhere).  With
     ``sources`` each pack's BFS runs only their rows, an (s, n) result,
     and a ``depth`` cuts it as in ``batched_distance_matrices``.  A cell
     UNREACHED so far is settled, so each pack starts with those cut."""
-    packs = flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK)
+    packs = flips.flip_packs(g.n, ((None, p) for p in partitions), flips.CHUNK, adj=g.adj)
     folded = _pack_max(g, next(packs), sources, depth)
     for pieces in packs:
         pack = _pack_max(g, pieces, sources, depth, folded == UNREACHED)
@@ -170,8 +177,7 @@ def _metric_ball(g: Graph, vertices, r: int, partitions) -> frozenset[int]:
     """Union of the radius-r balls around ``vertices`` (one vertex or a
     collection) in the flip metric over ``partitions()``: their rows only,
     BFS'd to depth r, which decides ``within(., r)`` exactly."""
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     vertices = [int(v) for v in g._vertices(vertices if np.iterable(vertices) else [vertices])]
     rows = _flip_metric(g, partitions(), vertices, max(r, 1))
     return frozenset(np.flatnonzero(within(rows, r).any(axis=0)).tolist())

@@ -249,6 +249,35 @@ def test_searches_build_no_dead_bit_flips(chunk, monkeypatch):
     assert max(sum(len(codes) for _, codes in pieces) for pieces in built) <= flips.CHUNK
 
 
+def test_searches_bfs_each_pack_to_the_radius_they_read(monkeypatch):
+    """Each search runs the BFS of its packs only as deep as its predicate
+    reads through ``within``: separability to r, breakability to 2r and
+    the emulation search to r_max.  On path(10), whose flips a full BFS
+    runs up to 9 levels, a pack takes at most depth - 1 frontier products."""
+    judged, products = [], []
+    real_bfs, real_matmul = flips.batched_distance_matrices, np.matmul
+
+    def bfs(adjs, depth=None):
+        before = len(products)
+        out = real_bfs(adjs, depth)
+        judged.append((depth, len(products) - before))
+        return out
+
+    monkeypatch.setattr(flips, "batched_distance_matrices", bfs)
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: products.append(1) or real_matmul(*a, **kw))
+    g = path(10)
+    searches = (
+        (lambda: separability_search(g, WeightFn.uniform(10), 2, Fraction(1, 100), 2), 2),
+        (lambda: breakability_search(g, range(10), 2, 10, SearchBudget(s_max=1)), 4),
+        (lambda: search_definable_emulation(g, cycle(10), 3, 1), 3),
+    )
+    for search, depth in searches:
+        judged.clear()
+        search()
+        assert judged and {d for d, _ in judged} == {depth}
+        assert max(levels for _, levels in judged) == depth - 1
+
+
 def test_raw_searches_build_no_flip_twice(chunk, monkeypatch):
     """Separability and raw breakability skip the merge repeats, so no flip
     they build equals one they built before: a flip that is also a flip of

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -310,6 +311,32 @@ class TestWordFold:
                 for sources in (None, [0], [0, 11], [5, 0, 1]):
                     rows = want if sources is None else want[sources]
                     assert np.array_equal(graphs._word_fold(words, len(adjs), sources, depth), rows)
+
+    def test_cut_cells_drop_words_and_a_row_ends_once(self, monkeypatch):
+        """From row 0, a flip of two cliques, on 0..6 and on 7..11, ends
+        its row after the first level with 7..11 left: those cells are cut.
+        Two words of a clique on 0..6 with a tail 6-7-...-11 then have only
+        cut cells left, and are dropped with the word of cliques, although
+        their tails walk four more levels; the word of that flip and 63
+        paths 0-7-...-11-1-...-6 steps alone to the end.  The row's cut bits
+        are cleared as it ends, so no later level finds it ended again."""
+        monkeypatch.setattr(graphs, "_STEP_WORDS", 1)
+        steps, ors = [], []
+        real_and, real_or = np.bitwise_and, graphs._row_or
+        monkeypatch.setattr(
+            np, "bitwise_and", lambda x, y, **kw: steps.append(len(x)) or real_and(x, y, **kw))
+        monkeypatch.setattr(graphs, "_row_or", lambda x: ors.append(real_or(x)) or ors[-1])
+        n = 12
+        split = Graph.from_edges(n, [*combinations(range(7), 2), *combinations(range(7, n), 2)])
+        tail = Graph.from_edges(n, [*combinations(range(7), 2), *zip(range(6, n), range(7, n))])
+        order = [0, *range(7, n), *range(1, 7)]
+        walk = Graph.from_edges(n, list(zip(order, order[1:])))
+        adjs = np.array([split.adj] + [walk.adj] * 63 + [tail.adj] * 128 + [clique(n).adj] * 64)
+        got = graphs._word_fold(packed_words(adjs), len(adjs), [0])
+        assert np.array_equal(got, fold_max_distances(batched_distance_matrices(adjs))[[0]])
+        assert steps[: n - 1] == [4] * (n - 1) and set(steps[n - 1:]) == {1}
+        ended = [bool((left & ~frontier).any()) for left, frontier in zip(ors[::2], ors[1::2])]
+        assert ended.count(True) == 1
 
     def test_neighbour_step_memory_is_bounded(self, rng):
         """At n = 80, the largest n at which a pack's cell bound still

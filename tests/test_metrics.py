@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import oracle
 from flipkit import (
@@ -29,6 +29,17 @@ from conftest import random_graph, random_partition_labels
 
 def as_ext(value):
     return INF if value == UNREACHED else int(value)
+
+
+def free_pairs(g, p) -> int:
+    """The part pairs of ``p`` whose block in ``g`` holds some of its
+    edges but not all: the pairs a flip metric's stream varies."""
+    parts = Partition.from_labels(np.asarray(p).tolist()).parts
+    free = 0
+    for a, b in canonical_pairs(len(parts)):
+        block = g.adj[np.ix_(parts[a], parts[b])]
+        free += 0 < block.sum() < block.size - (len(parts[a]) if a == b else 0)
+    return free
 
 
 class TestDistPartition:
@@ -105,9 +116,22 @@ class TestDistPartition:
         monkeypatch.setattr(flips, "flip_adjacency_pack", spy)
         monkeypatch.setattr(flips, "CHUNK", 48)
         assert np.array_equal(dist_partition_matrix(g, p), want)
-        live = len(canonical_pairs(4)) - 2
         codes, graphs = zip(*built)
-        assert len(codes) == len(set(codes)) == len(set(graphs)) == 1 << live
+        # the stream varies the free pairs only, every homogeneous block emptied
+        assert len(codes) == len(set(codes)) == len(set(graphs)) == 1 << free_pairs(g, p)
+
+    def test_a_short_stream_reads_no_graph(self, rng, monkeypatch):
+        """On 8 vertices a partition of at most 128 distinct flips (8192
+        cells) folds them all, without reading its blocks in the graph; a
+        larger one reads them once."""
+        read = []
+        real = flips._pair_cells
+        monkeypatch.setattr(flips, "_pair_cells", lambda p, k, *masks: read.append(k) or real(p, k, *masks))
+        g = random_graph(rng, 8, 0.5)
+        dist_partition_matrix(g, Partition.from_labels([0, 1, 2, 3, 3, 3, 3, 3]))  # 128 flips
+        assert read == []
+        dist_partition_matrix(g, Partition.from_labels([v % 4 for v in range(8)]))
+        assert read == [4]
 
     def test_stacks_are_bounded_by_cells(self, monkeypatch):
         """On 40 vertices a metric stack holds at most CHUNK * 100 cells
@@ -471,6 +495,66 @@ def test_every_pack_folds_as_its_per_flip_distances(case):
         want = fold_max_distances(batched_distance_matrices(g.adj ^ masks, depth))
         got = metrics._pack_max(g, pieces, sources, depth)
         assert np.array_equal(got, want if sources is None else want[sources])
+
+
+@st.composite
+def homogeneous_blocks(draw):
+    """A graph on 4-9 vertices and part labels of 2-5 parts, each block of
+    which is drawn empty, complete or random: a part may be an independent
+    set or a clique, a cross block empty or complete, and few vertices give
+    singletons.  With one or two defining sets of one or two vertices, a
+    vertex pair and a radius."""
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(2, min(5, n)))
+    labels = np.array(draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)))))
+    kind = np.array(draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k)))
+    kind = np.triu(kind.reshape(k, k))
+    kind = (kind + np.triu(kind, 1).T)[labels[:, None], labels]  # 0 empty, 1 complete, 2 random
+    coin = np.triu(np.random.default_rng(draw(st.integers(0, 1 << 16))).random((n, n)) < 0.5, 1)
+    adj = np.where(kind == 2, coin | coin.T, kind == 1)
+    np.fill_diagonal(adj, False)
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+                         min_size=1, max_size=2))
+    pair = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return Graph(adj), labels, sets, pair, draw(st.integers(0, 3))
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(homogeneous_blocks())
+def test_fixed_pairs_keep_every_metric(case):
+    """A flip metric folds, of a stream of more than 8192 cells (flips
+    times n^2), only the flips that empty every homogeneous block; each matrix, pair distance
+    and ball equals the one of the fold over every distinct flip, and on 6
+    vertices or fewer, with at most 4 parts, the oracle's partition
+    distance (a 5-part oracle call takes up to a second)."""
+    g, labels, sets, (u, v), r = case
+    p = Partition.from_labels(labels.tolist())
+    fam = SetFamily(s for s in sets if len(definable_partition(g, s)) <= 5)
+    assume(len(fam))
+
+    def every(members):
+        pieces = [(q, np.concatenate(list(flips.distinct_flip_codes(q)))) for q in members]
+        masks = flips.flip_adjacency_pack(g.n, pieces)
+        return fold_max_distances(batched_distance_matrices(g.adj ^ masks))
+
+    metrics_of = (
+        ([p], p, dist_partition_matrix, dist_partition, ball_partition),
+        ([fam.sets[0]], fam.sets[0], dist_definable_matrix, dist_definable, None),
+        (fam.sets, fam, dist_family_matrix, dist_family, ball_family),
+    )
+    for members, metric, matrix, pair, ball in metrics_of:
+        want = every([q if q is p else definable_partition(g, q) for q in members])
+        assert np.array_equal(matrix(g, metric, max_parts=5), want)
+        assert pair(g, metric, u, v, max_parts=5) == as_ext(want[u, v])
+        for vertices in (u, sorted({u, v})):
+            rows = [vertices] if isinstance(vertices, int) else vertices
+            balls = set(np.flatnonzero(within(want[rows], r).any(axis=0)).tolist())
+            assert ball is None or ball(g, metric, vertices, r, max_parts=5) == balls
+    if g.n <= 6 and len(p) <= 4:
+        want = oracle.dist_partition(g.n, oracle.edges_of(g), p.parts, u, v)
+        assert dist_partition(g, p, u, v, max_parts=5) == want
 
 
 class TestMetricAxioms:

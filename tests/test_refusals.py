@@ -17,6 +17,7 @@ from flipkit import (
     WeightFn,
     apply_flip,
     ball,
+    ball_family,
     ball_partition,
     breakability_search,
     convert,
@@ -29,6 +30,7 @@ from flipkit import (
     is_shattered,
     reconstruct_flip_spec,
     search_definable_emulation,
+    sep_then_break,
     separability_search,
     small_balls_orchestrate,
     sunflower_extract,
@@ -135,6 +137,51 @@ REFUSALS = {
         lambda: ball_partition(P3, Partition.trivial(3), 0, -1),
         "radius must be nonnegative, got -1",
     ),
+    # a radius is an integer by the rule of a vertex: never a float or a bool
+    "ball-float-radius": (lambda: ball(P3, 0, 1.5), "radius must be an integer, got 1.5"),
+    "ball-bool-radius": (lambda: ball(P3, 0, True), "radius must be an integer, got True"),
+    "ball-partition-float-radius": (
+        lambda: ball_partition(P3, Partition.trivial(3), 0, 1.5),
+        "radius must be an integer, got 1.5",
+    ),
+    "ball-family-bool-radius": (
+        lambda: ball_family(P3, SetFamily([[0]]), 0, False),
+        "radius must be an integer, got False",
+    ),
+    "separability-float-radius": (
+        lambda: separability_search(P3, WeightFn.uniform(3), 1.5, 1, 1),
+        "radius must be an integer, got 1.5",
+    ),
+    "breakability-float-radius": (
+        lambda: breakability_search(P3, [0, 2], 0.5, 1),
+        "radius must be an integer, got 0.5",
+    ),
+    "break-witness-bool-radius": (
+        lambda: verify_break_witness(
+            P3, BreakWitness(Partition.trivial(3), FlipSpec(), None, (0,), (2,), True, 1)
+        ),
+        "radius must be an integer, got True",
+    ),
+    "small-balls-float-radius": (
+        lambda: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), 1.5, 1),
+        "radius must be an integer, got 1.5",
+    ),
+    "small-balls-negative-radius": (
+        lambda: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), -1, 1),
+        "radius must be nonnegative, got -1",
+    ),
+    "sep-then-break-float-radius": (
+        lambda: sep_then_break(P3, [0, 2], 1.5),
+        "radius must be an integer, got 1.5",
+    ),
+    "emulation-float-r-max": (
+        lambda: search_definable_emulation(P3, P3, 1.5, 1),
+        "r_max must be an integer, got 1.5",
+    ),
+    "emulation-bool-r-max": (
+        lambda: search_definable_emulation(P3, P3, True, 1),
+        "r_max must be an integer, got True",
+    ),
 }
 
 
@@ -163,6 +210,7 @@ NON_INTEGER_VERTICES = {
     "definable-partition-mixed": (lambda: definable_partition(P4, ["a", 1]), "vertex 'a' is not an integer"),
     "partition-mixed": (lambda: Partition(4, [["a", 0], [1, 2, 3]]), "vertex 'a' is not an integer"),
     "induced-mixed": (lambda: induced(P4, [1, "a"]), "vertex 'a' is not an integer"),
+    "set-family-mixed": (lambda: SetFamily([[1, "a"]]), "vertex 'a' is not an integer"),
     "from-edges": (
         lambda: Graph.from_edges(3, [(0, 1.5)]),
         "edge (0,1.5): vertex 1.5 is not an integer",
