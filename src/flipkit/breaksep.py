@@ -36,7 +36,7 @@ from .flips import (
     raw_packs,
     resolve_max_parts,
 )
-from .graphs import Graph, _check_radius, component_labels, distance_matrix, within
+from .graphs import Graph, _check_radius, _vertex_array, component_labels, distance_matrix, within
 from .metrics import SetFamily, _family_partitions, _flip_metric
 
 _FLOAT_TOL = 1e-9
@@ -84,10 +84,7 @@ class WeightFn:
 
     @classmethod
     def indicator(cls, n: int, support) -> "WeightFn":
-        inside = set(support)
-        outside = sorted(inside - set(range(n)))
-        if outside:
-            raise DomainError(f"support vertex {outside[0]} out of range for n={n}")
+        inside = set(_vertex_array(n, support, ascending=True, where=lambda i: "support ").tolist())
         return cls([1 if v in inside else 0 for v in range(n)])
 
     def __len__(self) -> int:
@@ -209,8 +206,7 @@ def _balls(h: Graph, vertices, r: int) -> np.ndarray:
     As with ``graphs.ball``, a negative radius or a centre in ``vertices``
     outside ``h`` is a DomainError."""
     _check_radius(r)
-    for v in vertices:
-        h._check_vertex(v)
+    _vertex_array(h.n, vertices)
     return within(distance_matrix(h), r)
 
 

@@ -35,7 +35,7 @@ from .breaksep import (
 )
 from .conversion import convert
 from .errors import CapExceeded, DomainError
-from .graphs import INF, UNREACHED, Graph, diameter
+from .graphs import INF, UNREACHED, Graph, _vertex_array, diameter
 from .metrics import SetFamily, dist_family, dist_family_matrix, dist_partition, dist_partition_matrix
 from .vc import DEFAULT_VCDIM_CAP, vc_dimension
 from .verify import LEMMA_SWEEPS, RunReport
@@ -117,8 +117,7 @@ def _cmd_dist(args) -> Result:
     if not args.all_pairs:
         if len(args.pair) != 2:
             raise DomainError("pass a vertex pair `u v`, or --all-pairs")
-        for v in args.pair:
-            g._check_vertex(v)
+        _vertex_array(g.n, args.pair)
     if args.partition:
         metric = fileio.loads_partition(_read(args.partition), g.n)
         matrix, pair = dist_partition_matrix, dist_partition

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flips import Partition
-from .graphs import Graph, check_dense_n, edge_error
+from .graphs import Graph, _vertex_array, check_dense_n
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
@@ -55,11 +55,8 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
             f"line {header[0]}: header declares {m} edges, file has {len(edge_rows)}"
         )
     edges = [_fields(row, int, int) for row in edge_rows]
-    for (number, _), (u, v) in zip(edge_rows, edges):
-        if error := edge_error(n, u, v):
-            raise DomainError(f"line {number}: {error}")
+    u, v = _vertex_array(n, edges, edges=True, where=lambda i: f"line {edge_rows[i][0]}: ").T
     adj = np.zeros((n, n), dtype=bool)
-    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T  # each edge checked above
     adj[u, v] = adj[v, u] = True
     return Graph(adj)
 

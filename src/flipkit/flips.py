@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .graphs import _WORD, Graph, _check_vertex_types, batched_distance_matrices
+from .graphs import _WORD, Graph, _vertex_array, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -97,25 +97,24 @@ class Partition:
         parts = [list(p) for p in parts]
         if not all(parts):
             raise DomainError("partition contains an empty part")
-        _check_vertex_types(chain.from_iterable(parts))
-        cleaned = [tuple(sorted(set(p))) for p in parts]
-        cleaned.sort(key=lambda p: p[0])
-        labels: list = [None] * n
-        for i, p in enumerate(cleaned):
-            for v in p:
-                if not 0 <= v < n:
-                    raise DomainError(f"vertex {v} out of range for n={n}")
-                if labels[v] is not None:
-                    raise DomainError(f"vertex {v} appears in two parts")
-                labels[v] = i
-        if None in labels:
-            missing = [v for v, i in enumerate(labels) if i is None]
+        _vertex_array(None, chain.from_iterable(parts))  # before the sort compares them
+        parts = sorted((sorted(set(p)) for p in parts), key=lambda p: p[0])
+        flat = _vertex_array(n, chain.from_iterable(parts), dups="appears in two parts")
+        if len(flat) < n:
+            missing = np.setdiff1d(np.arange(n), flat).tolist()
             raise DomainError(f"partition does not cover vertices {missing}")
-        self.n = n
-        self.parts = tuple(cleaned)
-        part_of = np.array(labels, dtype=np.int64)
-        part_of.setflags(write=False)
-        self._part_of = part_of
+        labels = np.empty(n, dtype=np.int64)
+        labels[flat] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        self._store(labels.tolist())
+
+    def _store(self, labels: list[int]) -> None:
+        """Set the partition whose canonical part labels are ``labels``."""
+        parts = [[] for _ in range(max(labels, default=-1) + 1)]
+        for v, i in enumerate(labels):
+            parts[i].append(v)
+        self.n, self.parts = len(labels), tuple(map(tuple, parts))
+        self._part_of = np.array(labels, dtype=np.int64)
+        self._part_of.setflags(write=False)
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
@@ -129,12 +128,11 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
-        """Build from a per-vertex label sequence (labels may be anything)."""
-        labels = _first_labels(labels)
-        parts = [[] for _ in range(max(labels, default=-1) + 1)]
-        for v, i in enumerate(labels):
-            parts[i].append(v)
-        return cls(len(labels), parts)
+        """Build from a per-vertex label sequence (labels may be anything),
+        with no check: ranked by first occurrence, the labels are canonical."""
+        p = cls.__new__(cls)
+        p._store(_first_labels(labels))
+        return p
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -569,14 +567,14 @@ def flip_adjacency_batch(
 
 
 def _definable_labels(g: Graph, s) -> np.ndarray:
-    """The part labels of ``definable_partition(g, s)``, with no Partition:
-    v in ``s`` keyed by v, every other vertex by its row of ``g.adj[:,
-    s]``, ranked by first occurrence."""
-    s_sorted = g._vertices(s)
+    """The part labels of ``definable_partition(g, s)``, with no Partition,
+    for ``s`` checked and sorted as ``Graph._vertices`` returns it: v in
+    ``s`` keyed by v, every other vertex by its row of ``g.adj[:, s]``,
+    ranked by first occurrence."""
     if g.n == 0:
         raise DomainError("definable partition of an empty graph is undefined")
-    k, in_s = len(s_sorted), set(s_sorted)
-    rows = g.adj[:, s_sorted].tobytes()
+    k, in_s = len(s), set(s)
+    rows = g.adj[:, s].tobytes()
     keys = (v if v in in_s else rows[v * k:(v + 1) * k] for v in range(g.n))
     return np.array(_first_labels(keys), dtype=np.int64)
 
@@ -587,7 +585,7 @@ def definable_partition(g: Graph, s) -> Partition:
     The result has at most |s| + 2^|s| parts; empty neighborhood classes
     simply never materialize.
     """
-    return Partition.from_labels(_definable_labels(g, s).tolist())
+    return Partition.from_labels(_definable_labels(g, g._vertices(s)).tolist())
 
 
 def definable_candidates(

@@ -60,17 +60,8 @@ def check_dense_n(n: int, what: str | None = None) -> None:
 def vertex_type_error(v) -> str | None:
     """Why ``v`` is not a vertex by its type, or None: a vertex is an int or
     a numpy integer, never a bool, which numpy would read as a mask."""
-    # plain ints first: Graph.from_edges checks both ends of every edge
     ok = type(v) is int or isinstance(v, np.integer) or (isinstance(v, int) and type(v) is not bool)
     return None if ok else f"vertex {v!r} is not an integer"
-
-
-def _check_vertex_types(vs) -> None:
-    """Refuse the first element of ``vs`` that is not a vertex by its type;
-    run before any sort, which a mix of types would break."""
-    for v in vs:
-        if type(v) is not int and (error := vertex_type_error(v)):
-            raise DomainError(error)
 
 
 def _check_radius(r, what: str = "radius", negative: str | None = None) -> None:
@@ -83,13 +74,51 @@ def _check_radius(r, what: str = "radius", negative: str | None = None) -> None:
         raise DomainError(negative or f"{what} must be nonnegative, got {r}")
 
 
-def edge_error(n: int, u: int, v: int) -> str | None:
-    """Why (u, v) is not an edge of a simple graph on n vertices, or None."""
-    if error := vertex_type_error(u) or vertex_type_error(v):
-        return f"edge ({u!r},{v!r}): {error}"
-    if not (0 <= u < n and 0 <= v < n):
-        return f"edge ({u},{v}) out of range for n={n}"
-    return f"self-loop ({u},{v}) not allowed" if u == v else None
+def _vertex_array(n: int | None, vs, ascending=False, dups: str | None = None, edges=False,
+                  where=lambda i: "") -> np.ndarray:
+    """The vertices ``vs`` as an int array, (m, 2) for the pairs of ``edges``,
+    or a DomainError naming the first bad element i after ``where(i)``: one
+    type pass in the given order, then, with an ``n``, numpy checks of range,
+    loops and, when ``dups`` ends their message, repeats.  ``ascending``
+    checks types first, then the distinct vertices in ascending order."""
+    vals, error = [], None
+    for x in vs:
+        try:
+            u, v = x if edges else (x, 0)  # a vertex is checked as the pair (x, 0)
+        except (TypeError, ValueError):
+            error = f"edge {x!r} is not a pair of vertices"
+            break
+        if (type(u) is not int or type(v) is not int) and (
+                error := vertex_type_error(u) or vertex_type_error(v)):
+            error = f"edge ({u!r},{v!r}): {error}" if edges else error
+            break
+        vals += (u, v) if edges else (u,)
+    if ascending and not error:
+        vals = sorted(set(vals))
+    try:
+        a = np.array(vals, dtype=np.int64)
+    except OverflowError:  # beyond int64, so out of range: compared as Python ints
+        a = np.array(vals, dtype=object)
+    if n is not None and not (ascending and error):
+        bad = (a < 0) | (a >= n)
+        if dups and len(set(vals)) < len(vals):
+            o = np.argsort(a, kind="stable")
+            bad[o[1:]] |= a[o[1:]] == a[o[:-1]]
+        if edges:
+            bad = bad[::2] | bad[1::2] | (a[::2] == a[1::2])
+        if np.count_nonzero(bad):
+            i = int(np.flatnonzero(bad)[0])
+            if edges:
+                u, v = vals[2 * i:2 * i + 2]
+                error = (f"self-loop ({u},{v}) not allowed" if 0 <= u < n and 0 <= v < n
+                         else f"edge ({u},{v}) out of range for n={n}")
+            else:
+                x = vals[i]
+                error = f"vertex {x} {dups}" if 0 <= x < n else f"vertex {x} out of range for n={n}"
+            raise DomainError(where(i) + error)
+    if error:
+        raise DomainError(where(len(vals) >> edges) + error)
+    return a.reshape(-1, 2) if edges else a
 
 
 class Graph:
@@ -105,9 +134,9 @@ class Graph:
         adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DomainError(f"adjacency must be square, got shape {adj.shape}")
-        if not np.array_equal(adj, adj.T):
+        if np.count_nonzero(adj ^ adj.T):
             raise DomainError("adjacency must be symmetric")
-        if adj.diagonal().any():
+        if np.count_nonzero(adj.diagonal()):
             raise DomainError("self-loops are not allowed")
         adj = adj.copy()
         adj.setflags(write=False)
@@ -117,11 +146,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         check_dense_n(n)
+        u, v = _vertex_array(n, edges, edges=True).T
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if error := edge_error(n, u, v):
-                raise DomainError(error)
-            adj[u, v] = adj[v, u] = True
+        adj[u, v] = adj[v, u] = True
         return cls(adj)
 
     @classmethod
@@ -146,19 +173,12 @@ class Graph:
         return int(self.adj[v].sum())
 
     def _check_vertex(self, v: int) -> None:
-        if error := vertex_type_error(v):
-            raise DomainError(error)
-        if not 0 <= v < self.n:
-            raise DomainError(f"vertex {v} out of range for n={self.n}")
+        if type(v) is not int or not 0 <= v < self.n:  # a plain int in range passes at once
+            _vertex_array(self.n, (v,))
 
     def _vertices(self, vs) -> list[int]:
         """The distinct vertices of ``vs``, ascending, each checked in that order."""
-        vs = list(vs)
-        _check_vertex_types(vs)
-        order = sorted(set(vs))
-        for v in order:
-            self._check_vertex(v)
-        return order
+        return _vertex_array(self.n, vs, ascending=True).tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -185,14 +205,16 @@ class Bipartite:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left, right = set(self.left), set(self.right)
+        left, right = (set(_vertex_array(None, side).tolist()) for side in (self.left, self.right))
         if left & right:
             raise DomainError("bipartition sides overlap")
         if left | right != set(range(self.graph.n)):
             raise DomainError("bipartition sides must cover all vertices")
-        for u, v in self.graph.edges():
-            if (u in left) == (v in left):
-                raise DomainError(f"edge ({u},{v}) does not cross the bipartition")
+        # the mask is symmetric, so its first entry in row-major order has u < v
+        uncrossed = np.flatnonzero(self.graph.adj & ~_cross_pairs(self.n, left))
+        if len(uncrossed):
+            u, v = divmod(int(uncrossed[0]), self.n)
+            raise DomainError(f"edge ({u},{v}) does not cross the bipartition")
         object.__setattr__(self, "left", tuple(sorted(left)))
         object.__setattr__(self, "right", tuple(sorted(right)))
 

@@ -32,7 +32,7 @@ from .graphs import (
     Graph,
     _bfs,
     _check_radius,
-    _check_vertex_types,
+    _vertex_array,
     _word_fold,
     fold_max_distances,
     within,
@@ -45,9 +45,10 @@ class SetFamily:
 
     def __init__(self, sets, uniform_size: int | None = None):
         sets = [list(s) for s in sets]
-        _check_vertex_types(chain.from_iterable(sets))
+        _vertex_array(None, chain.from_iterable(sets))
         canon = sorted({tuple(sorted(set(s))) for s in sets})
         if uniform_size is not None:
+            _check_radius(uniform_size, "uniform_size")
             for s in canon:
                 if len(s) != uniform_size:
                     raise DomainError(
@@ -106,8 +107,7 @@ def _pack_max(g: Graph, pieces, sources, depth, cut=None) -> np.ndarray:
 def _pair_distance(g: Graph, u: int, v: int, partitions) -> ExtDist:
     """The (u, v) distance over ``partitions()``, the pair checked first,
     from u's row alone; INF if any flip separates it."""
-    g._check_vertex(u)
-    g._check_vertex(v)
+    _vertex_array(g.n, (u, v))
     value = _flip_metric(g, partitions(), [u])[0, v]
     return INF if value == UNREACHED else int(value)
 
@@ -135,8 +135,9 @@ def dist_partition(
 
 def _defining_partition(g: Graph, s, max_parts: int | None) -> np.ndarray:
     """The part labels of defining set ``s``, refused above the part cap."""
+    s = g._vertices(s)
     labels = flips._definable_labels(g, s)
-    check_part_cap(int(labels.max()) + 1, max_parts, f"defining set {sorted(set(s))}", "set")
+    check_part_cap(int(labels.max()) + 1, max_parts, f"defining set {s}", "set")
     return labels
 
 
@@ -178,7 +179,7 @@ def _metric_ball(g: Graph, vertices, r: int, partitions) -> frozenset[int]:
     collection) in the flip metric over ``partitions()``: their rows only,
     BFS'd to depth r, which decides ``within(., r)`` exactly."""
     _check_radius(r)
-    vertices = [int(v) for v in g._vertices(vertices if np.iterable(vertices) else [vertices])]
+    vertices = g._vertices(vertices if np.iterable(vertices) else [vertices])
     rows = _flip_metric(g, partitions(), vertices, max(r, 1))
     return frozenset(np.flatnonzero(within(rows, r).any(axis=0)).tolist())
 

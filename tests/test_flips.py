@@ -30,7 +30,7 @@ from flipkit import (
     search_definable_emulation,
     separability_search,
 )
-from flipkit import flips
+from flipkit import flips, metrics
 from flipkit.flips import candidate_packs, first_flip, flip_adjacency_batch, pair_index
 from flipkit.graphs import UNREACHED, distance_matrix
 from flipkit.generators import clique, cycle, gnp, path, star
@@ -202,10 +202,13 @@ class TestDefinableLabels:
             assert labels.dtype == want.dtype and labels.tolist() == want.tolist(), (g.edges(), s)
 
     def test_refusals_keep_their_text(self):
+        """The labels take a checked set; the two entries that take a
+        caller's set check it first."""
         with pytest.raises(DomainError, match="^definable partition of an empty graph is undefined$"):
             flips._definable_labels(Graph.empty(0), [])
-        with pytest.raises(DomainError, match="^vertex 5 out of range for n=4$"):
-            flips._definable_labels(path(4), [1, 5])
+        for entry in (definable_partition, lambda g, s: metrics._defining_partition(g, s, None)):
+            with pytest.raises(DomainError, match="^vertex 5 out of range for n=4$"):
+                entry(path(4), [1, 5])
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_a_set_over_the_cap_comes_with_none(self, cap):
@@ -236,9 +239,9 @@ class TestDefinableLabels:
 
     def test_a_search_builds_only_its_witness(self, monkeypatch):
         built = []
-        init = Partition.__init__
-        monkeypatch.setattr(Partition, "__init__",
-                            lambda self, n, parts: built.append(n) or init(self, n, parts))
+        store = Partition._store  # what every Partition is built through
+        monkeypatch.setattr(Partition, "_store",
+                            lambda self, labels: built.append(labels) or store(self, labels))
         g = gnp(8, 0.5, seed=11)
         found = breakability_search(g, range(8), 1, 2, SearchBudget(s_max=2))
         assert found and found.sets_tried >= 3 and len(built) == 1

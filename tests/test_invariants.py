@@ -257,6 +257,29 @@ def test_one_bfs():
     assert "batched_distance_matrices" not in named, "the flip metric folds inside the BFS"
 
 
+def _template(node: ast.JoinedStr) -> str:
+    """An f-string's text with ``{}`` in place of each field."""
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+
+
+def test_one_vertex_check():
+    """graphs._vertex_array is the one vertex check: the only function that
+    builds "vertex ... out of range for n=" or its edge form, and the
+    per-element helpers it replaced are gone."""
+    refusals = ("vertex {} out of range for n=", "edge ({},{}) out of range for n=")
+    builders = sorted(
+        name for name, func in _functions()
+        if any(
+            isinstance(node, ast.JoinedStr) and any(text in _template(node) for text in refusals)
+            for node in ast.walk(func)
+        )
+    )
+    assert builders == ["graphs.py:_vertex_array"], f"one function builds the range refusal: {builders}"
+    gone = [name for name, _ in _functions()
+            if name.split(":")[1] in ("_check_vertex_types", "edge_error")]
+    assert not gone, f"vertices are checked through graphs._vertex_array: {gone}"
+
+
 def test_one_pack_dispatch():
     """metrics._pack_max is the one place that picks a flip-metric pack's
     layout: the only function with ``_WORD``, the flips per word of the

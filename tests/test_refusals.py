@@ -37,6 +37,7 @@ from flipkit import (
     verify_break_witness,
 )
 from flipkit.conversion import ball_containment_ok
+from flipkit.fileio import loads_graph
 from flipkit.generators import path
 
 
@@ -127,6 +128,68 @@ REFUSALS = {
         lambda: Partition(2, [[0, 5]]),
         "vertex 5 out of range for n=2",
     ),
+    # the first bad element is named: in the given order for edges, in the
+    # canonical order (parts by least vertex, each ascending) for a partition
+    "from-edges-first-bad": (
+        lambda: Graph.from_edges(3, [(0, 5), (0, 1.5)]),
+        "edge (0,5) out of range for n=3",
+    ),
+    "partition-canonical-first": (
+        lambda: Partition(3, [[0, 5], [0, 1, 2]]),
+        "vertex 5 out of range for n=3",
+    ),
+    "partition-two-parts": (
+        lambda: Partition(3, [[0, 1], [1, 2]]),
+        "vertex 1 appears in two parts",
+    ),
+    "from-edges-triple": (
+        lambda: Graph.from_edges(3, [(0, 1, 2)]),
+        "edge (0, 1, 2) is not a pair of vertices",
+    ),
+    "from-edges-scalar": (lambda: Graph.from_edges(3, [0]), "edge 0 is not a pair of vertices"),
+    # an int beyond int64 is out of range, never an OverflowError
+    "from-edges-beyond-int64": (
+        lambda: Graph.from_edges(3, [(0, 2**70)]),
+        "edge (0,1180591620717411303424) out of range for n=3",
+    ),
+    "loads-graph-beyond-int64": (
+        lambda: loads_graph("3 1\n0 99999999999999999999999\n"),
+        "line 2: edge (0,99999999999999999999999) out of range for n=3",
+    ),
+    "loads-graph-names-its-line": (
+        lambda: loads_graph("3 2\n0 1\n\n1 1\n"),
+        "line 4: self-loop (1,1) not allowed",
+    ),
+    "ball-vertex-range": (lambda: ball(P3, 5, 1), "vertex 5 out of range for n=3"),
+    "degree-negative-vertex": (lambda: path(4).degree(-1), "vertex -1 out of range for n=4"),
+    "partition-beyond-int64": (
+        lambda: Partition(3, [[0, 1, 2**70], [2]]),
+        "vertex 1180591620717411303424 out of range for n=3",
+    ),
+    "vertices-beyond-int64": (
+        lambda: Graph.empty(3)._vertices([2**70, 1]),
+        "vertex 1180591620717411303424 out of range for n=3",
+    ),
+    "bipartite-cover": (
+        lambda: Bipartite(Graph.empty(2), (0, 5), (1,)),
+        "bipartition sides must cover all vertices",
+    ),
+    "bipartite-uncrossed": (
+        lambda: Bipartite(Graph.from_edges(4, [(1, 2), (0, 3)]), (0, 1, 2, 3), ()),
+        "edge (0,3) does not cross the bipartition",
+    ),
+    "set-family-bool-size": (
+        lambda: SetFamily([[0]], uniform_size=True),
+        "uniform_size must be an integer, got True",
+    ),
+    "set-family-float-size": (
+        lambda: SetFamily([[0, 1]], uniform_size=2.0),
+        "uniform_size must be an integer, got 2.0",
+    ),
+    "set-family-negative-size": (
+        lambda: SetFamily([], uniform_size=-1),
+        "uniform_size must be nonnegative, got -1",
+    ),
     "partition-trivial-0": (lambda: Partition.trivial(0), "cannot partition an empty vertex set"),
     "flip-spec-negative": (
         lambda: FlipSpec([(0, -1)]),
@@ -215,6 +278,22 @@ NON_INTEGER_VERTICES = {
         lambda: Graph.from_edges(3, [(0, 1.5)]),
         "edge (0,1.5): vertex 1.5 is not an integer",
     ),
+    "bipartite-bool-side": (
+        lambda: Bipartite(Graph.empty(2), (True,), (0,)),
+        "vertex True is not an integer",
+    ),
+    "bipartite-float-side": (
+        lambda: Bipartite(Graph.empty(2), (1.0,), (0,)),
+        "vertex 1.0 is not an integer",
+    ),
+    "indicator-bool": (
+        lambda: WeightFn.indicator(3, [True]),
+        "support vertex True is not an integer",
+    ),
+    "indicator-mixed": (
+        lambda: WeightFn.indicator(3, ["a", 5]),
+        "support vertex 'a' is not an integer",
+    ),
 }
 
 
@@ -222,3 +301,10 @@ NON_INTEGER_VERTICES = {
 def test_vertices_are_integers(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_checked_vertices_are_python_ints():
+    """A numpy integer is a vertex, and comes back as a Python int."""
+    assert repr(Partition(3, [[np.int64(0), 1], [2]])) == "Partition(n=3, parts=((0, 1), (2,)))"
+    got = Graph.empty(4)._vertices([np.int8(3), 1])
+    assert got == [1, 3] and all(type(v) is int for v in got)
