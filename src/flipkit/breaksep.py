@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError
+from .errors import DomainError
 from .flips import (
     FlipSpec,
     Partition,
@@ -36,12 +36,16 @@ from .flips import (
     raw_packs,
     resolve_max_parts,
 )
-from .graphs import Graph, _check_radius, _vertex_array, component_labels, distance_matrix, within
+from .graphs import (
+    Graph, _check_cap, _check_int, _vertex_array, component_labels, distance_matrix, within,
+)
 from .metrics import SetFamily, _family_partitions, _flip_metric
 
 _FLOAT_TOL = 1e-9
 
 DEFAULT_PARTITION_ENUM_CAP = 10
+
+_N_CAP_WHAT = "the vertex count of an exhaustive partition search"
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +157,7 @@ def sunflower_extract(f: SetFamily, m: int) -> SunflowerResult | None:
         raise DomainError(f"family is not uniform: set sizes {sorted(sizes)}")
     if f.uniform_size is not None and sizes and sizes != {f.uniform_size}:
         raise DomainError("family sizes disagree with the declared uniformity")
-    if m < 0:
-        raise DomainError(f"target size must be nonnegative, got {m}")
+    _check_int(m, "target size m")
     outcome = _greedy_sunflower(list(f.sets), m)
     if outcome is None:
         return None
@@ -205,13 +208,14 @@ def _balls(h: Graph, vertices, r: int) -> np.ndarray:
     """(n, n) mask whose row v is the r-ball of v in ``h``, from one BFS.
     As with ``graphs.ball``, a negative radius or a centre in ``vertices``
     outside ``h`` is a DomainError."""
-    _check_radius(r)
+    _check_int(r, "radius")
     _vertex_array(h.n, vertices)
     return within(distance_matrix(h), r)
 
 
 def verify_break_witness(g: Graph, w: BreakWitness) -> bool:
     """Recompute the flip and check the witness contract from scratch."""
+    _check_int(w.m, "target size m")
     if set(w.a1) & set(w.a2):
         return False
     if len(w.a1) < w.m or len(w.a2) < w.m:
@@ -271,17 +275,6 @@ def _splits(
     return a1, a2, ok | fallback
 
 
-def _check_n_cap(n: int, n_cap: int) -> None:
-    """Refuse an exhaustive partition search on more than ``n_cap``
-    vertices; a non-positive cap is a DomainError."""
-    if n_cap < 1:
-        raise DomainError(f"n_cap must be a positive integer, got {n_cap}")
-    if n > n_cap:
-        raise CapExceeded(
-            f"exhaustive partition search on n={n} exceeds the cap {n_cap} (raise with --n-cap)"
-        )
-
-
 def breakability_search(
     g: Graph,
     w_set,
@@ -303,16 +296,14 @@ def breakability_search(
     """
     w1 = g._vertices(w_set)
     w2 = g._vertices(w2_set) if w2_set is not None else None
-    negative = "radius and target size must be nonnegative"
-    _check_radius(r, negative=negative)
-    if m < 0:
-        raise DomainError(negative)
+    _check_int(r, "radius")
+    _check_int(m, "target size m")
     idx = np.array(sorted(set(w1) | set(w2 or [])), dtype=int)
     in1 = np.isin(idx, w1)
     in2 = np.isin(idx, w1 if w2 is None else w2)
     cap = resolve_max_parts(budget.part_cap)
     if budget.raw_partitions:
-        _check_n_cap(g.n, n_cap)
+        _check_cap(g.n, n_cap, _N_CAP_WHAT, "n_cap")
         packs = raw_packs(g.n, cap)
     else:
         packs = candidate_packs(g.n, definable_candidates(g, budget.s_max, cap))
@@ -382,11 +373,10 @@ def separability_search(
     """
     if len(w.weights) != g.n:
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
-    if k_max < 1:
-        raise DomainError(f"k_max must be positive, got {k_max}")
+    _check_int(k_max, "k_max", 1)
     check_part_cap(k_max, max_parts, "k_max")
-    _check_n_cap(g.n, n_cap)
-    _check_radius(r)
+    _check_cap(g.n, n_cap, _N_CAP_WHAT, "n_cap")
+    _check_int(r, "radius")
     eps = _check_eps(eps)
     small = w.small_vertices(eps)
     # Screen, then let the exact comparison decide.  Integer ball weights are
@@ -430,6 +420,7 @@ def separability_search(
 def greedy_scattered(g_flipped: Graph, w_set, d: int) -> tuple[int, ...]:
     """Maximal subset of the probes pairwise at distance > d, greedily in
     ascending vertex order."""
+    _check_int(d, "distance d")
     probes = sorted(set(w_set))
     return _scattered(_balls(g_flipped, probes, d), probes)
 
@@ -465,6 +456,7 @@ def break_from_sep(
     the probes outside its 4r-ball split the set), or a greedy 2r-scattered
     subset has at least 2m members and its first and second m-blocks do.
     """
+    _check_int(r, "radius")
     probes, m = _probe_contract(g, w_set)
     partition, spec = h
     flipped = apply_flip(g, partition, spec)
@@ -529,7 +521,7 @@ def sep_then_break(
 ) -> PipelineResult:
     """Full pipeline: separability at radius 4r with eps = 1/2 over the
     probe-indicator weights, then the witness construction on success."""
-    _check_radius(r)
+    _check_int(r, "radius")
     probes, _ = _probe_contract(g, w_set)
     weights = WeightFn.indicator(g.n, probes)
     sep = separability_search(
@@ -598,7 +590,7 @@ def small_balls_orchestrate(
     """
     if len(w.weights) != g.n:
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
-    _check_radius(r)
+    _check_int(r, "radius")
     sizes = {len(s) for s in f.sets}
     if len(sizes) != 1:
         raise DomainError(f"family must be uniform, got sizes {sorted(sizes)}")
@@ -607,7 +599,9 @@ def small_balls_orchestrate(
         raise DomainError("0-uniform families carry no vertices to separate")
     eps = _check_eps(eps)
     p = math.ceil(1 / eps)
-    group_size = budget.group_size if budget.group_size is not None else budget.m_keep
+    _check_int(budget.m_keep, "m_keep", 1)
+    group_size = budget.m_keep if budget.group_size is None else budget.group_size
+    _check_int(group_size, "group_size", 1)
     outcome = SmallBallsOutcome(
         kept=None, defining=None, selected_group=None, failed_step=None
     )

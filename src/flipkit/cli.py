@@ -264,8 +264,6 @@ def _cmd_verify(args) -> Result:
     value = getattr(args, mode)
     if value is None or getattr(args, other) is not None:
         raise DomainError(f"{args.lemma} takes --{mode} N and not --{other}")
-    if value < 1:
-        raise DomainError(f"--{mode} must be a positive integer, got {value}")
     return (func(value) if mode == "exhaustive" else func(value, args.seed)), {}
 
 

@@ -44,7 +44,7 @@ from .graphs import (
     UNREACHED,
     Bipartite,
     Graph,
-    _check_radius,
+    _check_int,
     _induced_adj,
     _piece_diameters,
     component_labels,
@@ -393,7 +393,7 @@ def search_definable_emulation(
     """
     if g.n != gprime.n:
         raise DomainError("graphs must share one vertex set")
-    _check_radius(r_max, "r_max")
+    _check_int(r_max, "r_max")
     d_out = distance_matrix(gprime)
 
     def first_contained(dists: np.ndarray) -> int | None:

@@ -49,7 +49,7 @@ def _graph(header: tuple[int, list[str]], edge_rows) -> Graph:
     n, m = _fields(header, int, int)
     if n < 0 or m < 0:
         raise DomainError(f"line {header[0]}: header counts must be nonnegative")
-    check_dense_n(n, f"line {header[0]}: a graph on {n} vertices")
+    check_dense_n(n, f"line {header[0]}: the vertex count")
     if len(edge_rows) != m:
         raise DomainError(
             f"line {header[0]}: header declares {m} edges, file has {len(edge_rows)}"

@@ -22,7 +22,6 @@ graph and are stored once per (n, k, CHUNK) under a byte budget.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -31,8 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError
-from .graphs import _WORD, Graph, _vertex_array, batched_distance_matrices
+from .errors import DomainError
+from .graphs import _WORD, Graph, _check_cap, _check_int, _vertex_array, batched_distance_matrices
 
 #: Default cap on partition sizes fed to exhaustive flip enumeration.
 DEFAULT_MAX_PARTS = 4
@@ -43,36 +42,33 @@ CHUNK = 1 << 12
 
 _ENV_MAX_PARTS = "FLIPKIT_MAX_PARTS"
 
+#: How a refusal at the part cap says to raise it.
+_PART_KNOB = f"max_parts or {_ENV_MAX_PARTS}"
+
 #: The most parts a flip code holds: 11 parts have 66 pairs, a code 64 bits.
 _CODE_PARTS = 10
 
 
 def resolve_max_parts(max_parts: int | None = None) -> int:
     """The part cap of every exhaustive enumeration: ``max_parts`` if given,
-    else FLIPKIT_MAX_PARTS if set, else 4.  A non-integer or non-positive
-    cap is a DomainError."""
-    source, raw, parse = "the part cap", max_parts, operator.index
+    else FLIPKIT_MAX_PARTS if set, else 4, by the rule of ``_check_int``."""
+    if max_parts is not None:
+        _check_int(max_parts, "the part cap", 1)
+        return max_parts
+    raw = os.environ.get(_ENV_MAX_PARTS)
     if raw is None:
-        raw = os.environ.get(_ENV_MAX_PARTS, DEFAULT_MAX_PARTS)
-        source, parse = _ENV_MAX_PARTS, int
+        return DEFAULT_MAX_PARTS
     try:
-        cap = parse(raw)
-    except (TypeError, ValueError):
+        cap = int(raw)
+    except ValueError:
         cap = 0
-    if cap < 1:
-        raise DomainError(f"{source} must be a positive integer, got {raw!r}")
+    _check_int(cap if cap >= 1 else raw, _ENV_MAX_PARTS, 1)  # a refusal quotes the text
     return cap
 
 
-def check_part_cap(parts: int, max_parts: int | None, what="partition", smaller=None) -> None:
-    """Refuse ``what``, which has ``parts`` parts, above the part cap; the
-    hint names only the knobs that every caller takes."""
-    cap = resolve_max_parts(max_parts)
-    if parts > cap:
-        raise CapExceeded(
-            f"{what}: {parts} parts, above the part cap {cap}; use a smaller {smaller or what} "
-            f"or raise the cap with the max_parts argument or {_ENV_MAX_PARTS}"
-        )
+def check_part_cap(parts: int, max_parts: int | None, what="the part count") -> None:
+    """Refuse ``what``, which has ``parts`` parts, above the part cap."""
+    _check_cap(parts, resolve_max_parts(max_parts), what, _PART_KNOB)
 
 
 def _first_labels(keys) -> list[int]:
@@ -94,6 +90,7 @@ class Partition:
     __slots__ = ("n", "parts", "_part_of")
 
     def __init__(self, n: int, parts) -> None:
+        _check_int(n, "n")
         parts = [list(p) for p in parts]
         if not all(parts):
             raise DomainError("partition contains an empty part")
@@ -118,12 +115,12 @@ class Partition:
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        if n == 0:
-            raise DomainError("cannot partition an empty vertex set")
+        _check_int(n, "n", 1)
         return cls(n, [range(n)])
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
+        _check_int(n, "n")
         return cls(n, [[v] for v in range(n)])
 
     @classmethod
@@ -203,6 +200,7 @@ class FlipSpec:
 
 def canonical_pairs(num_parts: int) -> list[tuple[int, int]]:
     """All part-index pairs (i, j) with i <= j, in lexicographic order."""
+    _check_int(num_parts, "num_parts")
     return [(i, j) for i in range(num_parts) for j in range(i, num_parts)]
 
 
@@ -213,6 +211,7 @@ def num_flips(num_parts: int) -> int:
     toggles nothing, so the number of distinct flips is 2^(pairs - singleton
     parts); ``distinct_flip_codes`` enumerates those.
     """
+    _check_int(num_parts, "num_parts")
     return 1 << (num_parts * (num_parts + 1) // 2)
 
 
@@ -223,11 +222,10 @@ def _counter_chunks(total: int) -> Iterator[np.ndarray]:
 
 
 def _pair_count(k: int) -> int:
-    """The canonical pairs of k parts, refused above the 64 bits of a code."""
-    npairs = k * (k + 1) // 2
-    if npairs > 64:
-        raise CapExceeded(f"{k} parts give {npairs} part pairs; flip codes hold at most 64")
-    return npairs
+    """The canonical pairs of k parts, refused above the _CODE_PARTS parts
+    whose pairs a 64-bit code holds."""
+    _check_cap(k, _CODE_PARTS, "the part count of a flip code")
+    return k * (k + 1) // 2
 
 
 #: Flip streams of at most this many cells (flips times n^2) ignore a graph:
@@ -594,8 +592,7 @@ def definable_candidates(
     """Defining sets by ascending size, lexicographic within a size, with
     the part labels of their partitions; a set over the part cap or over
     _CODE_PARTS comes with None.  The arguments are checked at the call."""
-    if s_max < 0:
-        raise DomainError(f"s_max must be nonnegative, got {s_max}")
+    _check_int(s_max, "s_max")
     cap = min(resolve_max_parts(max_parts), _CODE_PARTS)
     sets = (s for size in range(min(s_max, g.n) + 1) for s in combinations(range(g.n), size))
     return ((s, labels if labels.max() < cap else None)
@@ -613,10 +610,8 @@ def partition_labels(n: int, max_parts: int) -> Iterator[list[int]]:
     """Part labels of the partitions of ``0..n-1`` into at most ``max_parts``
     parts: restricted growth strings in counter order, trivial partition
     first.  The arguments are checked at the call."""
-    if n < 1:
-        raise DomainError("cannot partition an empty vertex set")
-    if max_parts < 1:
-        raise DomainError(f"max_parts must be positive, got {max_parts}")
+    _check_int(n, "n", 1)
+    _check_int(max_parts, "max_parts", 1)
 
     def strings():
         labels = [0] * n

@@ -6,32 +6,34 @@ import random
 from itertools import combinations
 
 from .errors import DomainError
-from .graphs import Graph, check_dense_n
+from . import graphs
+from .graphs import Graph, _check_cap, _check_int, check_dense_n
 
 
 def path(n: int) -> Graph:
-    _require(n >= 1, f"path needs n >= 1, got {n}")
+    _check_int(n, "n", 1)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
-    _require(n >= 3, f"cycle needs n >= 3, got {n}")
+    _check_int(n, "n", 3)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def clique(n: int) -> Graph:
-    _require(n >= 1, f"clique needs n >= 1, got {n}")
+    _check_int(n, "n", 1)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def star(n: int) -> Graph:
     """Vertex 0 joined to vertices 1..n-1."""
-    _require(n >= 1, f"star needs n >= 1, got {n}")
+    _check_int(n, "n", 1)
     return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def grid(rows: int, cols: int) -> Graph:
-    _require(rows >= 1 and cols >= 1, f"grid needs positive sides, got {rows}x{cols}")
+    _check_int(rows, "rows", 1)
+    _check_int(cols, "cols", 1)
     check_dense_n(rows * cols)
     def vid(i, j):
         return i * cols + j
@@ -47,8 +49,8 @@ def grid(rows: int, cols: int) -> Graph:
 
 def hypercube(dim: int) -> Graph:
     """2^dim vertices, edges between words at Hamming distance one."""
-    _require(dim >= 0, f"hypercube needs dim >= 0, got {dim}")
-    check_dense_n(1 << min(dim, 64), f"a hypercube of dimension {dim}")
+    _check_int(dim, "dim")
+    _check_cap(dim, graphs._MAX_DENSE_N.bit_length() - 1, "the hypercube dimension")
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
     return Graph.from_edges(n, edges)
@@ -56,8 +58,9 @@ def hypercube(dim: int) -> Graph:
 
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi graph; identical (n, p, seed) gives identical output."""
-    _require(n >= 1, f"gnp needs n >= 1, got {n}")
-    _require(0.0 <= p <= 1.0, f"gnp needs p in [0,1], got {p}")
+    _check_int(n, "n", 1)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"gnp needs p in [0,1], got {p}")
     check_dense_n(n)
     rng = random.Random(seed)
     return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
@@ -66,14 +69,9 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
 def halfgraph(n: int) -> Graph:
     """Vertices a_1..a_n (ids 0..n-1) and b_1..b_n (ids n..2n-1), with an
     edge a_i b_j exactly when i <= j."""
-    _require(n >= 1, f"halfgraph needs n >= 1, got {n}")
+    _check_int(n, "n", 1)
     edges = ((i, n + j) for i in range(n) for j in range(n) if i <= j)
     return Graph.from_edges(2 * n, edges)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
 
 
 #: kind name -> (callable, parameter names); drives the CLI `gen` command.

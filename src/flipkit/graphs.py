@@ -44,17 +44,12 @@ UNREACHED = -1
 _MAX_DENSE_N = 1 << 12
 
 
-def check_dense_n(n: int, what: str | None = None) -> None:
-    """Refuse a negative vertex count, and a graph on more than
-    ``_MAX_DENSE_N`` vertices before its n² adjacency, or a loop over its
-    vertex pairs, is built."""
-    if n < 0:
-        raise DomainError(f"a graph needs a nonnegative vertex count, got n={n}")
-    if n > _MAX_DENSE_N:
-        raise CapExceeded(
-            f"{what or f'a graph on {n} vertices'} has more than {_MAX_DENSE_N} vertices, "
-            "the dense-vertex ceiling"
-        )
+def check_dense_n(n: int, what: str = "the vertex count") -> None:
+    """Refuse a vertex count ``n`` that breaks the rule of ``_check_int``,
+    and a graph on more than ``_MAX_DENSE_N`` vertices before its n²
+    adjacency, or a loop over its vertex pairs, is built."""
+    _check_int(n, "n")
+    _check_cap(n, _MAX_DENSE_N, what)
 
 
 def vertex_type_error(v) -> str | None:
@@ -64,14 +59,23 @@ def vertex_type_error(v) -> str | None:
     return None if ok else f"vertex {v!r} is not an integer"
 
 
-def _check_radius(r, what: str = "radius", negative: str | None = None) -> None:
-    """Refuse a radius ``r`` that is not a nonnegative integer, by the rule
-    of ``vertex_type_error``; ``negative`` replaces the message of a
-    negative one."""
-    if vertex_type_error(r):
-        raise DomainError(f"{what} must be an integer, got {r!r}")
-    if r < 0:
-        raise DomainError(negative or f"{what} must be nonnegative, got {r}")
+def _check_int(x, what: str, least: int = 0) -> None:
+    """The one rule for a radius, size, count or cap argument ``x``: an
+    integer by the rule of ``vertex_type_error``, at least ``least``."""
+    if vertex_type_error(x) or x < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
+
+
+def _check_cap(value: int, cap: int, what: str, knob: str | None = None) -> None:
+    """The one refusal of an exhaustive enumeration: ``what``, of size
+    ``value``, above ``cap``.  A cap that a user sets through ``knob`` is
+    first checked by ``_check_int``; a constant ceiling (no knob) costs one
+    comparison."""
+    if knob is not None:
+        _check_int(cap, knob, 1)
+    if value > cap:
+        raise CapExceeded(f"{what} is {value}, above the cap {cap}"
+                          + (f"; raise {knob}" if knob else ""))
 
 
 def _vertex_array(n: int | None, vs, ascending=False, dups: str | None = None, edges=False,
@@ -465,7 +469,7 @@ def diameter(g: Graph) -> ExtDist:
 
 def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     """Vertices at distance at most ``r`` from ``v``; r=0 gives {v}."""
-    _check_radius(r)
+    _check_int(r, "radius")
     g._check_vertex(v)
     return frozenset(np.flatnonzero(within(distance_matrix(g)[v], r)).tolist())
 

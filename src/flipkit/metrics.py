@@ -31,7 +31,7 @@ from .graphs import (
     ExtDist,
     Graph,
     _bfs,
-    _check_radius,
+    _check_int,
     _vertex_array,
     _word_fold,
     fold_max_distances,
@@ -48,7 +48,7 @@ class SetFamily:
         _vertex_array(None, chain.from_iterable(sets))
         canon = sorted({tuple(sorted(set(s))) for s in sets})
         if uniform_size is not None:
-            _check_radius(uniform_size, "uniform_size")
+            _check_int(uniform_size, "uniform_size")
             for s in canon:
                 if len(s) != uniform_size:
                     raise DomainError(
@@ -137,7 +137,7 @@ def _defining_partition(g: Graph, s, max_parts: int | None) -> np.ndarray:
     """The part labels of defining set ``s``, refused above the part cap."""
     s = g._vertices(s)
     labels = flips._definable_labels(g, s)
-    check_part_cap(int(labels.max()) + 1, max_parts, f"defining set {s}", "set")
+    check_part_cap(int(labels.max()) + 1, max_parts, f"the part count of defining set {s}")
     return labels
 
 
@@ -178,7 +178,7 @@ def _metric_ball(g: Graph, vertices, r: int, partitions) -> frozenset[int]:
     """Union of the radius-r balls around ``vertices`` (one vertex or a
     collection) in the flip metric over ``partitions()``: their rows only,
     BFS'd to depth r, which decides ``within(., r)`` exactly."""
-    _check_radius(r)
+    _check_int(r, "radius")
     vertices = g._vertices(vertices if np.iterable(vertices) else [vertices])
     rows = _flip_metric(g, partitions(), vertices, max(r, 1))
     return frozenset(np.flatnonzero(within(rows, r).any(axis=0)).tolist())

@@ -13,8 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError
-from .graphs import Graph
+from .errors import DomainError
+from .graphs import Graph, _check_cap, _check_int
 
 DEFAULT_SHATTER_CAP = 5
 DEFAULT_VCDIM_CAP = 16
@@ -70,14 +70,10 @@ def _shatter_value(g: Graph, n: int) -> tuple[int, tuple[int, ...] | None]:
 
 def shatter_function(g: Graph, n: int, *, cap: int = DEFAULT_SHATTER_CAP) -> int:
     """Max number of distinct neighborhood traces on any size-n vertex set."""
-    if not 0 <= n <= g.n:
+    _check_int(n, "trace size n")
+    if n > g.n:
         raise DomainError(f"trace size {n} out of range for n={g.n}")
-    if cap < 1:
-        raise DomainError(f"the shatter-function cap must be a positive integer, got {cap}")
-    if n > cap:
-        raise CapExceeded(
-            f"shatter function at n={n} exceeds the exhaustive cap {cap}"
-        )
+    _check_cap(n, cap, "the trace size", "the shatter-function cap")
     return _shatter_value(g, n)[0]
 
 
@@ -99,12 +95,7 @@ def vc_dimension(g: Graph, *, cap: int = DEFAULT_VCDIM_CAP) -> ShatterReport:
     """
     if g.n == 0:
         raise DomainError("VC-dimension of the empty graph is undefined")
-    if cap < 1:
-        raise DomainError(f"the VC-dimension cap must be a positive integer, got {cap}")
-    if g.n > cap:
-        raise CapExceeded(
-            f"exhaustive VC-dimension on n={g.n} exceeds the cap {cap}"
-        )
+    _check_cap(g.n, cap, "the vertex count", "the VC-dimension cap")
     traces_by_size: dict[int, int] = {}
     witness: tuple[int, ...] = ()
     n = 0

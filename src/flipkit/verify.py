@@ -19,13 +19,14 @@ from math import inf
 import numpy as np
 
 from .conversion import BipartiteCaseTag, _classify, classify_bipartite, convert
-from .errors import CapExceeded, DomainError
 from .flips import Partition, apply_flip, definable_partition
 from .generators import gnp
 from .graphs import (
     UNREACHED,
     Bipartite,
     Graph,
+    _check_cap,
+    _check_int,
     batched_distance_matrices,
     diameters,
     distance_matrix,
@@ -120,10 +121,8 @@ def _first_failure(adjs: np.ndarray, ok: np.ndarray, **payload) -> dict | None:
 def verify_diam_complement(n: int) -> RunReport:
     """Every labeled n-vertex graph has diameter <= 3 or a complement with
     diameter <= 3; exhaustive for n up to 6."""
-    if n < 1:
-        raise DomainError(f"the diameter sweep needs n >= 1, got {n}")
-    if n > _EXHAUSTIVE_N_CAP:
-        raise CapExceeded(f"the diameter sweep is capped at n <= {_EXHAUSTIVE_N_CAP}, got {n}")
+    _check_int(n, "the diameter sweep's n", 1)
+    _check_cap(n, _EXHAUSTIVE_N_CAP, "the diameter sweep's n")
     adjs = _graph_stack(n, combinations(range(n), 2))
     ok = _diam_at_most(batched_distance_matrices(adjs), 3)
     ok |= ok[::-1]  # the complement stack is adjs[::-1]
@@ -135,12 +134,8 @@ def _bipartite_stacks(max_side: int):
     """((a, b), the stack of every bipartite graph between sides 0..a-1 and
     a..a+b-1) for all sides up to ``max_side``; the cap is checked at the
     call, before any stack is built."""
-    if max_side < 1:
-        raise DomainError(f"the bipartite sweep needs sides >= 1, got {max_side}")
-    if max_side > _BIPARTITE_SIDE_CAP:
-        raise CapExceeded(
-            f"the bipartite sweep is capped at sides <= {_BIPARTITE_SIDE_CAP}, got {max_side}"
-        )
+    _check_int(max_side, "the bipartite sweep's max_side", 1)
+    _check_cap(max_side, _BIPARTITE_SIDE_CAP, "the bipartite sweep's max_side")
     return (
         ((a, b), _graph_stack(a + b, product(range(a), range(a, a + b))))
         for a, b in product(range(1, max_side + 1), repeat=2)
@@ -253,8 +248,7 @@ def _random_sweep(lemma: str, count: int, seed: int, check) -> RunReport:
     """Run ``check(rng)`` on ``count`` instances drawn from one seeded rng;
     the first failure payload it returns ends the sweep as a failure.  A
     count below 1 is a DomainError: no instance would pass."""
-    if count < 1:
-        raise DomainError(f"a random sweep needs a positive count, got {count}")
+    _check_int(count, "the random sweep's count", 1)
     rng = random.Random(seed)
 
     def items():

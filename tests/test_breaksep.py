@@ -276,9 +276,9 @@ class TestBreakabilityNCap:
         """Raw partitions grow like cap^n / cap!, so they are refused above
         n_cap before any is drawn; definable candidates are not capped in n."""
         raw = SearchBudget(part_cap=4, raw_partitions=True)
-        with pytest.raises(CapExceeded, match="n=24 exceeds the cap 10"):
+        with pytest.raises(CapExceeded, match="search is 24, above the cap 10"):
             breakability_search(gnp(24, 0.5, seed=1), range(24), 1, 20, raw)
-        with pytest.raises(CapExceeded, match="n=6 exceeds the cap 5"):
+        with pytest.raises(CapExceeded, match="search is 6, above the cap 5"):
             breakability_search(path(6), range(6), 1, 2, raw, n_cap=5)
         assert breakability_search(path(6), range(6), 1, 2, raw, n_cap=6)
         assert breakability_search(path(12), range(12), 1, 2, n_cap=1)
@@ -286,7 +286,7 @@ class TestBreakabilityNCap:
     def test_nonpositive_n_cap_is_a_usage_error(self):
         raw = SearchBudget(raw_partitions=True)
         for n_cap in (0, -3):
-            with pytest.raises(DomainError, match=f"n_cap must be a positive integer, got {n_cap}"):
+            with pytest.raises(DomainError, match=f"n_cap must be an integer >= 1, got {n_cap}"):
                 breakability_search(path(3), range(3), 1, 1, raw, n_cap=n_cap)
 
 
@@ -407,7 +407,7 @@ class TestSeparabilitySearch:
 
     def test_nonpositive_n_cap_is_a_usage_error(self):
         for n_cap in (0, -3):
-            with pytest.raises(DomainError, match=f"n_cap must be a positive integer, got {n_cap}"):
+            with pytest.raises(DomainError, match=f"n_cap must be an integer >= 1, got {n_cap}"):
                 separability_search(Graph.empty(3), WeightFn.uniform(3), 1, 1, 1, n_cap=n_cap)
 
 

@@ -370,30 +370,30 @@ RUNS = {
     ),
     "gen-non-integer": (["gen", "path", "abc"], 2, "error: path parameter n "),
     "gen-non-number": (["gen", "gnp", "5", "x"], 2, "error: gnp parameter p "),
-    "gen-empty-path": (["gen", "path", "0"], 2, "error: path needs n >= 1, got 0"),
+    "gen-empty-path": (["gen", "path", "0"], 2, "error: n must be an integer >= 1, got 0"),
     "gen-p-above-one": (["gen", "gnp", "5", "1.5"], 2, "error: gnp needs p in [0,1], got 1.5"),
     "verify-negative-count": (
-        ["verify", "conversion", "--random", "-5"], 2, "error: --random must be a positive",
+        ["verify", "conversion", "--random", "-5"], 2, "error: the random sweep's count must be an integer >= 1, got -5",
     ),
     "dist-negative-cap": (
         ["dist", "{path6}", "0", "1", "--partition", "{halves}", "--max-parts", "-3"], 2,
-        "error: the part cap must be a positive integer, got -3",
+        "error: the part cap must be an integer >= 1, got -3",
     ),
     "dist-zero-cap": (
         ["dist", "{path6}", "0", "1", "--partition", "{halves}", "--max-parts", "0"], 2,
-        "error: the part cap must be a positive integer, got 0",
+        "error: the part cap must be an integer >= 1, got 0",
     ),
     "break-negative-cap": (
         ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "2", "--part-cap", "-1"], 2,
-        "error: the part cap must be a positive integer, got -1",
+        "error: the part cap must be an integer >= 1, got -1",
     ),
     "break-negative-s-max": (
         ["break", "{star5}", "--W", "{leaves}", "-r", "1", "-m", "1", "--s-max", "-1"], 2,
-        "error: s_max must be nonnegative, got -1",
+        "error: s_max must be an integer >= 0, got -1",
     ),
     "separate-zero-k-max": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "2/5",
-         "--k-max", "0"], 2, "error: k_max must be positive, got 0",
+         "--k-max", "0"], 2, "error: k_max must be an integer >= 1, got 0",
     ),
     "separate-nan-weight": (
         ["separate", "{k6}", "--weights", "{nan_weight}", "-r", "1", "--eps", "1/2",
@@ -429,15 +429,15 @@ RUNS = {
     ),
     "separate-negative-n-cap": (
         ["separate", "{k6}", "--weights", "{ones}", "-r", "1", "--eps", "1/2",
-         "--k-max", "1", "--n-cap", "-3"], 2, "error: n_cap must be a positive integer, got -3",
+         "--k-max", "1", "--n-cap", "-3"], 2, "error: n_cap must be an integer >= 1, got -3",
     ),
     "vcdim-negative-cap": (
         ["vcdim", "{path6}", "--cap", "-1"], 2,
-        "error: the VC-dimension cap must be a positive integer, got -1",
+        "error: the VC-dimension cap must be an integer >= 1, got -1",
     ),
     "sep2break-negative-radius": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "-1"], 2,
-        "error: radius must be nonnegative, got -1",
+        "error: radius must be an integer >= 0, got -1",
     ),
     "verify-both-modes": (
         ["verify", "conversion", "--random", "2", "--exhaustive", "3"], 2,
@@ -445,27 +445,27 @@ RUNS = {
     ),
     "verify-zero-exhaustive": (
         ["verify", "diam-complement", "--exhaustive", "0"], 2,
-        "error: --exhaustive must be a positive integer, got 0",
+        "error: the diameter sweep's n must be an integer >= 1, got 0",
     ),
     "verify-negative-exhaustive": (
         ["verify", "bipartite-trichotomy", "--exhaustive", "-1"], 2,
-        "error: --exhaustive must be a positive integer, got -1",
+        "error: the bipartite sweep's max_side must be an integer >= 1, got -1",
     ),
     "gen-over-ceiling": (
         ["gen", "path", "200000"], 2,
-        "refused: a graph on 200000 vertices has more than 4096 vertices",
+        "refused: the vertex count is 200000, above the cap 4096",
     ),
     "diam-over-ceiling": (
         ["diam", "{huge}"], 2,
-        "refused: line 1: a graph on 200000 vertices has more than 4096 vertices",
+        "refused: line 1: the vertex count is 200000, above the cap 4096",
     ),
     "sep2break-n-cap": (
         ["sep2break", "{path12}", "--W", "{quad}", "-r", "1"], 2,
-        "refused: exhaustive partition search on n=12 exceeds the cap 10 (raise with --n-cap)",
+        "refused: the vertex count of an exhaustive partition search is 12, above the cap 10; raise n_cap",
     ),
     "break-raw-n-cap": (
         ["break", "{path12}", "--W", "{probes12}", "-r", "1", "-m", "2", "--raw-partitions"], 2,
-        "refused: exhaustive partition search on n=12 exceeds the cap 10 (raise with --n-cap)",
+        "refused: the vertex count of an exhaustive partition search is 12, above the cap 10; raise n_cap",
     ),
     "break-raw": (
         ["break", "{path6}", "--W", "{quad}", "-r", "1", "-m", "2", "--raw-partitions",
@@ -473,7 +473,7 @@ RUNS = {
     ),
     "sep2break-zero-n-cap": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--n-cap", "0"], 2,
-        "error: n_cap must be a positive integer, got 0",
+        "error: n_cap must be an integer >= 1, got 0",
     ),
     "sep2break-probe-count": (
         ["sep2break", "{path6}", "--W", "{triple}", "-r", "1"], 2,
@@ -485,7 +485,7 @@ RUNS = {
     ),
     "sep2break-negative-k-max": (
         ["sep2break", "{empty6}", "--W", "{quad}", "-r", "1", "--k-max", "-2"], 2,
-        "error: k_max must be positive, got -2",
+        "error: k_max must be an integer >= 1, got -2",
     ),
 }
 
@@ -527,4 +527,4 @@ class TestRunner:
         assert main(["dist", inputs["path6"], "0", "1", "--partition", inputs["halves"]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: FLIPKIT_MAX_PARTS must be a positive integer, got '0'\n"
+        assert captured.err == "error: FLIPKIT_MAX_PARTS must be an integer >= 1, got '0'\n"

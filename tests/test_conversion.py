@@ -352,7 +352,7 @@ class TestEmulationSearch:
         assert ball_containment_ok(outer, inner, 3)
 
     def test_negative_s_max_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="s_max must be nonnegative, got -1"):
+        with pytest.raises(DomainError, match="s_max must be an integer >= 0, got -1"):
             search_definable_emulation(path(4), path(4), 1, -1)
 
     def test_statistics_reported(self, rng):

@@ -194,17 +194,17 @@ class TestDenseVertexCeiling:
     adjacency or a loop over their vertex pairs is built."""
 
     def test_huge_inputs_refuse_at_once(self):
-        with pytest.raises(CapExceeded, match="line 1: a graph on 200000 vertices"):
+        with pytest.raises(CapExceeded, match="line 1: the vertex count is 200000"):
             fileio.loads_graph("200000 0\n")
         for make in (lambda: path(200000), lambda: gnp(100000, 0.5),
                      lambda: hypercube(1000), lambda: grid(10**6, 10**6),
                      lambda: halfgraph(10**6), lambda: Graph.empty(10**6)):
-            with pytest.raises(CapExceeded, match="dense-vertex ceiling"):
+            with pytest.raises(CapExceeded, match="above the cap (4096|12)"):
                 make()
 
     def test_negative_vertex_count_is_a_domain_error(self):
         for make in (lambda: Graph.from_edges(-1, []), lambda: Graph.empty(-1)):
-            with pytest.raises(DomainError, match="nonnegative vertex count, got n=-1"):
+            with pytest.raises(DomainError, match="n must be an integer >= 0, got -1"):
                 make()
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -220,7 +220,7 @@ class TestDenseVertexCeiling:
             if n == 8:
                 assert build().n <= 8
             else:
-                with pytest.raises(CapExceeded, match="more than 8 vertices"):
+                with pytest.raises(CapExceeded, match="above the cap (8|3)"):
                     build()
 
 

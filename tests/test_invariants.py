@@ -136,16 +136,16 @@ def test_one_sweep_loop():
 #: that cap before the enumeration starts (the enumeration itself, or a
 #: caller).
 EXHAUSTIVE_CAPS = [
-    ("flips.py:raw_packs", "_check_n_cap", "breaksep.py:separability_search"),
-    ("flips.py:raw_packs", "_check_n_cap", "breaksep.py:breakability_search"),
+    ("flips.py:raw_packs", "_check_cap", "breaksep.py:separability_search"),
+    ("flips.py:raw_packs", "_check_cap", "breaksep.py:breakability_search"),
     ("flips.py:definable_candidates", "resolve_max_parts", "flips.py:definable_candidates"),
     # the code stream of flip_packs, which the walker and the flip metrics walk
     ("flips.py:distinct_flip_codes", "_pair_count", "flips.py:distinct_flip_codes"),
     ("flips.py:enumerate_flips", "check_part_cap", "flips.py:enumerate_flips"),
-    ("vc.py:_shatter_value", "cap", "vc.py:shatter_function"),
-    ("vc.py:_shatter_value", "cap", "vc.py:vc_dimension"),
-    ("verify.py:verify_diam_complement", "_EXHAUSTIVE_N_CAP", "verify.py:verify_diam_complement"),
-    ("verify.py:_bipartite_stacks", "_BIPARTITE_SIDE_CAP", "verify.py:_bipartite_stacks"),
+    ("vc.py:_shatter_value", "_check_cap", "vc.py:shatter_function"),
+    ("vc.py:_shatter_value", "_check_cap", "vc.py:vc_dimension"),
+    ("verify.py:verify_diam_complement", "_check_cap", "verify.py:verify_diam_complement"),
+    ("verify.py:_bipartite_stacks", "_check_cap", "verify.py:_bipartite_stacks"),
 ]
 
 #: Functions that loop without a fixed bound or run an enumeration but are
@@ -208,6 +208,50 @@ def test_every_exhaustive_enumeration_is_capped():
     )
     assert not unlisted, f"cap these loops and list them in EXHAUSTIVE_CAPS: {unlisted}"
     assert set(BOUNDED) <= set(functions), set(BOUNDED) - set(functions)
+
+
+def _raises(node, error: str) -> bool:
+    """Whether ``node`` raises ``error`` anywhere below it."""
+    return any(isinstance(sub, ast.Raise) and error in _names(sub) for sub in ast.walk(node))
+
+
+def test_one_cap_policy():
+    """graphs._check_cap is the one CapExceeded refusal and graphs._check_int
+    the one integer and range refusal of an argument: no other function
+    raises CapExceeded, compares a parameter with an integer constant to
+    raise a DomainError, or words an integer refusal; every EXHAUSTIVE_CAPS
+    row is refused through _check_cap, or a wrapper of it, except the
+    defining sets, which skip a set over the part cap."""
+    functions = dict(_functions())
+    gone = {"_check_radius", "_check_n_cap"}
+    names = set().union(*(_names(ast.parse(m.read_text())) for m in SRC.glob("*.py")))
+    assert not names & gone, names & gone
+    assert {name for name, node in functions.items() if _raises(node, "CapExceeded")} == {
+        "graphs.py:_check_cap"}
+
+    def compares_to_int(test, params) -> bool:
+        """Whether ``test`` compares one of ``params`` with an int constant."""
+        return any(
+            any(isinstance(o, ast.Name) and o.id in params for o in [sub.left, *sub.comparators])
+            and any(isinstance(o, ast.Constant) and type(o.value) is int
+                    for o in [sub.left, *sub.comparators])
+            for sub in ast.walk(test) if isinstance(sub, ast.Compare)
+        )
+
+    exempt = {"graphs.py:_check_int", "breaksep.py:_check_eps"}  # eps is a real number
+    refusals = []
+    for name, func in functions.items():
+        params = {a.arg for a in func.args.args + func.args.kwonlyargs}
+        for node in ast.walk(func):
+            compares = (isinstance(node, ast.If) and compares_to_int(node.test, params)
+                        and _raises(ast.Module(node.body, []), "DomainError"))
+            words = isinstance(node, ast.Constant) and "must be an integer" in str(node.value)
+            if (compares or words) and name not in exempt:
+                refusals.append(name)
+    assert not refusals, f"refuse integer arguments through _check_int: {refusals}"
+    for enum, cap, checker in EXHAUSTIVE_CAPS:
+        wraps = f"flips.py:{cap}" in functions and "_check_cap" in _called(functions[f"flips.py:{cap}"])
+        assert cap == "_check_cap" or wraps or enum == "flips.py:definable_candidates", (enum, cap)
 
 
 def test_only_flips_resolves_the_part_cap():

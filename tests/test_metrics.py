@@ -199,7 +199,7 @@ class TestDistDefinable:
 
     def test_cap_refusal_suggests_smaller_set(self):
         g = path(6)
-        with pytest.raises(CapExceeded, match="smaller set"):
+        with pytest.raises(CapExceeded, match="of defining set .* raise max_parts"):
             dist_definable_matrix(g, [0, 1, 2, 3])
 
 
@@ -265,7 +265,7 @@ class TestDistFamily:
         the first stack of the family is built."""
         built = []
         monkeypatch.setattr(metrics, "_pack_max", lambda *pack: built.append(pack))
-        with pytest.raises(CapExceeded, match=r"defining set \[0, 1, 2, 3\]: 6 parts"):
+        with pytest.raises(CapExceeded, match=r"defining set \[0, 1, 2, 3\] is 6"):
             dist_family_matrix(path(6), SetFamily([[0], [0, 1, 2, 3]]))
         with pytest.raises(DomainError, match="vertex 9 out of range"):
             dist_family_matrix(path(6), SetFamily([[0], [9]]))

@@ -13,29 +13,41 @@ from flipkit import (
     FlipSpec,
     Graph,
     Partition,
+    SearchBudget,
     SetFamily,
     WeightFn,
     apply_flip,
     ball,
     ball_family,
     ball_partition,
+    break_from_sep,
     breakability_search,
+    canonical_pairs,
     convert,
     definable_partition,
+    dist_definable,
+    dist_definable_matrix,
+    dist_family,
+    dist_family_matrix,
     dist_partition,
     dist_partition_matrix,
     enumerate_flips,
+    enumerate_partitions,
     greedy_scattered,
     induced,
     is_shattered,
+    num_flips,
     reconstruct_flip_spec,
     search_definable_emulation,
     sep_then_break,
     separability_search,
+    shatter_function,
     small_balls_orchestrate,
     sunflower_extract,
+    vc_dimension,
     verify_break_witness,
 )
+from flipkit import generators, verify
 from flipkit.conversion import ball_containment_ok
 from flipkit.fileio import loads_graph
 from flipkit.generators import path
@@ -57,15 +69,15 @@ REFUSALS = {
     ),
     "separability-negative-radius": (
         lambda: separability_search(P3, WeightFn.uniform(3), -1, 1, 1),
-        "radius must be nonnegative, got -1",
+        "radius must be an integer >= 0, got -1",
     ),
     "breakability-negative-radius": (
         lambda: breakability_search(P3, [0, 2], -1, 1),
-        "radius and target size must be nonnegative",
+        "radius must be an integer >= 0, got -1",
     ),
     "breakability-negative-m": (
         lambda: breakability_search(P3, [0, 2], 1, -1),
-        "radius and target size must be nonnegative",
+        "target size m must be an integer >= 0, got -1",
     ),
     "small-balls-weights-length": (
         lambda: small_balls_orchestrate(P3, WeightFn.uniform(2), SetFamily([(0,)]), 1, 1),
@@ -83,7 +95,7 @@ REFUSALS = {
     ),
     "sunflower-negative-m": (
         lambda: sunflower_extract(SetFamily([(0, 1)]), -1),
-        "target size must be nonnegative, got -1",
+        "target size m must be an integer >= 0, got -1",
     ),
     "sunflower-declared-size": (
         lambda: sunflower_extract(_redeclared(SetFamily([(0, 1)], uniform_size=2), 3), 1),
@@ -93,7 +105,7 @@ REFUSALS = {
         lambda: verify_break_witness(
             P3, BreakWitness(Partition.trivial(3), FlipSpec(), None, (0,), (2,), -1, 1)
         ),
-        "radius must be nonnegative, got -1",
+        "radius must be an integer >= 0, got -1",
     ),
     "emulation-vertex-sets": (
         lambda: search_definable_emulation(P3, path(4), 1, 1),
@@ -101,7 +113,7 @@ REFUSALS = {
     ),
     "emulation-negative-r-max": (
         lambda: search_definable_emulation(P3, P3, -1, 1),
-        "r_max must be nonnegative, got -1",
+        "r_max must be an integer >= 0, got -1",
     ),
     "ball-containment-n": (
         lambda: ball_containment_ok(P3, path(4), 1),
@@ -180,70 +192,75 @@ REFUSALS = {
     ),
     "set-family-bool-size": (
         lambda: SetFamily([[0]], uniform_size=True),
-        "uniform_size must be an integer, got True",
+        "uniform_size must be an integer >= 0, got True",
     ),
     "set-family-float-size": (
         lambda: SetFamily([[0, 1]], uniform_size=2.0),
-        "uniform_size must be an integer, got 2.0",
+        "uniform_size must be an integer >= 0, got 2.0",
     ),
     "set-family-negative-size": (
         lambda: SetFamily([], uniform_size=-1),
-        "uniform_size must be nonnegative, got -1",
+        "uniform_size must be an integer >= 0, got -1",
     ),
-    "partition-trivial-0": (lambda: Partition.trivial(0), "cannot partition an empty vertex set"),
+    "partition-trivial-0": (lambda: Partition.trivial(0), "n must be an integer >= 1, got 0"),
+    "partition-negative-n": (lambda: Partition(-1, []), "n must be an integer >= 0, got -1"),
+    "partition-float-n": (
+        lambda: Partition(2.0, [[0], [1]]),
+        "n must be an integer >= 0, got 2.0",
+    ),
     "flip-spec-negative": (
         lambda: FlipSpec([(0, -1)]),
         "part indices must be nonnegative, got (0,-1)",
     ),
-    "ball-negative-radius": (lambda: ball(P3, 0, -1), "radius must be nonnegative, got -1"),
+    "ball-negative-radius": (lambda: ball(P3, 0, -1), "radius must be an integer >= 0, got -1"),
     "ball-partition-negative-radius": (
         lambda: ball_partition(P3, Partition.trivial(3), 0, -1),
-        "radius must be nonnegative, got -1",
+        "radius must be an integer >= 0, got -1",
     ),
     # a radius is an integer by the rule of a vertex: never a float or a bool
-    "ball-float-radius": (lambda: ball(P3, 0, 1.5), "radius must be an integer, got 1.5"),
-    "ball-bool-radius": (lambda: ball(P3, 0, True), "radius must be an integer, got True"),
+    "ball-float-radius": (lambda: ball(P3, 0, 1.5), "radius must be an integer >= 0, got 1.5"),
+    "ball-bool-radius": (lambda: ball(P3, 0, True), "radius must be an integer >= 0, got True"),
     "ball-partition-float-radius": (
         lambda: ball_partition(P3, Partition.trivial(3), 0, 1.5),
-        "radius must be an integer, got 1.5",
+        "radius must be an integer >= 0, got 1.5",
     ),
     "ball-family-bool-radius": (
         lambda: ball_family(P3, SetFamily([[0]]), 0, False),
-        "radius must be an integer, got False",
+        "radius must be an integer >= 0, got False",
     ),
     "separability-float-radius": (
         lambda: separability_search(P3, WeightFn.uniform(3), 1.5, 1, 1),
-        "radius must be an integer, got 1.5",
+        "radius must be an integer >= 0, got 1.5",
     ),
     "breakability-float-radius": (
         lambda: breakability_search(P3, [0, 2], 0.5, 1),
-        "radius must be an integer, got 0.5",
+        "radius must be an integer >= 0, got 0.5",
     ),
     "break-witness-bool-radius": (
         lambda: verify_break_witness(
             P3, BreakWitness(Partition.trivial(3), FlipSpec(), None, (0,), (2,), True, 1)
         ),
-        "radius must be an integer, got True",
+        "radius must be an integer >= 0, got True",
     ),
     "small-balls-float-radius": (
         lambda: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), 1.5, 1),
-        "radius must be an integer, got 1.5",
+        "radius must be an integer >= 0, got 1.5",
     ),
     "small-balls-negative-radius": (
         lambda: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), -1, 1),
-        "radius must be nonnegative, got -1",
+        "radius must be an integer >= 0, got -1",
     ),
     "sep-then-break-float-radius": (
         lambda: sep_then_break(P3, [0, 2], 1.5),
-        "radius must be an integer, got 1.5",
+        "radius must be an integer >= 0, got 1.5",
     ),
     "emulation-float-r-max": (
         lambda: search_definable_emulation(P3, P3, 1.5, 1),
-        "r_max must be an integer, got 1.5",
+        "r_max must be an integer >= 0, got 1.5",
     ),
     "emulation-bool-r-max": (
         lambda: search_definable_emulation(P3, P3, True, 1),
-        "r_max must be an integer, got True",
+        "r_max must be an integer >= 0, got True",
     ),
 }
 
@@ -308,3 +325,132 @@ def test_checked_vertices_are_python_ints():
     assert repr(Partition(3, [[np.int64(0), 1], [2]])) == "Partition(n=3, parts=((0, 1), (2,)))"
     got = Graph.empty(4)._vertices([np.int8(3), 1])
     assert got == [1, 3] and all(type(v) is int for v in got)
+
+
+def _witness(radius=1, m=1) -> BreakWitness:
+    return BreakWitness(Partition.trivial(3), FlipSpec(), None, (0,), (2,), radius, m)
+
+
+RAW = SearchBudget(raw_partitions=True)
+QUAD = [0, 1, 2, 3]
+
+# id: (call of the argument's value, the name its refusal gives, its least
+# value); every count, size and cap argument of the public API
+INTEGER_ARGUMENTS = {
+    "graph-from-edges-n": (lambda x: Graph.from_edges(x, []), "n", 0),
+    "graph-empty-n": (lambda x: Graph.empty(x), "n", 0),
+    "ball-r": (lambda x: ball(P3, 0, x), "radius", 0),
+    "partition-n": (lambda x: Partition(x, []), "n", 0),
+    "partition-trivial-n": (lambda x: Partition.trivial(x), "n", 1),
+    "partition-singletons-n": (lambda x: Partition.singletons(x), "n", 0),
+    "canonical-pairs": (lambda x: canonical_pairs(x), "num_parts", 0),
+    "num-flips": (lambda x: num_flips(x), "num_parts", 0),
+    "flip-spec-from-bits": (lambda x: FlipSpec.from_bits(x, 0), "num_parts", 0),
+    "enumerate-flips-max-parts": (
+        lambda x: next(enumerate_flips(P3, Partition.trivial(3), max_parts=x)), "the part cap", 1),
+    "enumerate-partitions-n": (lambda x: enumerate_partitions(x, 2), "n", 1),
+    "enumerate-partitions-max-parts": (lambda x: enumerate_partitions(3, x), "max_parts", 1),
+    "set-family-uniform-size": (lambda x: SetFamily([], uniform_size=x), "uniform_size", 0),
+    "dist-partition-matrix-max-parts": (
+        lambda x: dist_partition_matrix(P3, Partition.trivial(3), max_parts=x), "the part cap", 1),
+    "dist-partition-max-parts": (
+        lambda x: dist_partition(P3, Partition.trivial(3), 0, 1, max_parts=x), "the part cap", 1),
+    "dist-definable-matrix-max-parts": (
+        lambda x: dist_definable_matrix(P3, [0], max_parts=x), "the part cap", 1),
+    "dist-definable-max-parts": (
+        lambda x: dist_definable(P3, [0], 0, 1, max_parts=x), "the part cap", 1),
+    "dist-family-matrix-max-parts": (
+        lambda x: dist_family_matrix(P3, SetFamily([[0]]), max_parts=x), "the part cap", 1),
+    "dist-family-max-parts": (
+        lambda x: dist_family(P3, SetFamily([[0]]), 0, 1, max_parts=x), "the part cap", 1),
+    "ball-family-r": (lambda x: ball_family(P3, SetFamily([[0]]), 0, x), "radius", 0),
+    "ball-family-max-parts": (
+        lambda x: ball_family(P3, SetFamily([[0]]), 0, 1, max_parts=x), "the part cap", 1),
+    "ball-partition-r": (lambda x: ball_partition(P3, Partition.trivial(3), 0, x), "radius", 0),
+    "ball-partition-max-parts": (
+        lambda x: ball_partition(P3, Partition.trivial(3), 0, 1, max_parts=x), "the part cap", 1),
+    "shatter-function-n": (lambda x: shatter_function(P3, x), "trace size n", 0),
+    "shatter-function-cap": (
+        lambda x: shatter_function(P3, 1, cap=x), "the shatter-function cap", 1),
+    "vc-dimension-cap": (lambda x: vc_dimension(P3, cap=x), "the VC-dimension cap", 1),
+    "emulation-r-max": (lambda x: search_definable_emulation(P3, P3, x, 1), "r_max", 0),
+    "emulation-s-max": (lambda x: search_definable_emulation(P3, P3, 1, x), "s_max", 0),
+    "emulation-max-parts": (
+        lambda x: search_definable_emulation(P3, P3, 1, 1, max_parts=x), "the part cap", 1),
+    "breakability-r": (lambda x: breakability_search(P3, [0, 2], x, 1), "radius", 0),
+    "breakability-m": (lambda x: breakability_search(P3, [0, 2], 1, x), "target size m", 0),
+    "breakability-s-max": (
+        lambda x: breakability_search(P3, [0, 2], 1, 1, SearchBudget(s_max=x)), "s_max", 0),
+    "breakability-part-cap": (
+        lambda x: breakability_search(P3, [0, 2], 1, 1, SearchBudget(part_cap=x)),
+        "the part cap", 1),
+    "breakability-n-cap": (
+        lambda x: breakability_search(P3, [0, 2], 1, 1, RAW, n_cap=x), "n_cap", 1),
+    "separability-r": (
+        lambda x: separability_search(P3, WeightFn.uniform(3), x, 1, 1), "radius", 0),
+    "separability-k-max": (
+        lambda x: separability_search(P3, WeightFn.uniform(3), 1, 1, x), "k_max", 1),
+    "separability-n-cap": (
+        lambda x: separability_search(P3, WeightFn.uniform(3), 1, 1, 1, n_cap=x), "n_cap", 1),
+    "separability-max-parts": (
+        lambda x: separability_search(P3, WeightFn.uniform(3), 1, 1, 1, max_parts=x),
+        "the part cap", 1),
+    "sep-then-break-r": (lambda x: sep_then_break(P4, QUAD, x), "radius", 0),
+    "sep-then-break-k-max": (lambda x: sep_then_break(P4, QUAD, 1, k_max=x), "k_max", 1),
+    "sep-then-break-n-cap": (lambda x: sep_then_break(P4, QUAD, 1, n_cap=x), "n_cap", 1),
+    "sep-then-break-max-parts": (
+        lambda x: sep_then_break(P4, QUAD, 1, max_parts=x), "the part cap", 1),
+    "sunflower-m": (lambda x: sunflower_extract(SetFamily([(0, 1)]), x), "target size m", 0),
+    "small-balls-r": (
+        lambda x: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), x, 1),
+        "radius", 0),
+    "small-balls-m-keep": (
+        lambda x: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), 1, 1,
+                                          SearchBudget(m_keep=x)),
+        "m_keep", 1),
+    "small-balls-group-size": (
+        lambda x: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), 1, 1,
+                                          SearchBudget(group_size=x)),
+        "group_size", 1),
+    "greedy-scattered-d": (lambda x: greedy_scattered(P3, [0, 2], x), "distance d", 0),
+    "break-from-sep-r": (
+        lambda x: break_from_sep(P4, QUAD, x, (Partition.trivial(4), FlipSpec())), "radius", 0),
+    "break-witness-radius": (lambda x: verify_break_witness(P3, _witness(radius=x)), "radius", 0),
+    "break-witness-m": (lambda x: verify_break_witness(P3, _witness(m=x)), "target size m", 0),
+    "gen-path": (lambda x: generators.path(x), "n", 1),
+    "gen-cycle": (lambda x: generators.cycle(x), "n", 3),
+    "gen-clique": (lambda x: generators.clique(x), "n", 1),
+    "gen-star": (lambda x: generators.star(x), "n", 1),
+    "gen-grid-rows": (lambda x: generators.grid(x, 2), "rows", 1),
+    "gen-grid-cols": (lambda x: generators.grid(2, x), "cols", 1),
+    "gen-hypercube": (lambda x: generators.hypercube(x), "dim", 0),
+    "gen-gnp": (lambda x: generators.gnp(x, 0.5), "n", 1),
+    "gen-halfgraph": (lambda x: generators.halfgraph(x), "n", 1),
+    "verify-diam-complement": (lambda x: verify.verify_diam_complement(x),
+                               "the diameter sweep's n", 1),
+    "verify-bipartite-trichotomy": (lambda x: verify.verify_bipartite_trichotomy(x),
+                                    "the bipartite sweep's max_side", 1),
+    "verify-bipartite-classification": (lambda x: verify.verify_bipartite_classification(x),
+                                        "the bipartite sweep's max_side", 1),
+    "verify-conversion": (lambda x: verify.verify_conversion(x, 0), "the random sweep's count", 1),
+    "verify-metric-axioms": (lambda x: verify.verify_metric_axioms(x, 0),
+                             "the random sweep's count", 1),
+    "verify-aggregation": (lambda x: verify.verify_aggregation(x, 0),
+                           "the random sweep's count", 1),
+    "verify-sauer-shelah": (lambda x: verify.verify_sauer_shelah(x, 0),
+                            "the random sweep's count", 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below"])
+@pytest.mark.parametrize("call, what, least", INTEGER_ARGUMENTS.values(),
+                         ids=INTEGER_ARGUMENTS.keys())
+def test_one_integer_rule(call, what, least, kind):
+    """A bool, a float or a value below its range is a DomainError that
+    names the argument: never a TypeError, a ValueError, a CapExceeded or
+    a run."""
+    value = {"bool": True, "float": least + 0.5, "below": least - 1}[kind]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"{what} must be an integer >= {least}, got {value!r}"

@@ -31,7 +31,7 @@ class TestShatterFunction:
 
     def test_nonpositive_cap_is_a_usage_error(self):
         for cap in (0, -1):
-            with pytest.raises(DomainError, match=f"cap must be a positive integer, got {cap}"):
+            with pytest.raises(DomainError, match=f"cap must be an integer >= 1, got {cap}"):
                 shatter_function(path(4), 1, cap=cap)
 
     def test_is_shattered_checks_its_vertices(self):
@@ -96,7 +96,7 @@ class TestVcDimension:
 
     def test_nonpositive_cap_is_a_usage_error(self):
         for cap in (0, -1):
-            with pytest.raises(DomainError, match=f"cap must be a positive integer, got {cap}"):
+            with pytest.raises(DomainError, match=f"cap must be an integer >= 1, got {cap}"):
                 vc_dimension(Graph.empty(3), cap=cap)
 
     def test_trace_counts_monotone_until_stop(self, rng):

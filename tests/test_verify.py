@@ -71,21 +71,22 @@ class TestExhaustiveSweeps:
         assert report.counters["graphs_checked"] == 1024
 
     def test_diam_complement_cap(self):
-        with pytest.raises(CapExceeded, match=r"capped at n <= 6, got 7$"):
+        with pytest.raises(CapExceeded, match=r"n is 7, above the cap 6$"):
             verify_diam_complement(7)
 
     def test_bipartite_caps_refuse_before_any_stack(self, monkeypatch):
         monkeypatch.setattr(verify, "_graph_stack", lambda n, cells: pytest.fail("stack built"))
         for sweep in (verify_bipartite_trichotomy, verify_bipartite_classification):
-            for max_side, error in ((0, DomainError), (4, CapExceeded)):
-                with pytest.raises(error, match=f"got {max_side}$"):
+            for max_side, error, end in ((0, DomainError, "got 0$"),
+                                         (4, CapExceeded, "is 4, above the cap 3$")):
+                with pytest.raises(error, match=end):
                     sweep(max_side)
 
     @pytest.mark.parametrize("sweep, size, message", [
-        (verify_diam_complement, 0, "the diameter sweep needs n >= 1, got 0"),
-        (verify_diam_complement, -3, "the diameter sweep needs n >= 1, got -3"),
-        (verify_bipartite_trichotomy, 0, "the bipartite sweep needs sides >= 1, got 0"),
-        (verify_bipartite_classification, -1, "the bipartite sweep needs sides >= 1, got -1"),
+        (verify_diam_complement, 0, "the diameter sweep's n must be an integer >= 1, got 0"),
+        (verify_diam_complement, -3, "the diameter sweep's n must be an integer >= 1, got -3"),
+        (verify_bipartite_trichotomy, 0, "the bipartite sweep's max_side must be an integer >= 1, got 0"),
+        (verify_bipartite_classification, -1, "the bipartite sweep's max_side must be an integer >= 1, got -1"),
     ])
     def test_size_below_one_is_a_domain_error_not_a_cap(self, sweep, size, message):
         with pytest.raises(DomainError) as info:
@@ -219,7 +220,7 @@ class TestRandomSweeps:
     def test_count_below_one_is_a_domain_error(self, sweep):
         """A sweep over no instance would pass without checking anything."""
         for count in (0, -3):
-            with pytest.raises(DomainError, match=f"positive count, got {count}"):
+            with pytest.raises(DomainError, match=f"count must be an integer >= 1, got {count}"):
                 sweep(count, 0)
 
     def test_determinism(self):
