@@ -302,6 +302,7 @@ def breakability_search(
     in1 = np.isin(idx, w1)
     in2 = np.isin(idx, w1 if w2 is None else w2)
     cap = resolve_max_parts(budget.part_cap)
+    _check_int(n_cap, "n_cap", 1)  # on every call, though only raw partitions read it
     if budget.raw_partitions:
         _check_cap(g.n, n_cap, _N_CAP_WHAT, "n_cap")
         packs = raw_packs(g.n, cap)
@@ -375,6 +376,7 @@ def separability_search(
         raise DomainError(f"weights cover {len(w.weights)} vertices, graph has {g.n}")
     _check_int(k_max, "k_max", 1)
     check_part_cap(k_max, max_parts, "k_max")
+    _check_int(n_cap, "n_cap", 1)
     _check_cap(g.n, n_cap, _N_CAP_WHAT, "n_cap")
     _check_int(r, "radius")
     eps = _check_eps(eps)

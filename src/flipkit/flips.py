@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, count, islice, repeat
 from typing import Iterator
 
@@ -173,8 +174,8 @@ class FlipSpec:
     def __init__(self, pairs=()) -> None:
         normalized = set()
         for i, j in pairs:
-            if i < 0 or j < 0:
-                raise DomainError(f"part indices must be nonnegative, got ({i},{j})")
+            _check_int(i, "part index")
+            _check_int(j, "part index")
             normalized.add((min(i, j), max(i, j)))
         object.__setattr__(self, "pairs", frozenset(normalized))
 
@@ -260,18 +261,20 @@ def distinct_flip_codes(p, raw=False, adj=None) -> Iterator[np.ndarray]:
     adj = None if adj is None or size * len(adj) ** 2 <= _SHORT_STREAM else adj
     if adj is None and size <= CHUNK and key in _WHOLE:
         return iter(_WHOLE[key])
-    free = [t for t, (i, j) in enumerate(canonical_pairs(k)) if i != j or live[i]]
-    if adj is not None:
+    if adj is None:
+        free = np.ones(_pair_count(k), dtype=bool)
+        free[_pair_table()[k - 1].diagonal()[:k]] = live  # the self pairs
+    else:
         cells, edges = _pair_cells(p, k, adj)
-        free = np.flatnonzero((0 < edges) & (edges < cells)).tolist()
-        ones = sum(1 << t for t in np.flatnonzero((0 < edges) & (edges == cells)).tolist())
-    low, spread = min(len(free), CHUNK.bit_length() - 1), np.full(1, ones, dtype=np.uint64)
-    for t in free[:low]:  # the codes over the low free positions, in counter order
-        spread = np.concatenate((spread, spread | np.uint64(1 << t)))
+        free = (0 < edges) & (edges < cells)
+        ones = sum(1 << t for t in ((0 < edges) & (edges == cells)).nonzero()[0].tolist())
+    free = free.nonzero()[0].astype(np.uint64)
+    low = min(len(free), CHUNK.bit_length() - 1)
+    spread, high = _subset_sums(free[:low], ones), free[low:].tolist()
 
     def chunks():
-        for c in range(1 << (len(free) - low)):
-            codes = spread | np.uint64(sum(1 << t for b, t in enumerate(free[low:]) if c >> b & 1))
+        for c in range(1 << len(high)):
+            codes = spread | np.uint64(sum(1 << t for b, t in enumerate(high) if c >> b & 1))
             if raw:
                 codes = _drop_merges(codes, live)
             if len(codes):
@@ -284,14 +287,34 @@ def distinct_flip_codes(p, raw=False, adj=None) -> Iterator[np.ndarray]:
     return iter(_WHOLE[key])
 
 
+@cache
+def _counter_bits() -> np.ndarray:
+    """Read-only (8, 256) uint64: row b holds bit b of the counters 0..255,
+    so its leading (w, 2^w) corner holds the bits of a w-bit counter."""
+    bits = np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None] & np.uint64(1)
+    bits.setflags(write=False)
+    return bits
+
+
+def _subset_sums(positions: np.ndarray, base: int = 0) -> np.ndarray:
+    """``base`` OR each counter value 0..2^w - 1 with bit b moved to
+    ``positions[b]``, w = len(positions), distinct uint64 positions that
+    ``base`` leaves clear, in counter order: a table read per 8 bits or
+    fewer, and a w of more than 8 splits into two halves, high and low."""
+    if len(positions) > 8:
+        half = len(positions) // 2
+        return (_subset_sums(positions[half:], base)[:, None] | _subset_sums(positions[:half])).ravel()
+    bits = _counter_bits()[: len(positions), : 1 << len(positions)]
+    return np.add.reduce(bits << positions[:, None], axis=0, initial=np.uint64(base))
+
+
 def _drop_merges(codes: np.ndarray, live: np.ndarray) -> np.ndarray:
     """``codes``, over parts whose self pairs are ``live``, less the merge
     repeats: the flips with two parts a < b that have the same bit to every
     other part and an a-b bit equal to their live self bits, which are also
     flips of the partition merging a and b."""
     k = len(live)
-    # with two vertices per part, cell (2a, 2b + 1) has the pair (a, b), a = b too
-    shifts = pair_index(np.arange(k).repeat(2))[::2, 1::2].astype(np.uint64)
+    shifts = _pair_table()[k - 1, :k, :k].astype(np.uint64)  # the pair (a, b), a = b too
     bits = ((codes >> shifts[..., None]) & np.uint64(1)).astype(bool)
     repeat = np.zeros(len(codes), dtype=bool)
     for a, b in combinations(range(k), 2):
@@ -309,18 +332,39 @@ def _check_spec(p: Partition, spec: FlipSpec) -> None:
             )
 
 
+def _canonical_index(k, i, j):
+    """The canonical index of the part pair {i, j} among k parts, elementwise."""
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    return i * k - i * (i - 1) // 2 + j - i
+
+
+@cache
+def _pair_table() -> np.ndarray:
+    """The read-only ``_canonical_index`` of every [top, i, j] with i, j and
+    ``top`` at most _CODE_PARTS: the pairs among top + 1 parts, built on
+    first use."""
+    labels = np.arange(_CODE_PARTS + 1)
+    table = _canonical_index(labels[:, None, None] + 1, labels[:, None], labels)
+    table.setflags(write=False)
+    return table
+
+
 def pair_index(p) -> np.ndarray:
     """(..., n, n) int64 map from each cell (u, v) to the canonical index of
     the part pair of the labels of u and v; the diagonal, which no flip
     touches, is -1.  ``p`` is a Partition or part labels of shape (..., n),
-    one partition per row."""
+    one partition per row.  Labels up to _CODE_PARTS, so every partition
+    with a flip code, gather the map from ``_pair_table``; larger ones, as
+    ``reconstruct_flip_spec`` meets, take the closed form."""
     labels = np.asarray(p)
-    k = labels.max(-1, initial=-1, keepdims=True)[..., None] + 1
-    i = np.minimum(labels[..., :, None], labels[..., None, :])
-    j = np.maximum(labels[..., :, None], labels[..., None, :])
-    index = i * k - i * (i - 1) // 2 + j - i
-    diagonal = np.arange(labels.shape[-1])
-    index[..., diagonal, diagonal] = -1
+    n = labels.shape[-1]
+    top = labels.max(-1, initial=-1, keepdims=True)[..., None]
+    rows, cols = labels[..., :, None], labels[..., None, :]
+    try:
+        index = _pair_table()[top, rows, cols]
+    except IndexError:
+        index = _canonical_index(top + 1, rows, cols)
+    index.reshape(*labels.shape[:-1], n * n)[..., :: n + 1] = -1
     return index
 
 
@@ -434,14 +478,15 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
     _RAW holds at most _RAW_BUDGET bytes, and later reads take the stored
     packs.  A reader past them continues the spare stream, or a new one
     that skips the packs before, and keeps it while its packs go unstored.
-    Its callers cap n."""
+    A pack read from a stream yields the masks it built, never an unpacked
+    copy.  Its callers cap n."""
     key = (n, max_parts, CHUNK)
     with _RAW_LOCK:
         packs, size, spare = _RAW[key] = _RAW.get(key) or ([], [0], {})
     stream = None  # this reader's own stream, past the stored packs
     for i in count():
         if i < len(packs):
-            (bits, pieces), stream = packs[i], None
+            (bits, pieces), stream, masks = packs[i], None, None
         else:
             stream = stream or spare.pop(i, None)
             if stream is None:
@@ -460,7 +505,9 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
         if bits is None:
             yield None, pieces
             return
-        yield np.unpackbits(bits, axis=1, count=n * n).view(bool).reshape(-1, n, n), pieces
+        # a stored pack is unpacked in the yield, so no local keeps it past first_flip's del
+        yield (masks if masks is not None else
+               np.unpackbits(bits, axis=1, count=n * n).view(bool).reshape(-1, n, n)), pieces
 
 
 def first_flip(
@@ -501,9 +548,14 @@ def first_flip(
 def _bit_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
     """The (pieces, n^2) ``pair_index`` of each piece's cells, and the
     (pairs + 1, flips) bool rows of the code bits, shifted in the narrowest
-    unsigned dtype that holds the pairs; the diagonal's last row is False."""
-    codes = np.concatenate([c for _, c in pieces])
-    index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
+    unsigned dtype that holds the pairs; the diagonal's last row is False.
+    A pack of one piece is neither stacked nor concatenated."""
+    if len(pieces) == 1:
+        (labels, codes), = pieces
+        index = pair_index(labels).reshape(1, -1)
+    else:
+        codes = np.concatenate([c for _, c in pieces])
+        index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
     pairs = int(index.max(initial=0)) + 1
     dtype = np.min_scalar_type((1 << pairs) - 1)
     rows = np.zeros((pairs + 1, len(codes)), dtype=bool)
@@ -520,11 +572,14 @@ def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
     each piece takes its cells' rows in one gather, and no index the size
     of the stack is built."""
     index, rows = _bit_rows(pieces)
-    cells = np.empty((n * n, rows.shape[1]), dtype=bool)
-    start = 0
-    for piece, (_, c) in zip(index, pieces):
-        cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
-        start += len(c)
+    if len(index) == 1:
+        cells = rows[index[0]]
+    else:
+        cells = np.empty((n * n, rows.shape[1]), dtype=bool)
+        start = 0
+        for piece, (_, c) in zip(index, pieces):
+            cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
+            start += len(c)
     return cells.T.reshape(rows.shape[1], n, n)
 
 
@@ -533,23 +588,26 @@ def flip_words(adj: np.ndarray, pieces) -> np.ndarray:
     uint64 words of ``graphs._word_fold``, bit i of word w being flip
     64w + i, without a bool stack: the ``_bit_rows`` are packed into (W,
     pairs + 1) words once, zero past F, each piece gathers its cells'
-    words, masked in a word it shares with the piece before or after it,
-    and the cells of edges are inverted.  This is the one word packer."""
+    words, masked in a word it shares with the piece before or after it
+    (a pack of one piece gathers them unmasked), and the cells of edges
+    are inverted.  This is the one word packer."""
     (index, rows), n, ones = _bit_rows(pieces), len(adj), ~np.uint64(0)
     packed = np.zeros((len(rows), 8 * -(-rows.shape[1] // _WORD)), dtype=np.uint8)
     packed[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
     words = packed.view("<u8").T.copy()
-    out = np.zeros((len(words), n * n), dtype=np.uint64)
-    start = 0
-    for piece, (_, c) in zip(index, pieces):
-        end = start + len(c)
-        span = slice(start // _WORD, -(-end // _WORD))
-        block = words[span, piece]
-        block[0] &= ones << np.uint64(start % _WORD)
-        block[-1] &= ones >> np.uint64(-end % _WORD)
-        out[span] |= block
-        start = end
-    out ^= adj.reshape(-1) * ones
+    if len(index) == 1:
+        out = words[:, index[0]]
+    else:
+        out, start = np.zeros((len(words), n * n), dtype=np.uint64), 0
+        for piece, (_, c) in zip(index, pieces):
+            end = start + len(c)
+            span = slice(start // _WORD, -(-end // _WORD))
+            block = words[span, piece]
+            block[0] &= ones << np.uint64(start % _WORD)
+            block[-1] &= ones >> np.uint64(-end % _WORD)
+            out[span] |= block
+            start = end
+    np.bitwise_xor(out, ones, out=out, where=adj.reshape(-1))
     return out.reshape(len(words), n, n)
 
 

@@ -68,11 +68,9 @@ def _check_int(x, what: str, least: int = 0) -> None:
 
 def _check_cap(value: int, cap: int, what: str, knob: str | None = None) -> None:
     """The one refusal of an exhaustive enumeration: ``what``, of size
-    ``value``, above ``cap``.  A cap that a user sets through ``knob`` is
-    first checked by ``_check_int``; a constant ceiling (no knob) costs one
-    comparison."""
-    if knob is not None:
-        _check_int(cap, knob, 1)
+    ``value``, above ``cap``, one comparison.  A cap that a user sets
+    through ``knob``, which the refusal names, is checked once by
+    ``_check_int`` where it is read, before it gets here."""
     if value > cap:
         raise CapExceeded(f"{what} is {value}, above the cap {cap}"
                           + (f"; raise {knob}" if knob else ""))

@@ -73,6 +73,7 @@ def shatter_function(g: Graph, n: int, *, cap: int = DEFAULT_SHATTER_CAP) -> int
     _check_int(n, "trace size n")
     if n > g.n:
         raise DomainError(f"trace size {n} out of range for n={g.n}")
+    _check_int(cap, "the shatter-function cap", 1)
     _check_cap(n, cap, "the trace size", "the shatter-function cap")
     return _shatter_value(g, n)[0]
 
@@ -95,6 +96,7 @@ def vc_dimension(g: Graph, *, cap: int = DEFAULT_VCDIM_CAP) -> ShatterReport:
     """
     if g.n == 0:
         raise DomainError("VC-dimension of the empty graph is undefined")
+    _check_int(cap, "the VC-dimension cap", 1)
     _check_cap(g.n, cap, "the vertex count", "the VC-dimension cap")
     traces_by_size: dict[int, int] = {}
     witness: tuple[int, ...] = ()

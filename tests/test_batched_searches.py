@@ -386,6 +386,23 @@ def test_raw_cache_replays_a_refusal(monkeypatch):
             search()
 
 
+def test_a_cold_raw_read_yields_the_masks_it_built(monkeypatch):
+    """The first read of a raw stream yields the masks it built, with no
+    unpack of the bits it stores; a warm read unpacks equal masks."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    unpacked = []
+    real = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits", lambda *args, **kw: unpacked.append(1) or real(*args, **kw))
+    cold = list(flips.raw_packs(6, 3))
+    assert not unpacked
+    warm = list(flips.raw_packs(6, 3))
+    assert len(unpacked) == len(cold) - 1 > 1
+    assert cold[-1] == warm[-1] and cold[-1][0] is None
+    for (masks, pieces), (again, same) in zip(cold[:-1], warm[:-1]):
+        assert again.shape == masks.shape and np.array_equal(again, masks)
+        assert same is pieces
+
+
 def _stored_bytes() -> int:
     return sum(bits.nbytes + sum(labels.nbytes + codes.nbytes for _, labels, codes in pieces)
                for packs, _, _ in flips._RAW.values() for bits, pieces in packs

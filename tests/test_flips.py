@@ -30,7 +30,7 @@ from flipkit import (
     search_definable_emulation,
     separability_search,
 )
-from flipkit import flips, metrics
+from flipkit import flips, graphs, metrics
 from flipkit.flips import candidate_packs, first_flip, flip_adjacency_batch, pair_index
 from flipkit.graphs import UNREACHED, distance_matrix
 from flipkit.generators import clique, cycle, gnp, path, star
@@ -346,6 +346,21 @@ class TestOnePartCap:
         with pytest.raises(DomainError, match="the part cap must be an integer >= 1"):
             breakability_search(g, [0, 2], 1, 1, SearchBudget(part_cap=bad))
 
+    def test_the_cap_is_checked_once(self, monkeypatch):
+        """check_part_cap checks the cap it resolves once, and keeps both
+        refusal texts: a bool argument and a non-number in the variable."""
+        checked = []
+        real = flips._check_int
+        monkeypatch.setattr(flips, "_check_int", lambda x, *rest: checked.append(x) or real(x, *rest))
+        monkeypatch.setattr(graphs, "_check_int", lambda x, *rest: checked.append(x) or real(x, *rest))
+        flips.check_part_cap(3, 4)
+        assert checked == [4]
+        with pytest.raises(DomainError, match=r"^the part cap must be an integer >= 1, got True$"):
+            flips.check_part_cap(1, True)
+        monkeypatch.setenv("FLIPKIT_MAX_PARTS", "abc")
+        with pytest.raises(DomainError, match=r"^FLIPKIT_MAX_PARTS must be an integer >= 1, got 'abc'$"):
+            flips.check_part_cap(1, None)
+
 
 class TestPairIndex:
     def test_matches_the_oracle_pair_by_pair(self, rng):
@@ -376,6 +391,35 @@ class TestPairIndex:
             assert np.array_equal(row, pair_index(p))
 
 
+    @pytest.mark.parametrize("parts", [*range(1, 12), 300])
+    def test_every_part_count_maps_to_the_canonical_order(self, rng, parts):
+        """Each cell maps to its pair's place in canonical_pairs, the
+        diagonal to -1: through the table up to 11 parts, and through the
+        closed form at 300 parts, as reconstruct_flip_spec meets."""
+        labels = list(range(parts)) + [rng.randrange(parts) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(labels)
+        order = {pair: t for t, pair in enumerate(canonical_pairs(parts))}
+        want = [[-1 if u == v else order[min(a, b), max(a, b)] for v, b in enumerate(labels)]
+                for u, a in enumerate(labels)]
+        index = pair_index(np.array(labels))
+        assert index.dtype == np.int64 and index.tolist() == want
+
+    def test_mixed_part_counts_and_no_cells(self, rng):
+        """Stacked rows of 1 to 11 parts, and the same rows with one of 13
+        parts, map row by row; no vertices map no cells, one vertex its
+        diagonal alone."""
+        rows = [[rng.randrange(k) for _ in range(13)] for k in range(1, 12)]
+        for stack in (rows, rows + [list(range(13))]):
+            index = pair_index(np.array(stack))
+            assert index.shape == (len(stack), 13, 13)
+            for row, labels in zip(index, stack):
+                assert np.array_equal(row, pair_index(np.array(labels)))
+        assert pair_index(Partition(0, [])).shape == (0, 0)
+        assert pair_index(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0, 0)
+        assert pair_index(Partition.trivial(1)).tolist() == [[-1]]
+        assert pair_index(np.zeros((2, 1), dtype=np.int64)).tolist() == [[[-1]], [[-1]]]
+
+
 class TestDistinctFlipCodes:
     @pytest.mark.parametrize("chunk", [3, None])
     def test_the_codes_without_dead_bits_in_chunks(self, rng, monkeypatch, chunk):
@@ -392,6 +436,32 @@ class TestDistinctFlipCodes:
                 chunks = list(flips.distinct_flip_codes(source))
                 assert all(c.dtype == np.uint64 and 0 < len(c) <= flips.CHUNK for c in chunks)
                 assert np.concatenate(chunks).tolist() == want
+
+    @pytest.mark.parametrize("chunk", [4, None])
+    def test_a_graph_fixes_each_homogeneous_block(self, rng, monkeypatch, chunk):
+        """Given a graph, the codes set each complete block's bit, clear
+        each empty block's, and spread the counter over the other pairs'
+        positions in counter order, in chunks of CHUNK: the codes a plain
+        count of each block's cells and edges gives."""
+        monkeypatch.setattr(flips, "_SHORT_STREAM", 0)  # every stream reads the graph
+        if chunk is not None:
+            monkeypatch.setattr(flips, "CHUNK", chunk)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            labels = random_partition_labels(rng, n, 5)
+            ones, free = 0, []
+            for t, (i, j) in enumerate(canonical_pairs(max(labels) + 1)):
+                cells = [(u, v) for u in range(n) for v in range(n)
+                         if u != v and {labels[u], labels[v]} == {i, j}]
+                edges = sum(bool(g.adj[u, v]) for u, v in cells)
+                ones |= (0 < edges == len(cells)) << t
+                free += [t] * (0 < edges < len(cells))
+            want = [ones | sum(1 << t for b, t in enumerate(free) if c >> b & 1)
+                    for c in range(1 << len(free))]
+            chunks = list(flips.distinct_flip_codes(np.array(labels), adj=g.adj))
+            assert all(c.dtype == np.uint64 and 0 < len(c) <= flips.CHUNK for c in chunks)
+            assert np.concatenate(chunks).tolist() == want
 
     def test_ten_parts_spread_the_counter_over_the_live_bits(self):
         """At 10 parts, 8 of them singletons, bit b of the counter lands on

@@ -210,7 +210,7 @@ REFUSALS = {
     ),
     "flip-spec-negative": (
         lambda: FlipSpec([(0, -1)]),
-        "part indices must be nonnegative, got (0,-1)",
+        "part index must be an integer >= 0, got -1",
     ),
     "ball-negative-radius": (lambda: ball(P3, 0, -1), "radius must be an integer >= 0, got -1"),
     "ball-partition-negative-radius": (
@@ -386,6 +386,9 @@ INTEGER_ARGUMENTS = {
         "the part cap", 1),
     "breakability-n-cap": (
         lambda x: breakability_search(P3, [0, 2], 1, 1, RAW, n_cap=x), "n_cap", 1),
+    # checked on every call, though only raw partitions read it
+    "breakability-n-cap-definable": (
+        lambda x: breakability_search(P3, [0, 2], 1, 1, n_cap=x), "n_cap", 1),
     "separability-r": (
         lambda x: separability_search(P3, WeightFn.uniform(3), x, 1, 1), "radius", 0),
     "separability-k-max": (
@@ -412,6 +415,8 @@ INTEGER_ARGUMENTS = {
         lambda x: small_balls_orchestrate(P3, WeightFn.uniform(3), SetFamily([(0,)]), 1, 1,
                                           SearchBudget(group_size=x)),
         "group_size", 1),
+    "flip-spec-first-index": (lambda x: FlipSpec([(x, 0)]), "part index", 0),
+    "flip-spec-second-index": (lambda x: FlipSpec([(0, x)]), "part index", 0),
     "greedy-scattered-d": (lambda x: greedy_scattered(P3, [0, 2], x), "distance d", 0),
     "break-from-sep-r": (
         lambda x: break_from_sep(P4, QUAD, x, (Partition.trivial(4), FlipSpec())), "radius", 0),
