@@ -266,8 +266,9 @@ def distinct_flip_codes(p, raw=False, adj=None) -> Iterator[np.ndarray]:
         free[_pair_table()[k - 1].diagonal()[:k]] = live  # the self pairs
     else:
         cells, edges = _pair_cells(p, k, adj)
-        free = (0 < edges) & (edges < cells)
-        ones = sum(1 << t for t in ((0 < edges) & (edges == cells)).nonzero()[0].tolist())
+        nonempty = edges > 0
+        full = nonempty & (edges == cells)
+        free, ones = nonempty ^ full, sum(1 << t for t in full.nonzero()[0].tolist())
     free = free.nonzero()[0].astype(np.uint64)
     low = min(len(free), CHUNK.bit_length() - 1)
     spread, high = _subset_sums(free[:low], ones), free[low:].tolist()
