@@ -11,10 +11,13 @@ packs the distinct flips of consecutive partitions, given as part labels,
 into cell-bounded stacks of pieces, and each caller builds the layout its
 BFS reads; given a flip metric's graph, it empties each complete or empty
 block.  ``flip_adjacency_pack`` builds masks through ``pair_index``,
-from n alone, and a flip of a graph is its adjacency XOR its mask;
-``flip_words``, the one builder of words, builds a flip-metric pack of 64
-or more flips straight from its codes, bit-sliced 64 flips to a word
-(``metrics._pack_max`` picks the layout).  ``first_flip`` judges the packs
+from n alone, and a flip of a graph is its adjacency XOR its mask; a pack
+of many pieces shifts each flip's code by its cells' pair indices, in the
+narrowest unsigned dtype of its codes, through one buffer of at most
+``_SHIFT_BYTES``, with no per-piece Python.  ``flip_words``, the one
+builder of words, builds a flip-metric pack of 64 or more flips straight
+from its codes, bit-sliced 64 flips to a word (``metrics._pack_max``
+picks the layout).  ``first_flip`` judges the packs
 of a search: ``candidate_packs`` of a candidate stream, or ``raw_packs``,
 the packs of every partition into at most k parts, which depend on no
 graph and are stored once per (n, k, CHUNK) under a byte budget.
@@ -257,7 +260,7 @@ def distinct_flip_codes(p, raw=False, adj=None) -> Iterator[np.ndarray]:
     ``adj`` is built once, into ``_WHOLE``."""
     live = np.bincount(np.asarray(p)) > 1
     k, key, ones = len(live), (live.tobytes(), raw), 0
-    size = 1 << (_pair_count(k) - k + int(live.sum()))
+    size = 1 << (_pair_count(k) - k + np.count_nonzero(live))
     adj = None if adj is None or size * len(adj) ** 2 <= _SHORT_STREAM else adj
     if adj is None and size <= CHUNK and key in _WHOLE:
         return iter(_WHOLE[key])
@@ -435,13 +438,14 @@ def flip_packs(n: int, partitions, size: int, raw=False, adj=None) -> Iterator[l
         yield pieces
 
 
-def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
+def candidate_packs(n: int, candidates, raw=False, skip=0) -> Iterator[tuple]:
     """The packs that ``first_flip`` judges: the ``flip_packs`` of
     ``candidates``, ``(tag, partition)`` pairs, from 64 flips, as masks and
-    pieces, ended by ``(None, totals)``.  A partition is given by its part
-    labels (or a Partition); None marks a set over the part cap, which is
-    skipped.  A piece's info is ``(tag, tried, skipped, specs)``, the counts
-    before its candidate, and the totals are those counts after the last."""
+    pieces, ended by ``(None, totals)``.  A partition is given by its
+    canonical part labels (or a Partition); None marks a set over the part
+    cap, which is skipped.  A piece's info is ``(tag, tried, skipped,
+    specs)``, the counts before its candidate, and the totals are those
+    counts after the last.  The first ``skip`` packs are drawn, not built."""
     tried = skipped = specs = 0
 
     def draw():
@@ -450,11 +454,12 @@ def candidate_packs(n: int, candidates, raw=False) -> Iterator[tuple]:
             if p is None:
                 skipped += 1
                 continue
-            labels = np.asarray(p)
+            labels = np.asarray(p, dtype=np.int64)
+            k = int(labels.max()) + 1  # the one read of the part count
             yield (tag, tried, skipped, specs), labels
-            tried, specs = tried + 1, specs + num_flips(int(labels.max()) + 1)
+            tried, specs = tried + 1, specs + (1 << k * (k + 1) // 2)
 
-    for pieces in flip_packs(n, draw(), 64, raw):
+    for pieces in islice(flip_packs(n, draw(), 64, raw), skip, None):
         yield flip_adjacency_pack(n, [(labels, codes) for _, labels, codes in pieces]), pieces
     yield None, (tried, skipped, specs)
 
@@ -478,7 +483,8 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
     so the stream is stored in _RAW as it is first read, pack by pack while
     _RAW holds at most _RAW_BUDGET bytes, and later reads take the stored
     packs.  A reader past them continues the spare stream, or a new one
-    that skips the packs before, and keeps it while its packs go unstored.
+    that draws the packs before but builds no mask of them, and keeps it
+    while its packs go unstored.
     A pack read from a stream yields the masks it built, never an unpacked
     copy.  Its callers cap n."""
     key = (n, max_parts, CHUNK)
@@ -491,8 +497,7 @@ def raw_packs(n: int, max_parts: int) -> Iterator[tuple]:
         else:
             stream = stream or spare.pop(i, None)
             if stream is None:
-                stream = candidate_packs(n, zip(repeat(None), partition_labels(n, max_parts)), True)
-                next(islice(stream, i, i), None)  # skips packs 0..i-1
+                stream = candidate_packs(n, zip(repeat(None), partition_labels(n, max_parts)), True, i)
             masks, pieces = next(stream)
             bits = None if masks is None else np.packbits(masks.reshape(len(masks), -1), axis=1)
             nbytes = 0 if bits is None else bits.nbytes + sum(
@@ -546,42 +551,68 @@ def first_flip(
     raise RuntimeError("a pack stream ended without its totals")
 
 
-def _bit_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """The (pieces, n^2) ``pair_index`` of each piece's cells, and the
-    (pairs + 1, flips) bool rows of the code bits, shifted in the narrowest
-    unsigned dtype that holds the pairs; the diagonal's last row is False.
-    A pack of one piece is neither stacked nor concatenated."""
+def _pack_index(pieces) -> tuple[np.ndarray, np.ndarray, int, np.dtype]:
+    """The (pieces, n^2) ``pair_index`` of each piece's cells, the codes in
+    stack order, the pairs of the widest piece, and the narrowest unsigned
+    dtype that holds them.  A pack of one piece is neither stacked nor
+    concatenated."""
     if len(pieces) == 1:
         (labels, codes), = pieces
         index = pair_index(labels).reshape(1, -1)
     else:
         codes = np.concatenate([c for _, c in pieces])
-        index = pair_index(np.stack([np.asarray(p) for p, _ in pieces])).reshape(len(pieces), -1)
+        labels = np.concatenate([np.asarray(p) for p, _ in pieces]).reshape(len(pieces), -1)
+        index = pair_index(labels).reshape(len(pieces), -1)
     pairs = int(index.max(initial=0)) + 1
-    dtype = np.min_scalar_type((1 << pairs) - 1)
+    return index, codes, pairs, np.min_scalar_type((1 << pairs) - 1)
+
+
+def _bit_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_pack_index`` of ``pieces`` and the (pairs + 1, flips) bool
+    rows of the code bits, shifted in its dtype; the diagonal's last row
+    is False."""
+    index, codes, pairs, dtype = _pack_index(pieces)
     rows = np.zeros((pairs + 1, len(codes)), dtype=bool)
     rows[:-1] = (codes.astype(dtype) >> np.arange(pairs, dtype=dtype)[:, None]) & dtype.type(1)
     return index, rows
 
 
+#: The bytes of the one buffer in which a pack of many pieces shifts its
+#: codes, a block of flips at a time, so no (flips, n^2) array of codes is
+#: built: 64K cells of 2-byte codes (4 or 5 parts), 16K of 8-byte ones.
+_SHIFT_BYTES = 1 << 17
+
+
 def flip_adjacency_pack(n: int, pieces) -> np.ndarray:
-    """Boolean (flips, n, n) masks of a stack of flips over
-    ``0..n-1``, given as (partition, codes) pieces in stack order: a flip
-    of a graph is its adjacency XOR its mask.  The masks are a transposed
-    view, flips fastest; the float32 BFS takes the XOR in C order.  Each
-    cell reads its flip's row of ``_bit_rows`` at its ``pair_index``, so
-    each piece takes its cells' rows in one gather, and no index the size
-    of the stack is built."""
-    index, rows = _bit_rows(pieces)
-    if len(index) == 1:
-        cells = rows[index[0]]
-    else:
-        cells = np.empty((n * n, rows.shape[1]), dtype=bool)
-        start = 0
-        for piece, (_, c) in zip(index, pieces):
-            cells[:, start:start + len(c)] = rows[piece, start:start + len(c)]
-            start += len(c)
-    return cells.T.reshape(rows.shape[1], n, n)
+    """Boolean (flips, n, n) masks of a stack of flips over ``0..n-1``,
+    given as (partition, codes) pieces in stack order: a flip of a graph is
+    its adjacency XOR its mask.  A pack of one piece gathers each cell's
+    row of ``_bit_rows`` at its ``pair_index``, as a transposed view,
+    flips fastest; the float32 BFS takes the XOR in C order.  A pack of
+    more pieces takes its flips a block of ``_SHIFT_BYTES`` at a time:
+    each flip's row of the ``pair_index`` of its piece, in the narrowest
+    unsigned dtype of its codes (8 bytes a cell for 8 to 10 parts), shifts
+    the flip's code right in place, and bit 0 of each shifted code is the
+    cell's mask; the diagonal is cleared."""
+    if len(pieces) == 1:
+        index, rows = _bit_rows(pieces)
+        return rows[index[0]].T.reshape(rows.shape[1], n, n)
+    index, codes, _, dtype = _pack_index(pieces)
+    index[:, :: n + 1] = 0  # a shift in range, not -1: the diagonal is cleared below
+    index, codes = index.astype(dtype), codes.astype(dtype, copy=False)[:, None]
+    piece = np.repeat(np.arange(len(pieces)), [len(c) for _, c in pieces])
+    masks = np.empty((len(codes), n * n), dtype=bool)
+    step = max(1, _SHIFT_BYTES // max(n * n * dtype.itemsize, 1))
+    shifts = np.empty((min(step, len(codes)), n * n), dtype=dtype)
+    for start in range(0, len(codes), step):
+        ids = piece[start:start + step]
+        block = shifts[: len(ids)]
+        np.take(index, ids, axis=0, out=block, mode="clip")  # in range; "raise" would buffer
+        np.right_shift(codes[start:start + step], block, out=block)
+        np.bitwise_and(block, dtype.type(1), out=block)
+        masks[start:start + step] = block
+    masks[:, :: n + 1] = False
+    return masks.reshape(len(codes), n, n)
 
 
 def flip_words(adj: np.ndarray, pieces) -> np.ndarray:

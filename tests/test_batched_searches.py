@@ -433,6 +433,32 @@ def test_raw_cache_stays_within_its_budget(monkeypatch):
     assert packs[-1][0] is not None, "the budget held the whole stream"
 
 
+def test_a_reader_past_the_stored_packs_builds_only_what_it_reads(monkeypatch):
+    """Under a budget that stores only the first packs of a stream, a later
+    reader with no spare stream starts a new one past the stored packs: it
+    draws their pieces but builds no mask of them, so the flips it builds
+    are those past the stored packs, and it reads what the first reader
+    read."""
+    monkeypatch.setattr(flips, "_RAW", {})
+    monkeypatch.setattr(flips, "_RAW_BUDGET", 3000)
+    first = list(flips.raw_packs(6, 3))
+    built = []
+    real = flips.flip_adjacency_pack
+    monkeypatch.setattr(flips, "flip_adjacency_pack",
+                        lambda n, pieces: built.append(sum(len(c) for _, c in pieces)) or real(n, pieces))
+    again = list(flips.raw_packs(6, 3))
+    (packs, _, spare), = flips._RAW.values()
+    stored = sum(len(codes) for _, pieces in packs for _, _, codes in pieces)
+    stream = sum(len(c) for p in partition_labels(6, 3) for c in distinct_flip_codes(p, raw=True))
+    assert 0 < stored < stream and not spare
+    assert sum(built) == stream - stored and len(built) == len(first) - 1 - len(packs)
+    assert first[-1] == again[-1] and len(first) == len(again)
+    for (masks, pieces), (same, read) in zip(first[:-1], again[:-1]):
+        assert np.array_equal(masks, same)
+        assert [(info, labels.tolist(), codes.tolist()) for info, labels, codes in pieces] == \
+               [(info, labels.tolist(), codes.tolist()) for info, labels, codes in read]
+
+
 @pytest.mark.parametrize("chunks", [(None, 3), (3, None)], ids=["default-then-3", "3-then-default"])
 def test_raw_cache_is_per_chunk(monkeypatch, chunks):
     """A search under one CHUNK never reads the packs stored under another,

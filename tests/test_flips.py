@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, count, product
 
 import numpy as np
@@ -549,6 +550,23 @@ class TestFlipAdjacencyBatch:
             assert np.array_equal(
                 flip_adjacency_batch(g, p, codes | stray), flip_adjacency_batch(g, p, codes)
             )
+        # a pack of many pieces shifts every code in the dtype of its widest
+        # piece: bits at and above each piece's own pairs change no mask, and
+        # the diagonal stays clear where bit 0 is set
+        n, pieces, strayed = 12, [], []
+        for k in (1, 3, 5, 10, 2):
+            p = Partition.from_labels(list(range(k)) + [rng.randrange(k) for _ in range(n - k)])
+            npairs = len(canonical_pairs(k))
+            codes = np.array([1, *(rng.getrandbits(npairs) for _ in range(5))], dtype=np.uint64)
+            stray = np.array(
+                [(rng.getrandbits(64 - npairs) | 1) << npairs for _ in codes], dtype=np.uint64
+            )
+            pieces.append((p, codes))
+            strayed.append((p, codes | stray))
+        masks = flips.flip_adjacency_pack(n, strayed)
+        one_by_one = np.concatenate([flips.flip_adjacency_pack(n, [piece]) for piece in pieces])
+        assert np.array_equal(masks, one_by_one)
+        assert not masks[:, range(n), range(n)].any() and masks.any()
 
     def test_refuses_more_than_64_pairs_whatever_the_cap(self, monkeypatch):
         monkeypatch.setenv("FLIPKIT_MAX_PARTS", "11")
@@ -558,6 +576,87 @@ class TestFlipAdjacencyBatch:
             flip_adjacency_batch(g, p, np.zeros(1, dtype=np.uint64))
         with pytest.raises(CapExceeded, match="the part count of a flip code is 11, above the cap 10"):
             dist_partition_matrix(g, p)
+
+
+class TestManyPiecePacks:
+    @staticmethod
+    def _check(rng, n, pieces) -> np.ndarray:
+        """The masks of ``pieces``, (Partition, codes) pairs: each flip is
+        the reference ``apply_flip`` of its spec."""
+        g = random_graph(rng, n, rng.random())
+        masks = flips.flip_adjacency_pack(n, [(p.part_labels(), np.array(codes, dtype=np.uint64))
+                                              for p, codes in pieces])
+        assert masks.dtype == bool and masks.shape == (sum(len(c) for _, c in pieces), n, n)
+        flat = iter(masks)
+        for p, codes in pieces:
+            for code in codes:
+                want = apply_flip(g, p, FlipSpec.from_bits(len(p.parts), code))
+                assert np.array_equal(g.adj ^ next(flat), want.adj), (p, code)
+        return masks
+
+    @pytest.mark.parametrize("shift_bytes", [None, 100], ids=["default", "100-bytes"])
+    def test_masks_are_the_reference_flips(self, rng, monkeypatch, shift_bytes):
+        """Packs of 2 to 9 pieces mixing partitions of 1 to 10 parts, some
+        of one flip, on 1 to 12 vertices, their codes shifted in 8, 16, 32
+        and 64 bits, built in one block or a block of 100 bytes (at most a
+        few flips) at a time: every flip is its reference, flip by flip."""
+        if shift_bytes:
+            monkeypatch.setattr(flips, "_SHIFT_BYTES", shift_bytes)
+        widths, single = set(), 0
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            pieces = []
+            for _ in range(rng.randint(2, 9)):
+                k = rng.randint(1, min(10, n))
+                labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+                rng.shuffle(labels)
+                npairs = len(canonical_pairs(k))
+                size = rng.choice([1, 1, 2, 7, 30])
+                pieces.append((Partition.from_labels(labels),
+                               [rng.getrandbits(npairs) for _ in range(size)]))
+                single += size == 1
+            k = max(len(p.parts) for p, _ in pieces)
+            widths.add(np.min_scalar_type((1 << k * (k + 1) // 2) - 1).itemsize)
+            self._check(rng, n, pieces)
+        assert single >= 20 and widths == {1, 2, 4, 8}
+
+    def test_one_vertex(self, rng):
+        """On one vertex every flip is the one-vertex graph."""
+        one = Partition.trivial(1)
+        assert not self._check(rng, 1, [(one, [0, 1]), (one, [1]), (one, [0])]).any()
+
+    def test_top_pair_of_ten_parts(self, rng):
+        """Bit 54, the pair (9, 9) of 10 parts, toggles its own block in a
+        pack that also holds a piece of 2 parts."""
+        ten = Partition(11, [[v] for v in range(9)] + [[9, 10]])
+        two = Partition.from_labels([0] * 6 + [1] * 5)
+        masks = self._check(rng, 11, [(two, [1, 7]), (ten, [1 << 54, 1 << 53 | 1 << 54]), (two, [2])])
+        assert masks[2, 9, 10] and masks[2].sum() == 2
+
+    def test_memory_of_a_full_pack_is_bounded(self, rng):
+        """A many-piece build of a full pack, CHUNK * 100 cells over 12
+        vertices in pieces of 10 parts, whose codes are uint64, peaks under
+        3 times its bool masks: the shifts are taken in a buffer of
+        ``_SHIFT_BYTES``, so no (flips, n^2) array of codes, which alone
+        would be 8 times the masks, is built."""
+        n = 12
+        f = flips.CHUNK * 100 // n**2
+        pieces, left = [], f
+        while left:
+            size = min(left, rng.randint(1, 80))
+            labels = list(range(10)) + [rng.randrange(10) for _ in range(n - 10)]
+            rng.shuffle(labels)
+            codes = np.array([rng.getrandbits(55) for _ in range(size)], dtype=np.uint64)
+            pieces.append((np.array(flips._first_labels(labels)), codes))
+            left -= size
+        tracemalloc.start()
+        try:
+            masks = flips.flip_adjacency_pack(n, pieces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks.shape == (f, n, n) and len(pieces) > 50
+        assert peak < 3 * masks.nbytes
 
 
 class TestFlipWords:
@@ -590,9 +689,11 @@ class TestFlipWords:
         assert widths == ({1, 2, 4, 8} if n >= 9 else {1})
 
     def test_no_vertices(self):
-        """On no vertices a pack is F empty masks and W words of no cells."""
+        """On no vertices a pack, of one piece or two, is F empty masks and
+        W words of no cells."""
         pieces = [(np.zeros(0, dtype=np.int64), np.zeros(65, dtype=np.uint64))]
         assert flips.flip_adjacency_pack(0, pieces).shape == (65, 0, 0)
+        assert flips.flip_adjacency_pack(0, pieces * 2).shape == (130, 0, 0)
         assert flips.flip_words(np.zeros((0, 0), dtype=bool), pieces).shape == (2, 0, 0)
 
 
